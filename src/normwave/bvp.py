@@ -472,9 +472,13 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     starts; Brent runs on log(eps) over the bracketing segment. Raises
     NoSolutionInRegime when rho sits on the forbidden side of the critical
     threshold and BracketFailed when the traced branch never meets rho.
+    A non-finite or non-positive rho, or dim != 1, raises ValueError before
+    the ground state is solved.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be positive and finite")
+    if params.dim != 1:
+        raise ValueError("the direct solver is one-dimensional")
     gs = ground_state if ground_state is not None else solve_ground_state(params)
     two_sigma0 = 2.0 * gs.sigma0
     reason = _forbidden_side(spec, params, rho, two_sigma0)

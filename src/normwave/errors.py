@@ -12,7 +12,7 @@ class SolverError(Exception):
 # -- ground state -----------------------------------------------------------
 
 class NoConvergence(SolverError):
-    """Shooting bisection failed to bracket or converge within budget."""
+    """Shooting bisection or radial Newton failed to converge within budget."""
 
 
 class TailNotResolved(SolverError):

@@ -161,7 +161,8 @@ def closed_form_soliton(p: float):
 
 # -- shooting (N >= 2) ----------------------------------------------------------
 
-def _classify_shot(p: float, dim: int, s: float, r_stop: float):
+def _classify_shot(p: float, dim: int, s: float, r_stop: float,
+                   dense_output: bool = False):
     """Integrate from the origin; -1 = crossed zero, +1 = turned upward."""
 
     def rhs(t, y):
@@ -174,7 +175,7 @@ def _classify_shot(p: float, dim: int, s: float, r_stop: float):
     turn.terminal, turn.direction = True, 1
     sol = solve_ivp(rhs, (1e-9, r_stop), [s, 0.0], method="DOP853",
                     rtol=1e-11, atol=1e-13, events=[cross, turn],
-                    dense_output=True)
+                    dense_output=dense_output)
     if sol.t_events[0].size:
         return -1, sol
     if sol.t_events[1].size:
@@ -203,8 +204,24 @@ def _shoot_ground_state(p: float, dim: int, r_stop: float = 15.0,
     else:
         raise NoConvergence("shooting bisection exceeded its iteration budget")
     s = 0.5 * (lo + hi)
-    _, sol = _classify_shot(p, dim, s, r_stop)
+    _, sol = _classify_shot(p, dim, s, r_stop, dense_output=True)
     return s, sol
+
+
+def _shooting_guess(params: ProblemParams, r: np.ndarray,
+                    max_doublings: int = 60) -> np.ndarray:
+    """Shot profile up to r = 12, spliced onto the decay tail c r^{-(N-1)/2} e^{-r}."""
+    _, ivp = _shoot_ground_state(params.p, params.dim,
+                                 max_doublings=max_doublings)
+    r_splice = min(12.0, ivp.t[-1])
+    vals = np.empty_like(r)
+    mask = r <= r_splice
+    vals[mask] = ivp.sol(np.clip(r[mask], 1e-9, None))[0]
+    u_sp = float(ivp.sol(r_splice)[0])
+    c_sp = u_sp * r_splice ** ((params.dim - 1) / 2.0) * np.exp(r_splice)
+    vals[~mask] = (c_sp * r[~mask] ** (-(params.dim - 1) / 2.0)
+                   * np.exp(-r[~mask]))
+    return vals
 
 
 def solve_ground_state(params: ProblemParams, accuracy: float = 1e-12,
@@ -217,16 +234,7 @@ def solve_ground_state(params: ProblemParams, accuracy: float = 1e-12,
         profile = RadialProfile(r, u(r), du(r), tail_rate=-1.0)
         gs = GroundState(params, profile, 0.0, 0.0, u, du, d2u)
     else:
-        _, ivp = _shoot_ground_state(params.p, params.dim,
-                                     max_doublings=max_doublings)
-        r_splice = min(12.0, ivp.t[-1])
-        vals = np.empty_like(r)
-        mask = r <= r_splice
-        vals[mask] = ivp.sol(np.clip(r[mask], 1e-9, None))[0]
-        u_sp = float(ivp.sol(r_splice)[0])
-        c_sp = u_sp * r_splice ** ((params.dim - 1) / 2.0) * np.exp(r_splice)
-        vals[~mask] = (c_sp * r[~mask] ** (-(params.dim - 1) / 2.0)
-                       * np.exp(-r[~mask]))
+        vals = _shooting_guess(params, r, max_doublings)
         vals = radial.radial_newton(r, params.dim, params.p, vals,
                                     tol=min(accuracy, 1e-12))
         dvals = radial.d1_six(vals, r[1] - r[0], "even")

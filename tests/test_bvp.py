@@ -197,6 +197,23 @@ def test_solve_normalized_forbidden_sides(gs5):
                          ground_state=gs5)
 
 
+@pytest.mark.parametrize("rho", [np.inf, np.nan])
+def test_solve_normalized_rejects_nonfinite_mass(rho):
+    with pytest.raises(ValueError):
+        solve_normalized(DomainSpec("realline"), P3, rho)
+
+
+def test_solve_normalized_rejects_dim2_before_ground_state(monkeypatch):
+    from normwave import bvp
+
+    def no_ground_state(*args, **kwargs):
+        raise AssertionError("ground state solved before the dimension check")
+
+    monkeypatch.setattr(bvp, "solve_ground_state", no_ground_state)
+    with pytest.raises(ValueError):
+        solve_normalized(DomainSpec("realline"), ProblemParams(2, 3.0), 1.0)
+
+
 def test_solve_normalized_bracket_failure(gs5):
     # Dirichlet masses at p=5 never drop to 1.0 on the traced branch
     with pytest.raises(BracketFailed):

@@ -59,6 +59,13 @@ def test_solve_forbidden_side_exits_2(tmp_path):
     assert "NoSolutionInRegime" in out.stderr
 
 
+def test_solve_infinite_mass_exits_nonzero(tmp_path):
+    out = run_cli("solve", "--domain", "realline", "--p", "3", "--n", "1",
+                  "--rho", "inf", "--out-dir", str(tmp_path))
+    assert out.returncode != 0
+    assert not (tmp_path / "solution_scalars.json").exists()
+
+
 def test_solve_requires_rho_or_epsilon(tmp_path):
     out = run_cli("solve", "--domain", "realline", "--p", "3", "--n", "1",
                   "--out-dir", str(tmp_path))

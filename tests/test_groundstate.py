@@ -115,6 +115,13 @@ def test_shooting_dim2_variational_identities(gs2d):
     assert pohozaev == pytest.approx(0.0, abs=1e-7)
 
 
+def test_shooting_dim2_constants(gs2d):
+    # values of the full 60-step Newton polish; stopping at the rounding
+    # floor must not move them
+    assert gs2d.sigma0 == pytest.approx(5.850448262226631, rel=1e-10)
+    assert gs2d.frak_c == pytest.approx(3.5050854363123936, rel=1e-10)
+
+
 def test_shooting_dim3():
     gs = solve_ground_state(ProblemParams(3, 7.0 / 3.0), r_max=30.0)
     assert ode_residual_max(gs) < 1e-8

@@ -1,0 +1,80 @@
+import numpy as np
+import pytest
+from scipy.sparse import diags, lil_matrix
+
+from normwave import radial
+from normwave.errors import NoConvergence
+from normwave.groundstate import (ProblemParams, _shooting_guess,
+                                  solve_ground_state)
+
+
+def lil_reference(r, q, dim):
+    """Entry-by-entry lil_matrix assembly of L[q], kept as the reference."""
+    n = len(r) - 1
+    h = r[1] - r[0]
+    robin_const = 1.0 + (dim - 1) / (2.0 * r[-1])
+    A = lil_matrix((n + 1, n + 1))
+    A[0, 0] = dim * 30.0 / (12 * h * h) + q[0]
+    A[0, 1] = -dim * 32.0 / (12 * h * h)
+    A[0, 2] = dim * 2.0 / (12 * h * h)
+    c2 = np.array([16.0, -31.0, 16.0, -1.0]) / (12 * h * h)
+    c1 = np.array([-8.0, 1.0, 8.0, -1.0]) / (12 * h)
+    for j in range(4):
+        A[1, j] = -c2[j] - (dim - 1) / r[1] * c1[j]
+    A[1, 1] += q[1]
+    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
+    c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+    for i in range(2, n - 1):
+        for k, off in enumerate(range(-2, 3)):
+            A[i, i + off] = -c2[k] - (dim - 1) / r[i] * c1[k] \
+                + (q[i] if off == 0 else 0.0)
+    A[n - 1, n - 2] = -1.0 / (h * h) + (dim - 1) / r[n - 1] / (2 * h)
+    A[n - 1, n - 1] = 2.0 / (h * h) + q[n - 1]
+    A[n - 1, n] = -1.0 / (h * h) - (dim - 1) / r[n - 1] / (2 * h)
+    cr = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / (12 * h)
+    for j, k in enumerate(range(n, n - 5, -1)):
+        A[n, k] = cr[j]
+    A[n, n] += robin_const
+    return A.toarray()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_operator_matches_lil_reference(dim):
+    r = radial.uniform_grid(12.0, 0.1)
+    q = np.random.default_rng(dim).normal(size=len(r))
+    A = radial.radial_operator(r, q, dim)
+    assert A.format == "csc"
+    assert np.array_equal(A.toarray(), lil_reference(r, q, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_operator_is_base_plus_diagonal(dim):
+    # the Newton Jacobian relies on L[q] = L[1] + diag(q - 1), Robin row untouched
+    r = radial.uniform_grid(12.0, 0.1)
+    q = np.random.default_rng(10 + dim).normal(size=len(r))
+    shift = q - 1.0
+    shift[-1] = 0.0
+    expect = radial.radial_operator(r, np.ones_like(r), dim) + diags(shift)
+    A = radial.radial_operator(r, q, dim).toarray()
+    scale = np.max(np.abs(A))
+    assert np.max(np.abs(A - expect.toarray())) <= 4 * np.finfo(float).eps * scale
+
+
+def test_newton_raises_at_iteration_cap():
+    params = ProblemParams(2, 3.0)
+    r = radial.uniform_grid(40.0, 1.0 / 300.0)
+    u0 = _shooting_guess(params, r)
+    with pytest.raises(NoConvergence):
+        radial.radial_newton(r, params.dim, params.p, u0, max_iter=1)
+
+
+def test_ground_state_factorisation_count(monkeypatch):
+    real_splu, calls = radial.splu, []
+
+    def counting_splu(A):
+        calls.append(A.shape)
+        return real_splu(A)
+
+    monkeypatch.setattr(radial, "splu", counting_splu)
+    solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
+    assert 1 <= len(calls) <= 4
