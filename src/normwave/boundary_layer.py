@@ -27,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .bvp import DIRICHLET, NEUMANN
+
 __all__ = [
     "BoundaryCondition",
     "BoundaryLayer",
@@ -44,8 +46,6 @@ __all__ = [
 THETA_RATE_CONSTANT = 4.0 * math.sqrt(3.0)
 CENTER_RATE_CONSTANT = 2.0 ** 1.5 * 3.0 ** 0.25
 
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
 BoundaryCondition = str
 
 

@@ -13,8 +13,8 @@ and (lambda, v) with lambda = eps^{-2} solves -v'' + (V + lambda) v = v^p.
 
 ``solve_normalized`` traces the concentrating branch downward in eps with
 warm starts and runs a bracketed Brent root-find (on log eps) for
-mass(eps) = rho. Interior masses are Richardson-extrapolated over one grid
-refinement so the outer root-find is unpolluted by the O(h^2) bias.
+mass(eps) = rho. Interior masses are Richardson-extrapolated over grids with
+spacings h and h/2 so the outer root-find is unpolluted by the O(h^2) bias.
 
 Real-line potentials are even polynomials, so those solves exploit evenness:
 the half-line [0, L] is discretized with a symmetric row at 0 and a decay
@@ -52,11 +52,13 @@ __all__ = [
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
+DECAY = "decay"
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 200
 NEWTON_MAX_BACKTRACK = 40
 POINTS_PER_WIDTH = 60
+MIN_POINTS_PER_WIDTH = 10
 MIN_NODES = 2000
 
 
@@ -117,19 +119,76 @@ class NormalizedSolution:
     extras: dict = field(default_factory=dict)
 
 
-# -- grids and discrete residual -------------------------------------------------
-
-def _interval_n(spec: DomainSpec, eps: float, n_override: Optional[int]) -> int:
-    if n_override is not None:
-        n = int(n_override)
-    else:
-        n = max(MIN_NODES, int(math.ceil(POINTS_PER_WIDTH * (spec.b - spec.a) / eps)))
-    return n + (n % 2)
-
+# -- grids and discrete rows ------------------------------------------------------
 
 def _realline_halfwidth(spec: DomainSpec) -> float:
     scale = max((abs(c) for c in spec.potential), default=0.0)
     return max(20.0, 12.0 * scale ** 0.5)
+
+
+def _grid(spec: DomainSpec, eps: float, n_override: Optional[int]) -> np.ndarray:
+    """Solver grid: the interval with an even panel count, or [-L, L]
+    mirrored from [0, L] with an even panel count on each half.
+
+    n_override counts panels over the whole interval or [-L, L]; fewer than
+    MIN_POINTS_PER_WIDTH per eps-width raise ValueError.
+    """
+    if spec.kind == "interval":
+        a, b = spec.a, spec.b
+    else:
+        b = _realline_halfwidth(spec)
+        a = -b
+    if n_override is None:
+        n = max(MIN_NODES, int(math.ceil(POINTS_PER_WIDTH * (b - a) / eps)))
+    else:
+        n = int(n_override)
+        if n * eps < MIN_POINTS_PER_WIDTH * (b - a):
+            raise ValueError(f"grid of {n} panels resolves eps = {eps:.6g} with "
+                             f"fewer than {MIN_POINTS_PER_WIDTH} nodes per eps-width")
+    n += n % 2
+    if spec.kind == "interval":
+        return np.linspace(a, b, n + 1)
+    nh = n // 2 + (n // 2) % 2
+    half = np.linspace(0.0, b, nh + 1)
+    return np.concatenate([-half[::-1], half[1:]])
+
+
+def _rows(u, a, b, d, p, h, eps, left, right):
+    """Rows -a δ²u + b u - d |u|^{p-1} u, δ²u the second difference.
+
+    Boundary row kinds: DIRICHLET value rows u; NEUMANN rows with the ghost
+    u_{-1} = u_1; DECAY rows with the ghost u_{-1} = u_1 - 2h u_0/eps, i.e.
+    u' = u/eps at a real-line truncation (mirrored on the right).
+    """
+    r = np.empty_like(u)
+    r[1:-1] = -a * (u[:-2] - 2 * u[1:-1] + u[2:]) + b[1:-1] * u[1:-1] \
+        - d * np.abs(u[1:-1]) ** (p - 1) * u[1:-1]
+    for side, i, j in ((left, 0, 1), (right, -1, -2)):
+        if side == DIRICHLET:
+            r[i] = u[i]
+        else:
+            ghost = 2 * h * u[i] / eps if side == DECAY else 0.0
+            r[i] = -a * (2 * u[j] - 2 * u[i] - ghost) + b[i] * u[i] \
+                - d * np.abs(u[i]) ** (p - 1) * u[i]
+    return r
+
+
+def _rows_jacobian(u, a, b, d, p, h, eps, left, right):
+    """Jacobian of _rows in solve_banded's (1, 1) storage."""
+    ab = np.zeros((3, len(u)))
+    ab[0, 1:] = -a
+    ab[1, :] = 2.0 * a + b - d * p * np.abs(u) ** (p - 1)
+    ab[2, :-1] = -a
+    for side, i, off in ((left, 0, (0, 1)), (right, -1, (2, -2))):
+        if side == DIRICHLET:
+            ab[1, i] = 1.0
+            ab[off] = 0.0
+        else:
+            ab[off] = -2.0 * a
+            if side == DECAY:
+                ab[1, i] = a * (2.0 + 2 * h / eps) + b[i] \
+                    - d * p * np.abs(u[i]) ** (p - 1)
+    return ab
 
 
 def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
@@ -142,26 +201,10 @@ def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     h = x[1] - x[0]
-    p = params.p
-    Vx = spec.V(x)
-    lin = epsilon ** 2 * Vx + 1.0
-    g = np.abs(u) ** (p - 1) * u
-    c = epsilon ** 2 / h ** 2
-    r = np.empty_like(u)
-    r[1:-1] = -c * (u[:-2] - 2 * u[1:-1] + u[2:]) + lin[1:-1] * u[1:-1] - g[1:-1]
-    if spec.kind == "interval" and spec.bc == DIRICHLET:
-        r[0] = u[0]
-        r[-1] = u[-1]
-    elif spec.kind == "interval":
-        r[0] = -c * (2 * u[1] - 2 * u[0]) + lin[0] * u[0] - g[0]
-        r[-1] = -c * (2 * u[-2] - 2 * u[-1]) + lin[-1] * u[-1] - g[-1]
-    else:
-        # decay ghosts: u_{-1} = u_1 - 2h u_0/eps and mirrored on the right
-        r[0] = -c * (2 * u[1] - 2 * u[0] - 2 * h * u[0] / epsilon) \
-            + lin[0] * u[0] - g[0]
-        r[-1] = -c * (2 * u[-2] - 2 * u[-1] - 2 * h * u[-1] / epsilon) \
-            + lin[-1] * u[-1] - g[-1]
-    return r
+    lin = epsilon ** 2 * spec.V(x) + 1.0
+    side = spec.bc or DECAY
+    return _rows(u, epsilon ** 2 / h ** 2, lin, 1.0, params.p, h, epsilon,
+                 side, side)
 
 
 # -- damped Newton on the row-scaled system --------------------------------------
@@ -169,50 +212,18 @@ def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
 def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
             Vx: np.ndarray, left: str, right: str,
             tol: float = NEWTON_TOL) -> tuple[np.ndarray, int]:
-    """left/right row kinds: 'dirichlet' | 'neumann' | 'decay'.
-
-    Rows are scaled by h^2/eps^2 so the tolerance is meaningful in units of u.
-    """
-    n = len(x) - 1
+    """Damped Newton on _rows scaled by h^2/eps^2, so the tolerance is
+    meaningful in units of u."""
     h = x[1] - x[0]
     s = h * h / (eps * eps)
     w = s * (eps * eps * Vx + 1.0)
     u = u0.copy()
 
-    def bc_rows(r, u):
-        for side, i, j in ((left, 0, 1), (right, -1, -2)):
-            if side == "dirichlet":
-                r[i] = u[i]
-            elif side == "neumann":
-                r[i] = -(2 * u[j] - 2 * u[i]) + w[i] * u[i] \
-                    - s * np.abs(u[i]) ** (p - 1) * u[i]
-            else:  # decay
-                r[i] = -(2 * u[j] - 2 * u[i] - 2 * h * u[i] / eps) \
-                    + w[i] * u[i] - s * np.abs(u[i]) ** (p - 1) * u[i]
-
     def F(u):
-        r = np.empty_like(u)
-        r[1:-1] = -(u[:-2] - 2 * u[1:-1] + u[2:]) + w[1:-1] * u[1:-1] \
-            - s * np.abs(u[1:-1]) ** (p - 1) * u[1:-1]
-        bc_rows(r, u)
-        return r
+        return _rows(u, 1.0, w, s, p, h, eps, left, right)
 
     def jacobian(u):
-        ab = np.zeros((3, n + 1))
-        ab[0, 1:] = -1.0
-        ab[1, :] = 2.0 + w - s * p * np.abs(u) ** (p - 1)
-        ab[2, :-1] = -1.0
-        for side, i in ((left, 0), (right, -1)):
-            band = (0, 1) if i == 0 else (2, -2)
-            if side == "dirichlet":
-                ab[1, i] = 1.0
-                ab[band[0], band[1]] = 0.0
-            else:
-                ab[band[0], band[1]] = -2.0
-                if side == "decay":
-                    ab[1, i] = 2.0 + 2 * h / eps + w[i] \
-                        - s * p * np.abs(u[i]) ** (p - 1)
-        return ab
+        return _rows_jacobian(u, 1.0, w, s, p, h, eps, left, right)
 
     converged = False
     for it in range(NEWTON_MAX_ITER):
@@ -251,11 +262,6 @@ def _single_peak(u: np.ndarray) -> bool:
     return np.count_nonzero(np.diff(signs)) <= 1
 
 
-def _ansatz(p: float, y):
-    u, _, _ = closed_form_soliton(p)
-    return u(y)
-
-
 def _package(spec, params, eps, x, u, iters, mass_target=None) -> NormalizedSolution:
     res = assemble_residual(spec, params, eps, x, u)
     interior = u[1:-1] if (spec.kind == "interval" and spec.bc == DIRICHLET) else u
@@ -282,8 +288,9 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
                         n_override: Optional[int] = None) -> NormalizedSolution:
     """Damped-Newton solve at fixed eps from a concentration ansatz.
 
-    init: "interior" (bump at xi), "endpoint" (Neumann, bump at b, via
-    reflection onto the doubled interval), or "custom" (u0 given on the grid).
+    init: "interior" (bump at xi; always 0 on the real line), "endpoint"
+    (Neumann, bump at b, via reflection onto the doubled interval), or
+    "custom" (u0 given on the grid).
     """
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
@@ -291,11 +298,13 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
         raise ValueError("epsilon must lie in (0, 0.5]")
     p = params.p
 
-    if spec.kind == "interval" and init == "endpoint":
+    if init == "endpoint":
+        if spec.kind != "interval":
+            raise ValueError("endpoint concentration needs a bounded interval")
         if spec.bc != NEUMANN:
             raise ValueError("endpoint concentration requires Neumann conditions")
         doubled = DomainSpec("interval", spec.a, 2 * spec.b - spec.a, NEUMANN)
-        n2 = _interval_n(doubled, epsilon, n_override)
+        n2 = len(_grid(doubled, epsilon, n_override)) - 1
         n2 += n2 % 4  # keep the restricted half on an even panel count
         inner = solve_fixed_epsilon(doubled, params, epsilon, init="interior",
                                     xi=spec.b, n_override=n2)
@@ -303,54 +312,52 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
         x, u = inner.nodes[keep], inner.u_values[keep]
         return _package(spec, params, epsilon, x, u, inner.newton_iterations)
 
-    if spec.kind == "interval":
-        n = _interval_n(spec, epsilon, n_override)
-        x = np.linspace(spec.a, spec.b, n + 1)
-        mid = 0.5 * (spec.a + spec.b)
-        if init == "custom":
-            if u0 is None or len(u0) != n + 1:
-                raise ValueError("custom init requires u0 on the solver grid")
-            guess = np.asarray(u0, dtype=float)
-            scale = max(1.0, float(np.max(np.abs(guess))))
-            even = np.all(np.abs(guess - guess[::-1]) <= 1e-9 * scale)
-        else:
-            guess = _ansatz(p, (x - xi) / epsilon)
-            if spec.bc == DIRICHLET:
-                guess = guess.copy()
-                guess[0] = 0.0
-                guess[-1] = 0.0
-            even = abs(xi - mid) < 1e-14
-        if even:
-            # symmetric profile: solve on [mid, b] with a symmetry row at mid,
-            # which removes the exponentially weak translation mode exactly
-            guess = 0.5 * (guess + guess[::-1])
-            xh = x[n // 2:]
-            uh, iters = _newton(xh, guess[n // 2:], epsilon, p, spec.V(xh),
-                                "neumann", spec.bc)
-            u = np.concatenate([uh[::-1], uh[1:]])
-        else:
-            u, iters = _newton(x, guess, epsilon, p, spec.V(x), spec.bc,
-                               spec.bc)
-        return _package(spec, params, epsilon, x, u, iters)
-
-    # real line: even potential, half-line reduction [0, L]
-    if init == "endpoint":
-        raise ValueError("endpoint concentration needs a bounded interval")
-    L = _realline_halfwidth(spec)
-    n_full = _interval_n(DomainSpec("interval", -L, L, DIRICHLET), epsilon,
-                         n_override)
-    nh = n_full // 2 + (n_full // 2) % 2
-    xh = np.linspace(0.0, L, nh + 1)
+    x = _grid(spec, epsilon, n_override)
+    n = len(x) - 1
+    side = spec.bc or DECAY
+    if spec.kind == "realline":
+        xi = 0.0  # even potential: the profile is even about 0
     if init == "custom":
-        if u0 is None or len(u0) != 2 * nh + 1:
-            raise ValueError("custom init requires u0 on the mirrored grid")
-        guess = np.asarray(u0, dtype=float)[nh:]
+        if u0 is None or len(u0) != n + 1:
+            raise ValueError("custom init requires u0 on the solver grid")
+        guess = np.asarray(u0, dtype=float)
+        scale = max(1.0, float(np.max(np.abs(guess))))
+        even = spec.kind == "realline" or np.all(
+            np.abs(guess - guess[::-1]) <= 1e-9 * scale)
     else:
-        guess = _ansatz(p, xh / epsilon)
-    uh, iters = _newton(xh, guess, epsilon, p, spec.V(xh), "neumann", "decay")
-    x = np.concatenate([-xh[::-1], xh[1:]])
-    u = np.concatenate([uh[::-1], uh[1:]])
+        guess = closed_form_soliton(p)[0]((x - xi) / epsilon)
+        if spec.bc == DIRICHLET:
+            guess[0] = 0.0
+            guess[-1] = 0.0
+        even = abs(xi - 0.5 * (x[0] + x[-1])) < 1e-14
+    if even:
+        # symmetric profile: solve on the right half with a symmetry row at
+        # the centre, which removes the exponentially weak translation mode
+        # exactly. On the mirrored real-line grid the ansatz is already even
+        # and a warm-start guess is used on the right half as interpolated.
+        if spec.kind == "interval":
+            guess = 0.5 * (guess + guess[::-1])
+        xh = x[n // 2:]
+        uh, iters = _newton(xh, guess[n // 2:], epsilon, p, spec.V(xh),
+                            NEUMANN, side)
+        u = np.concatenate([uh[::-1], uh[1:]])
+    else:
+        u, iters = _newton(x, guess, epsilon, p, spec.V(x), side, side)
     return _package(spec, params, epsilon, x, u, iters)
+
+
+def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
+                params: ProblemParams, eps: float, xi: float = 0.0,
+                n_override: Optional[int] = None) -> NormalizedSolution:
+    """Solve at eps warm-started from prev's profile interpolated onto the
+    solver grid, or from the ansatz at xi when there is no prev."""
+    if prev is None:
+        return solve_fixed_epsilon(spec, params, eps, init="interior", xi=xi,
+                                   n_override=n_override)
+    x = _grid(spec, eps, n_override)
+    guess = np.interp(x, prev.nodes, prev.u_values)
+    return solve_fixed_epsilon(spec, params, eps, init="custom", u0=guess,
+                               n_override=len(x) - 1)
 
 
 def mass_of(sol: NormalizedSolution) -> float:
@@ -371,25 +378,7 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
     prev = None
     for eps in eps_list:
         try:
-            if prev is None:
-                sol = solve_fixed_epsilon(spec, params, eps, init="interior",
-                                          xi=init_xi)
-            else:
-                n = _interval_n(spec if spec.kind == "interval" else
-                                DomainSpec("interval",
-                                           -_realline_halfwidth(spec),
-                                           _realline_halfwidth(spec),
-                                           DIRICHLET),
-                                eps, None)
-                if spec.kind == "interval":
-                    x = np.linspace(spec.a, spec.b, n + 1)
-                else:
-                    nh = n // 2 + (n // 2) % 2
-                    half = np.linspace(0.0, _realline_halfwidth(spec), nh + 1)
-                    x = np.concatenate([-half[::-1], half[1:]])
-                guess = np.interp(x, prev.nodes, prev.u_values)
-                sol = solve_fixed_epsilon(spec, params, eps, init="custom",
-                                          u0=guess, n_override=n)
+            sol = _solve_from(prev, spec, params, eps, init_xi)
         except (NewtonDiverged, NonPositive) as exc:
             raise type(exc)(f"{exc} (at eps = {eps:.6g})") from exc
         out.append((eps, mass_of(sol), sol.residual_inf))
@@ -425,31 +414,14 @@ class MassEvaluator:
         self.warm: Optional[NormalizedSolution] = None
         self.cache: dict[float, tuple[float, NormalizedSolution]] = {}
 
-    def _solve(self, eps, n):
-        if self.warm is None:
-            return solve_fixed_epsilon(self.spec, self.params, eps,
-                                       init="interior", xi=self.xi,
-                                       n_override=n)
-        if self.spec.kind == "interval":
-            x = np.linspace(self.spec.a, self.spec.b, n + (n % 2) + 1)
-        else:
-            nh = n // 2 + (n // 2) % 2
-            half = np.linspace(0.0, _realline_halfwidth(self.spec), nh + 1)
-            x = np.concatenate([-half[::-1], half[1:]])
-        guess = np.interp(x, self.warm.nodes, self.warm.u_values)
-        return solve_fixed_epsilon(self.spec, self.params, eps, init="custom",
-                                   u0=guess, n_override=len(x) - 1)
-
     def __call__(self, eps: float) -> float:
         if eps in self.cache:
             return self.cache[eps][0]
-        base = _interval_n(self.spec if self.spec.kind == "interval" else
-                           DomainSpec("interval", -_realline_halfwidth(self.spec),
-                                      _realline_halfwidth(self.spec), DIRICHLET),
-                           eps, None)
-        sol_h = self._solve(eps, base)
+        sol_h = _solve_from(self.warm, self.spec, self.params, eps, self.xi)
         self.warm = sol_h
-        sol_h2 = self._solve(eps, 2 * base)
+        # the refined grid has exactly twice the panels: spacings h and h/2
+        sol_h2 = _solve_from(self.warm, self.spec, self.params, eps, self.xi,
+                             2 * (len(sol_h.nodes) - 1))
         mass = (4.0 * mass_of(sol_h2) - mass_of(sol_h)) / 3.0
         self.warm = sol_h2
         self.cache[eps] = (mass, sol_h2)
@@ -495,28 +467,34 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
         sol.mass_target = rho
         return sol
 
-    eps_hi = eps_start
-    f_hi = f(eps_hi)
-    if abs(f_hi) <= mass_rtol * rho:
-        return finish(eps_hi)
-    while True:
-        eps_lo = max(eps_hi * trace_ratio, eps_min)
-        if eps_lo >= eps_hi:
-            raise BracketFailed(
-                f"mass {rho:.12g} not bracketed for eps in [{eps_min}, {eps_start}]")
-        f_lo = f(eps_lo)
-        if abs(f_lo) <= mass_rtol * rho:
-            return finish(eps_lo)
-        if np.sign(f_lo) != np.sign(f_hi):
-            break
-        if eps_lo <= eps_min:
-            raise BracketFailed(
-                f"mass {rho:.12g} not bracketed for eps in [{eps_min}, {eps_start}]")
-        eps_hi, f_hi = eps_lo, f_lo
+    unbracketed = (f"mass {rho:.12g} not bracketed for eps in "
+                   f"[{eps_min}, {eps_start}]")
+    try:
+        eps_hi = eps_start
+        f_hi = f(eps_hi)
+        if abs(f_hi) <= mass_rtol * rho:
+            return finish(eps_hi)
+        while True:
+            eps_lo = max(eps_hi * trace_ratio, eps_min)
+            if eps_lo >= eps_hi:
+                raise BracketFailed(unbracketed)
+            f_lo = f(eps_lo)
+            if abs(f_lo) <= mass_rtol * rho:
+                return finish(eps_lo)
+            if np.sign(f_lo) != np.sign(f_hi):
+                break
+            if eps_lo <= eps_min:
+                raise BracketFailed(unbracketed)
+            eps_hi, f_hi = eps_lo, f_lo
 
-    t = brentq(lambda t: f(math.exp(t)), math.log(eps_lo), math.log(eps_hi),
-               xtol=1e-12, rtol=8.9e-16)
-    eps_root = math.exp(t)
-    if abs(f(eps_root)) > 1e-6 * rho:
-        raise BracketFailed("root-find stalled before reaching the target mass")
-    return finish(eps_root)
+        t = brentq(lambda t: f(math.exp(t)), math.log(eps_lo),
+                   math.log(eps_hi), xtol=1e-12, rtol=8.9e-16)
+        eps_root = math.exp(t)
+        if abs(f(eps_root)) > 1e-6 * rho:
+            raise BracketFailed("root-find stalled before reaching the target mass")
+        return finish(eps_root)
+    finally:
+        # brentq's f_raise wrapper refers to itself through its closure, a
+        # cycle that keeps `evaluate` alive until the cyclic collector runs
+        evaluate.cache.clear()
+        evaluate.warm = None

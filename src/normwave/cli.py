@@ -276,14 +276,9 @@ def _add_common(sp) -> None:
     sp.add_argument("--out-dir", default=".", help="output directory")
     sp.add_argument("--config", default=None,
                     help="flat key=value config file (flags take precedence)")
-    sp.add_argument("--deterministic", default=True, type=_bool,
-                    help="assert seed-free determinism (always on; kept for "
-                         "config round-trips)")
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
+def _bool(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
 
 
@@ -415,6 +410,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolverError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # invalid input rejected by the library
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .bvp import DomainSpec, NormalizedSolution
+from .bvp import DomainSpec, NormalizedSolution, assemble_residual
 from .errors import NonPositiveDensity
 from .groundstate import ProblemParams
 
@@ -133,7 +133,6 @@ def from_mfg(triple: MfgTriple) -> NormalizedSolution:
     u = eps ** (2.0 / (p - 1.0)) * v
     x = triple.nodes
     params = ProblemParams(1, p)
-    from .bvp import assemble_residual
     res = assemble_residual(triple.spec, params, eps, x, u)
     return NormalizedSolution(
         spec=triple.spec, params=params, lambda_=triple.lambda_, epsilon=eps,

@@ -1,11 +1,14 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from conftest import TWO_SIGMA0_P5
-from normwave.bvp import (DomainSpec, MassEvaluator, assemble_residual,
-                          mass_of, solve_fixed_epsilon, solve_normalized,
-                          trace_branch)
+from normwave import bvp
+from normwave.bvp import (DomainSpec, MassEvaluator, NormalizedSolution,
+                          assemble_residual, mass_of, solve_fixed_epsilon,
+                          solve_normalized, trace_branch)
 from normwave.errors import (BracketFailed, NewtonDiverged, NonPositive,
                              NoSolutionInRegime)
 from normwave.groundstate import ProblemParams, closed_form_soliton
@@ -204,8 +207,6 @@ def test_solve_normalized_rejects_nonfinite_mass(rho):
 
 
 def test_solve_normalized_rejects_dim2_before_ground_state(monkeypatch):
-    from normwave import bvp
-
     def no_ground_state(*args, **kwargs):
         raise AssertionError("ground state solved before the dimension check")
 
@@ -242,3 +243,55 @@ def test_solve_normalized_supercritical_small_mass(gs3):
     sol = solve_normalized(DomainSpec("realline"), p7, 0.8, eps_min=0.046)
     lam_exact = solve_pure_scaling(p7, 0.8)
     assert abs(sol.lambda_ / lam_exact - 1.0) < 1e-6
+
+
+def test_mass_evaluator_richardson_pair_is_h_and_half_h(monkeypatch):
+    # at eps = 0.35 with V = x^2 the automatic real-line grid has an odd
+    # panel count per half, which must not skew the refinement ratio
+    spacings = []
+
+    def recording(*args, **kwargs):
+        sol = solve_fixed_epsilon(*args, **kwargs)
+        spacings.append(sol.nodes[1] - sol.nodes[0])
+        return sol
+
+    monkeypatch.setattr(bvp, "solve_fixed_epsilon", recording)
+    MassEvaluator(DomainSpec("realline", potential=(1.0,)), P5)(0.35)
+    assert len(spacings) == 2
+    assert spacings[0] / spacings[1] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_solve_normalized_releases_cached_solutions():
+    # brentq keeps the evaluator in a reference cycle; with the cyclic
+    # collector off, only the returned solution may stay alive
+    def live():
+        return {id(o) for o in gc.get_objects()
+                if isinstance(o, NormalizedSolution)}
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()
+        sol = solve_normalized(DomainSpec("realline"), P3, 10.0)
+        after = live()
+    finally:
+        gc.enable()
+    assert sol.lambda_ == pytest.approx(6.25, rel=1e-6)
+    assert after - before == {id(sol)}
+
+
+@pytest.mark.parametrize("spec, eps, n, init", [
+    (DomainSpec("interval", -1, 1, "dirichlet"), 0.2, 3, "interior"),
+    (DomainSpec("interval", -1, 1, "neumann"), 0.2, 99, "interior"),
+    # the endpoint solve runs on the doubled interval (-1, 3)
+    (DomainSpec("interval", -1, 1, "neumann"), 0.2, 150, "endpoint"),
+    (DomainSpec("realline"), 0.5, 799, "interior"),
+])
+def test_grid_resolution_floor(monkeypatch, spec, eps, n, init):
+    # fewer than 10 nodes per eps-width is rejected before Newton runs
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton ran on an under-resolved grid")
+
+    monkeypatch.setattr(bvp, "solve_banded", no_newton)
+    with pytest.raises(ValueError, match="nodes per eps-width"):
+        solve_fixed_epsilon(spec, P5, eps, init=init, n_override=n)

@@ -62,8 +62,23 @@ def test_solve_forbidden_side_exits_2(tmp_path):
 def test_solve_infinite_mass_exits_nonzero(tmp_path):
     out = run_cli("solve", "--domain", "realline", "--p", "3", "--n", "1",
                   "--rho", "inf", "--out-dir", str(tmp_path))
-    assert out.returncode != 0
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
     assert not (tmp_path / "solution_scalars.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("--domain", "interval", "--rho", "2.5"),
+    ("--domain", "interval", "--bc", "dirichlet", "--epsilon", "0.2",
+     "--grid-n", "3"),
+])
+def test_invalid_input_is_usage_error(tmp_path, args):
+    out = run_cli("solve", "--n", "1", "--p", "5", *args,
+                  "--out-dir", str(tmp_path))
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.count("\n") == 1 and "error:" in out.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_solve_requires_rho_or_epsilon(tmp_path):
