@@ -288,14 +288,17 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
                         n_override: Optional[int] = None) -> NormalizedSolution:
     """Damped-Newton solve at fixed eps from a concentration ansatz.
 
-    init: "interior" (bump at xi; always 0 on the real line), "endpoint"
-    (Neumann, bump at b, via reflection onto the doubled interval), or
-    "custom" (u0 given on the grid).
+    init: "interior" (bump at xi), "endpoint" (Neumann, bump at b, via
+    reflection onto the doubled interval), or "custom" (u0 given on the
+    grid). n_override counts panels on spec's interval, also for "endpoint".
+    On the real line the profile is even about 0, and a non-zero xi raises
+    ValueError.
     """
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 0.5]")
+    _check_xi(spec, xi)
     p = params.p
 
     if init == "endpoint":
@@ -304,7 +307,8 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
         if spec.bc != NEUMANN:
             raise ValueError("endpoint concentration requires Neumann conditions")
         doubled = DomainSpec("interval", spec.a, 2 * spec.b - spec.a, NEUMANN)
-        n2 = len(_grid(doubled, epsilon, n_override)) - 1
+        n2 = len(_grid(doubled, epsilon,
+                       None if n_override is None else 2 * n_override)) - 1
         n2 += n2 % 4  # keep the restricted half on an even panel count
         inner = solve_fixed_epsilon(doubled, params, epsilon, init="interior",
                                     xi=spec.b, n_override=n2)
@@ -315,8 +319,6 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     x = _grid(spec, epsilon, n_override)
     n = len(x) - 1
     side = spec.bc or DECAY
-    if spec.kind == "realline":
-        xi = 0.0  # even potential: the profile is even about 0
     if init == "custom":
         if u0 is None or len(u0) != n + 1:
             raise ValueError("custom init requires u0 on the solver grid")
@@ -344,6 +346,13 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     else:
         u, iters = _newton(x, guess, epsilon, p, spec.V(x), side, side)
     return _package(spec, params, epsilon, x, u, iters)
+
+
+def _check_xi(spec: DomainSpec, xi: float) -> None:
+    # the real-line solve works on the half-line x >= 0 (even potential)
+    if spec.kind == "realline" and xi != 0.0:
+        raise ValueError(f"xi must be 0 on the real line, where the profile "
+                         f"is even about 0 (got {xi:g})")
 
 
 def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
@@ -374,6 +383,7 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
     eps_list = list(epsilon_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
+    _check_xi(spec, init_xi)
     out = []
     prev = None
     for eps in eps_list:
@@ -444,13 +454,14 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     starts; Brent runs on log(eps) over the bracketing segment. Raises
     NoSolutionInRegime when rho sits on the forbidden side of the critical
     threshold and BracketFailed when the traced branch never meets rho.
-    A non-finite or non-positive rho, or dim != 1, raises ValueError before
-    the ground state is solved.
+    A non-finite or non-positive rho, dim != 1 or a non-zero xi on the real
+    line raises ValueError before the ground state is solved.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
+    _check_xi(spec, xi)
     gs = ground_state if ground_state is not None else solve_ground_state(params)
     two_sigma0 = 2.0 * gs.sigma0
     reason = _forbidden_side(spec, params, rho, two_sigma0)

@@ -181,7 +181,7 @@ def cmd_solve(args) -> int:
     spec = _domain_from_args(args)
     if args.rho is not None:
         sol = bvp.solve_normalized(spec, params, args.rho,
-                                   eps_min=args.eps_min)
+                                   eps_min=args.eps_min, xi=args.xi)
     elif args.epsilon is not None:
         u0 = None
         init = args.init
@@ -254,7 +254,7 @@ def cmd_mfg(args) -> int:
     params = gsmod.ProblemParams(args.n, args.p)
     spec = _domain_from_args(args)
     if args.rho is not None:
-        sol = bvp.solve_normalized(spec, params, args.rho)
+        sol = bvp.solve_normalized(spec, params, args.rho, xi=args.xi)
     else:
         sol = bvp.solve_fixed_epsilon(spec, params, args.epsilon, xi=args.xi,
                                       n_override=args.grid_n)

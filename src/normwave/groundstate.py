@@ -161,20 +161,36 @@ def closed_form_soliton(p: float):
 
 # -- shooting (N >= 2) ----------------------------------------------------------
 
-def _classify_shot(p: float, dim: int, s: float, r_stop: float,
-                   dense_output: bool = False):
+# The shots only bracket U(0) for the Newton polish, which re-solves the grid
+# problem from the spliced profile: a bracket of 1e-3 relative is inside its
+# basin, and the sign of a shot is settled long before rtol 1e-8 matters.
+SHOT_START = 1e-2    # shots start here from the regular series at r = 0
+SHOT_STOP = 15.0
+SHOT_RTOL = 1e-8
+BRACKET_RTOL = 1e-3
+
+
+def _series(p: float, dim: int, s: float, r):
+    """U = s + a2 r^2 + a4 r^4 and U' of the regular solution with U(0) = s."""
+    a2 = (s - s ** p) / (2.0 * dim)
+    a4 = (1.0 - p * s ** (p - 1.0)) * a2 / (4.0 * (dim + 2))
+    return s + a2 * r ** 2 + a4 * r ** 4, 2.0 * a2 * r + 4.0 * a4 * r ** 3
+
+
+def _classify_shot(p: float, dim: int, s: float, dense_output: bool = False):
     """Integrate from the origin; -1 = crossed zero, +1 = turned upward."""
 
     def rhs(t, y):
         u, v = y
-        return [v, u - np.abs(u) ** (p - 1) * u - (dim - 1) * v / max(t, 1e-12)]
+        return [v, u - np.abs(u) ** (p - 1) * u - (dim - 1) * v / t]
 
     cross = lambda t, y: y[0]
     cross.terminal, cross.direction = True, -1
-    turn = lambda t, y: y[1] if t > 1e-3 else -1.0
+    turn = lambda t, y: y[1]
     turn.terminal, turn.direction = True, 1
-    sol = solve_ivp(rhs, (1e-9, r_stop), [s, 0.0], method="DOP853",
-                    rtol=1e-11, atol=1e-13, events=[cross, turn],
+    sol = solve_ivp(rhs, (SHOT_START, SHOT_STOP),
+                    list(_series(p, dim, s, SHOT_START)), method="DOP853",
+                    rtol=SHOT_RTOL, atol=1e-13, events=[cross, turn],
                     dense_output=dense_output)
     if sol.t_events[0].size:
         return -1, sol
@@ -183,44 +199,46 @@ def _classify_shot(p: float, dim: int, s: float, r_stop: float,
     return 0, sol
 
 
-def _shoot_ground_state(p: float, dim: int, r_stop: float = 15.0,
-                        bracket_tol: float = 1e-13, max_doublings: int = 60):
+def _shoot_ground_state(p: float, dim: int, max_doublings: int = 60):
+    """Bisect U(0) to BRACKET_RTOL; return its midpoint and that shot."""
     lo, hi = 1.0 + 1e-9, 2.0
     doublings = 0
-    while _classify_shot(p, dim, hi, r_stop)[0] != -1:
-        hi *= 2.0
+    while _classify_shot(p, dim, hi)[0] != -1:
+        lo, hi = hi, 2.0 * hi
         doublings += 1
         if doublings > max_doublings:
             raise NoConvergence("shooting bisection failed to bracket U(0)")
-    for _ in range(200):
-        if hi - lo <= bracket_tol * hi:
-            break
+    while hi - lo > BRACKET_RTOL * hi:
         mid = 0.5 * (lo + hi)
-        c, _ = _classify_shot(p, dim, mid, r_stop)
-        if c == -1:
+        if _classify_shot(p, dim, mid)[0] == -1:
             hi = mid
         else:
             lo = mid
-    else:
-        raise NoConvergence("shooting bisection exceeded its iteration budget")
     s = 0.5 * (lo + hi)
-    _, sol = _classify_shot(p, dim, s, r_stop, dense_output=True)
+    _, sol = _classify_shot(p, dim, s, dense_output=True)
     return s, sol
 
 
 def _shooting_guess(params: ProblemParams, r: np.ndarray,
                     max_doublings: int = 60) -> np.ndarray:
-    """Shot profile up to r = 12, spliced onto the decay tail c r^{-(N-1)/2} e^{-r}."""
-    _, ivp = _shoot_ground_state(params.p, params.dim,
-                                 max_doublings=max_doublings)
-    r_splice = min(12.0, ivp.t[-1])
+    """Shot profile spliced onto the decay tail c r^{-(N-1)/2} e^{-r}.
+
+    The shot leaves U at its end event, where its error, which grows like
+    e^{2r} relative to U, has reached the size of U; one unit of r earlier
+    it is down to about e^{-2} of U.
+    """
+    p, dim = params.p, params.dim
+    s, ivp = _shoot_ground_state(p, dim, max_doublings=max_doublings)
+    r_splice = min(12.0, ivp.t[-1] - 1.0)
     vals = np.empty_like(r)
-    mask = r <= r_splice
-    vals[mask] = ivp.sol(np.clip(r[mask], 1e-9, None))[0]
+    core = r < SHOT_START
+    shot = (r >= SHOT_START) & (r <= r_splice)
+    tail = r > r_splice
+    vals[core] = _series(p, dim, s, r[core])[0]
+    vals[shot] = ivp.sol(r[shot])[0]
     u_sp = float(ivp.sol(r_splice)[0])
-    c_sp = u_sp * r_splice ** ((params.dim - 1) / 2.0) * np.exp(r_splice)
-    vals[~mask] = (c_sp * r[~mask] ** (-(params.dim - 1) / 2.0)
-                   * np.exp(-r[~mask]))
+    c_sp = u_sp * r_splice ** ((dim - 1) / 2.0) * np.exp(r_splice)
+    vals[tail] = c_sp * r[tail] ** (-(dim - 1) / 2.0) * np.exp(-r[tail])
     return vals
 
 
@@ -281,14 +299,22 @@ def mass_sigma0(gs: GroundState, rule: str = "simpson") -> float:
 
 
 def decay_constant(gs: GroundState, spread_tol: float = 1e-3) -> float:
-    """Plateau of r^{(N-1)/2} e^r U(r) over the outer third of the grid."""
+    """Plateau of r^{(N-1)/2} e^r U(r) over the outer third of the grid.
+
+    In the tail U is a multiple of r^{-(N-2)/2} K_nu(r), nu = (N-2)/2, so the
+    plateau is divided by the first two correction terms of the expansion
+    of K_nu (DLMF 10.40.2), 1 + a1/r + a2/r^2; both vanish for N = 1 and 3.
+    """
     prof = gs.profile
     r = prof.nodes
     window = r >= (2.0 / 3.0) * r[-1]
     if r[-1] < 12.0 or np.count_nonzero(window) < 8:
         raise TailNotResolved("grid too short to resolve the decay plateau")
-    g = prof.values[window] * r[window] ** ((gs.params.dim - 1) / 2.0) \
-        * np.exp(r[window])
+    dim, rw = gs.params.dim, r[window]
+    a1 = (dim - 1) * (dim - 3) / 8.0
+    a2 = a1 * (dim - 5) * (dim + 1) / 16.0
+    g = prof.values[window] * rw ** ((dim - 1) / 2.0) * np.exp(rw) \
+        / (1.0 + a1 / rw + a2 / rw ** 2)
     c = float(np.median(g))
     if c <= 0 or not np.isfinite(c):
         raise TailNotResolved("decay plateau is not positive")

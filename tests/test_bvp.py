@@ -283,8 +283,8 @@ def test_solve_normalized_releases_cached_solutions():
 @pytest.mark.parametrize("spec, eps, n, init", [
     (DomainSpec("interval", -1, 1, "dirichlet"), 0.2, 3, "interior"),
     (DomainSpec("interval", -1, 1, "neumann"), 0.2, 99, "interior"),
-    # the endpoint solve runs on the doubled interval (-1, 3)
-    (DomainSpec("interval", -1, 1, "neumann"), 0.2, 150, "endpoint"),
+    # n counts panels on (-1, 1) also when the solve runs on (-1, 3)
+    (DomainSpec("interval", -1, 1, "neumann"), 0.2, 99, "endpoint"),
     (DomainSpec("realline"), 0.5, 799, "interior"),
 ])
 def test_grid_resolution_floor(monkeypatch, spec, eps, n, init):
@@ -295,3 +295,28 @@ def test_grid_resolution_floor(monkeypatch, spec, eps, n, init):
     monkeypatch.setattr(bvp, "solve_banded", no_newton)
     with pytest.raises(ValueError, match="nodes per eps-width"):
         solve_fixed_epsilon(spec, P5, eps, init=init, n_override=n)
+
+
+def test_endpoint_grid_override_matches_interior():
+    # --grid-n n means n panels on the returned interval for both inits
+    spec = DomainSpec("interval", -1, 1, "neumann")
+    for init in ("interior", "endpoint"):
+        sol = solve_fixed_epsilon(spec, P5, 0.2, init=init, n_override=400)
+        assert len(sol.nodes) == 401
+        assert np.diff(sol.nodes) == pytest.approx(0.005, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: solve_fixed_epsilon(spec, P5, 0.25, xi=0.5),
+    lambda spec: trace_branch(spec, P5, [0.35, 0.3], init_xi=0.5),
+    lambda spec: solve_normalized(spec, P5, 2.7, xi=0.5),
+])
+def test_realline_rejects_nonzero_xi(monkeypatch, call):
+    # the half-line solve can only return a profile even about 0
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before xi was checked")
+
+    monkeypatch.setattr(bvp, "solve_ground_state", no_solve)
+    monkeypatch.setattr(bvp, "solve_banded", no_solve)
+    with pytest.raises(ValueError, match="xi must be 0"):
+        call(DomainSpec("realline", potential=(1.0,)))

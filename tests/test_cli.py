@@ -71,6 +71,10 @@ def test_solve_infinite_mass_exits_nonzero(tmp_path):
     ("--domain", "interval", "--rho", "2.5"),
     ("--domain", "interval", "--bc", "dirichlet", "--epsilon", "0.2",
      "--grid-n", "3"),
+    ("--domain", "realline", "--potential", "1.0", "--epsilon", "0.25",
+     "--xi", "0.5"),
+    ("--domain", "realline", "--potential", "1.0", "--rho", "2.7",
+     "--xi", "0.5"),
 ])
 def test_invalid_input_is_usage_error(tmp_path, args):
     out = run_cli("solve", "--n", "1", "--p", "5", *args,

@@ -80,11 +80,15 @@ def test_decay_plateau_spread_p3(gs3):
         decay_constant(gs3)
 
 
-def test_decay_plateau_warns_for_dim2(gs2d):
-    # the 1/r tail correction keeps the dim>=2 plateau above the spread
-    # threshold at R = 40; the estimate is still returned, with a warning
-    with pytest.warns(UserWarning, match="plateau spread"):
-        decay_constant(gs2d)
+def test_decay_plateau_flat_for_dim2(gs2d):
+    # with the K_nu tail terms divided out the N = 2 plateau is flat to 1e-4
+    # at R = 40, and the constant does not move when the grid grows to R = 60
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert decay_constant(gs2d, spread_tol=1e-4) == gs2d.frak_c
+    far = solve_ground_state(ProblemParams(2, 3.0), r_max=60.0)
+    assert far.frak_c == pytest.approx(gs2d.frak_c, rel=1e-5)
 
 
 def test_decay_short_grid_raises(gs3):
@@ -116,10 +120,11 @@ def test_shooting_dim2_variational_identities(gs2d):
 
 
 def test_shooting_dim2_constants(gs2d):
-    # values of the full 60-step Newton polish; stopping at the rounding
-    # floor must not move them
+    # sigma0 of the full 60-step Newton polish from a shot bisected to 1e-13;
+    # a polish stopped at its rounding floor from a looser shot must not move
+    # it. frak_c is the plateau with the K_nu tail terms divided out.
     assert gs2d.sigma0 == pytest.approx(5.850448262226631, rel=1e-10)
-    assert gs2d.frak_c == pytest.approx(3.5050854363123936, rel=1e-10)
+    assert gs2d.frak_c == pytest.approx(3.518054298900576, rel=1e-10)
 
 
 def test_shooting_dim3():

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.sparse import diags, lil_matrix
 
-from normwave import radial
+from normwave import groundstate, radial
 from normwave.errors import NoConvergence
-from normwave.groundstate import (ProblemParams, _shooting_guess,
-                                  solve_ground_state)
+from normwave.groundstate import (GroundState, ProblemParams, RadialProfile,
+                                  _shooting_guess, decay_constant,
+                                  mass_sigma0, solve_ground_state)
 
 
 def lil_reference(r, q, dim):
@@ -78,3 +79,27 @@ def test_ground_state_factorisation_count(monkeypatch):
     monkeypatch.setattr(radial, "splu", counting_splu)
     solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
     assert 1 <= len(calls) <= 4
+
+
+def test_ground_state_shot_count(monkeypatch):
+    # the shots only bracket U(0) to 1e-3 for Newton: about 14 of them
+    real_solve_ivp, calls = groundstate.solve_ivp, []
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(args[1])
+        return real_solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(groundstate, "solve_ivp", counting_solve_ivp)
+    solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
+    assert 1 <= len(calls) <= 20
+
+
+def test_newton_from_perturbed_shot(gs2d):
+    # Newton re-solves the grid problem, so a guess 1e-3 off in the core
+    # lands on the same sigma0 and frak_c
+    params, r = gs2d.params, gs2d.profile.nodes
+    u0 = _shooting_guess(params, r) * (1.0 + 1e-3 * np.exp(-r * r))
+    u = radial.radial_newton(r, params.dim, params.p, u0)
+    gs = GroundState(params, RadialProfile(r, u, gs2d.profile.dvalues), 0.0, 0.0)
+    assert mass_sigma0(gs) == pytest.approx(gs2d.sigma0, rel=1e-10)
+    assert decay_constant(gs) == pytest.approx(gs2d.frak_c, rel=1e-10)
