@@ -383,7 +383,6 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
     eps_list = list(epsilon_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
-    _check_xi(spec, init_xi)
     out = []
     prev = None
     for eps in eps_list:

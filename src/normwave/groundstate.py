@@ -162,12 +162,12 @@ def closed_form_soliton(p: float):
 # -- shooting (N >= 2) ----------------------------------------------------------
 
 # The shots only bracket U(0) for the Newton polish, which re-solves the grid
-# problem from the spliced profile: a bracket of 1e-3 relative is inside its
-# basin, and the sign of a shot is settled long before rtol 1e-8 matters.
-SHOT_START = 1e-2    # shots start here from the regular series at r = 0
+# problem from the spliced profile: a bracket of 5e-4 relative is inside its
+# basin, and the sign of a shot is settled long before rtol 3e-9 matters.
+SHOT_START = 2e-2    # shots start here from the regular series at r = 0
 SHOT_STOP = 15.0
-SHOT_RTOL = 1e-8
-BRACKET_RTOL = 1e-3
+SHOT_RTOL = 3e-9
+BRACKET_RTOL = 5e-4
 
 
 def _series(p: float, dim: int, s: float, r):

@@ -133,6 +133,14 @@ def test_shooting_dim3():
     assert gs.sigma0 > 0
 
 
+def test_shooting_dim5_mass_critical():
+    # the critical mass 2*sigma0 at p = 1 + 4/N for N = 5, where U(0) = 19.13
+    # puts the sixth-order residual near the 1e-8 gate
+    gs = solve_ground_state(ProblemParams(5, 1.8))
+    assert ode_residual_max(gs) <= 1e-8
+    assert gs.sigma0 == pytest.approx(1481.9294824940841, rel=1e-10)
+
+
 def test_shooting_budget_error():
     with pytest.raises(NoConvergence):
         solve_ground_state(ProblemParams(2, 3.0), max_doublings=0)
