@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicHermiteSpline
 
 from . import boundary_layer as bl
+from ._numerics import CubicHermite, simpson
 from .bvp import (DIRICHLET, NEUMANN, DomainSpec, MassEvaluator,
                   solve_normalized)
 from .corrections import CorrectionProfile, correction_profile
@@ -190,8 +189,8 @@ def ansatz_residual_l2(gs: GroundState, corr: CorrectionProfile, epsilon: float,
     p = gs.params.p
     y = np.linspace(-y_max, y_max, n + 1)
     U = gs.u_exact(y)
-    w_spline = CubicHermiteSpline(corr.profile.nodes, corr.profile.values,
-                                  corr.profile.dvalues)
+    w_spline = CubicHermite(corr.profile.nodes, corr.profile.values,
+                            corr.profile.dvalues)
     W = curvature * w_spline(np.abs(y))
     # second derivatives via the defining equations, no differencing needed
     Upp = U - np.abs(U) ** (p - 1) * U

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bvp import DIRICHLET, NEUMANN
 
@@ -113,6 +112,7 @@ def theta_quadrature(eps: float, bc: str) -> float:
     The integral is exponentially small, so the absolute tolerance is scaled
     by the asymptotic magnitude to retain relative control.
     """
+    from scipy.integrate import quad  # only this function needs scipy.integrate
     _check(eps, bc)
     pref = 2.0 * _trace_amplitude(eps, bc) * math.exp(-2.0 / eps)
     scale = abs(theta_asymptotic(eps, bc))

@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
+from ._numerics import brentq, simpson
 from .errors import (BracketFailed, NewtonDiverged, NonPositive,
                      NoSolutionInRegime)
 from .groundstate import (GroundState, ProblemParams, Regime,
@@ -96,10 +95,6 @@ class DomainSpec:
         for k, coef in enumerate(self.potential, start=1):
             out += coef * x ** (2 * k)
         return out
-
-    def laplacian_V_at_center(self) -> float:
-        # V = a1 x^2 + ... has V''(0) = 2 a1
-        return 2.0 * self.potential[0] if self.potential else 0.0
 
 
 @dataclass
@@ -479,32 +474,26 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
 
     unbracketed = (f"mass {rho:.12g} not bracketed for eps in "
                    f"[{eps_min}, {eps_start}]")
-    try:
-        eps_hi = eps_start
-        f_hi = f(eps_hi)
-        if abs(f_hi) <= mass_rtol * rho:
-            return finish(eps_hi)
-        while True:
-            eps_lo = max(eps_hi * trace_ratio, eps_min)
-            if eps_lo >= eps_hi:
-                raise BracketFailed(unbracketed)
-            f_lo = f(eps_lo)
-            if abs(f_lo) <= mass_rtol * rho:
-                return finish(eps_lo)
-            if np.sign(f_lo) != np.sign(f_hi):
-                break
-            if eps_lo <= eps_min:
-                raise BracketFailed(unbracketed)
-            eps_hi, f_hi = eps_lo, f_lo
+    eps_hi = eps_start
+    f_hi = f(eps_hi)
+    if abs(f_hi) <= mass_rtol * rho:
+        return finish(eps_hi)
+    while True:
+        eps_lo = max(eps_hi * trace_ratio, eps_min)
+        if eps_lo >= eps_hi:
+            raise BracketFailed(unbracketed)
+        f_lo = f(eps_lo)
+        if abs(f_lo) <= mass_rtol * rho:
+            return finish(eps_lo)
+        if np.sign(f_lo) != np.sign(f_hi):
+            break
+        if eps_lo <= eps_min:
+            raise BracketFailed(unbracketed)
+        eps_hi, f_hi = eps_lo, f_lo
 
-        t = brentq(lambda t: f(math.exp(t)), math.log(eps_lo),
-                   math.log(eps_hi), xtol=1e-12, rtol=8.9e-16)
-        eps_root = math.exp(t)
-        if abs(f(eps_root)) > 1e-6 * rho:
-            raise BracketFailed("root-find stalled before reaching the target mass")
-        return finish(eps_root)
-    finally:
-        # brentq's f_raise wrapper refers to itself through its closure, a
-        # cycle that keeps `evaluate` alive until the cyclic collector runs
-        evaluate.cache.clear()
-        evaluate.warm = None
+    t = brentq(lambda t: f(math.exp(t)), math.log(eps_lo), math.log(eps_hi),
+               xtol=1e-12, rtol=8.9e-16)
+    eps_root = math.exp(t)
+    if abs(f(eps_root)) > 1e-6 * rho:
+        raise BracketFailed("root-find stalled before reaching the target mass")
+    return finish(eps_root)

@@ -29,11 +29,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from . import radial
+from ._numerics import CubicHermite, brentq
 from .errors import ZeroCountMismatch
 from .groundstate import GroundState, ProblemParams, RadialProfile
 
@@ -123,14 +121,22 @@ def _fine_grid(gs: GroundState, extra: float = 20.0) -> np.ndarray:
     return np.linspace(0.0, r_max, n + 1)
 
 
+def _cumulative(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """∫_{s_0}^{s_i} f at every node, by scipy's cumulative Simpson.
+
+    Only the N = 1 oracle needs scipy.integrate, so it is imported here.
+    """
+    from scipy.integrate import cumulative_simpson
+    return np.concatenate([[0.0], cumulative_simpson(f, x=s)])
+
+
 def _suffix_integrals(s: np.ndarray, f: np.ndarray) -> np.ndarray:
     """∫_{s_i}^{s_max} f at every node, accumulated from the tail inward.
 
     Accumulating from the decaying end keeps the exponentially small suffix
     values at full relative precision (a forward cumulative saturates).
     """
-    rev = np.concatenate([[0.0], cumulative_simpson(f[::-1], x=s)])
-    return rev[::-1]
+    return _cumulative(f[::-1], s)[::-1]
 
 
 def oracle_c_prime(gs: GroundState, r) -> np.ndarray:
@@ -167,7 +173,7 @@ def factorization_oracle_1d(gs: GroundState) -> CorrectionProfile:
     sf = s[1:]
     phi_reg = inner(sf) / gs.du_exact(sf) ** 2 - I0 / (u0pp ** 2 * sf ** 2)
     phi_reg = np.concatenate([[phi_limit], phi_reg])
-    cum_phi = np.concatenate([[0.0], cumulative_simpson(phi_reg, x=s)])
+    cum_phi = _cumulative(phi_reg, s)
 
     rr = grid[1:]
     c_vals = -I0 / (u0pp ** 2 * rr) + np.interp(rr, s, cum_phi)
@@ -190,6 +196,6 @@ def w_zero_locate(w: RadialProfile, tol: float = 1e-10) -> float:
     if flips != 1:
         raise ZeroCountMismatch(f"expected exactly one sign change, found {flips}")
     idx = np.where(np.diff(np.sign(vals)) != 0)[0][0]
-    spline = CubicHermiteSpline(w.nodes, vals, w.dvalues)
+    spline = CubicHermite(w.nodes, vals, w.dvalues)
     return float(brentq(spline, w.nodes[idx], w.nodes[idx + 1],
                         xtol=tol, rtol=8.9e-16))

@@ -18,13 +18,13 @@ prescribed mass is solvable only at rho = 2*sigma0 (then for every lambda).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import radial
 from .errors import MassCriticalInfeasible, NoConvergence, TailNotResolved
@@ -71,6 +71,8 @@ class ProblemParams:
     p: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.p):
+            raise ValueError(f"exponent p must be finite, got {self.p}")
         if self.dim < 1 or int(self.dim) != self.dim:
             raise ValueError("dimension must be a positive integer")
         if self.p <= 1.0:
@@ -168,6 +170,16 @@ SHOT_START = 2e-2    # shots start here from the regular series at r = 0
 SHOT_STOP = 15.0
 SHOT_RTOL = 3e-9
 BRACKET_RTOL = 5e-4
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call.
+
+    Only N >= 2 shooting integrates an ODE, so a run that never shoots
+    does not pay for importing scipy.integrate.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _series(p: float, dim: int, s: float, r):

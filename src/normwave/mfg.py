@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
+from ._numerics import simpson
 from .bvp import DomainSpec, NormalizedSolution, assemble_residual
 from .errors import NonPositiveDensity
 from .groundstate import ProblemParams

@@ -262,8 +262,8 @@ def test_mass_evaluator_richardson_pair_is_h_and_half_h(monkeypatch):
 
 
 def test_solve_normalized_releases_cached_solutions():
-    # brentq keeps the evaluator in a reference cycle; with the cyclic
-    # collector off, only the returned solution may stay alive
+    # the root-find must leave no reference cycle holding the evaluator:
+    # with the cyclic collector off, only the returned solution may stay alive
     def live():
         return {id(o) for o in gc.get_objects()
                 if isinstance(o, NormalizedSolution)}

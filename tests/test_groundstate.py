@@ -20,6 +20,14 @@ def test_params_validation():
         ProblemParams(0, 3.0)
 
 
+@pytest.mark.parametrize("dim, p", [(1, np.nan), (1, np.inf), (2, np.nan),
+                                    (1, -np.inf), (3, np.inf), (0, np.nan)])
+def test_params_reject_nonfinite_exponent(dim, p):
+    # checked first: nan passed every other test and inf was supercritical
+    with pytest.raises(ValueError, match="exponent p must be finite"):
+        ProblemParams(dim, p)
+
+
 def test_regime_classification():
     assert ProblemParams(1, 5.0).regime is Regime.MASS_CRITICAL
     assert ProblemParams(2, 3.0).regime is Regime.MASS_CRITICAL

@@ -1,0 +1,127 @@
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.integrate import simpson as scipy_simpson
+from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq as scipy_brentq
+
+from normwave._numerics import CubicHermite, brentq, simpson
+
+
+def _grids(rng):
+    for n in (3, 4, 5, 6, 7, 100, 101, 2000, 2001):
+        yield np.linspace(-1.0, 3.0, n)
+        yield np.sort(rng.uniform(-2.0, 5.0, n))
+        yield np.concatenate([[0.0], np.cumsum(rng.exponential(0.1, n - 1))])
+
+
+def test_simpson_bit_equal_to_scipy():
+    rng = np.random.default_rng(1)
+    count = 0
+    for x in _grids(rng):
+        for y in (np.exp(-x ** 2) * np.cos(3 * x), rng.normal(size=len(x))):
+            assert simpson(y, x=x) == scipy_simpson(y, x=x)
+            count += 1
+    assert count == 54
+
+
+def test_simpson_last_panel_bit_equal_to_scipy():
+    # short even-length grids, where the last-panel correction weighs most
+    rng = np.random.default_rng(4)
+    for n in rng.integers(2, 6, 300) * 2:
+        x = np.cumsum(rng.exponential(1.0, n))
+        y = rng.normal(size=n)
+        assert simpson(y, x=x) == scipy_simpson(y, x=x)
+
+
+def test_simpson_needs_three_nodes():
+    with pytest.raises(ValueError):
+        simpson([1.0, 2.0], x=[0.0, 1.0])
+
+
+def _recording(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("xtol", [1e-12, 1e-10])
+def test_brentq_bit_equal_to_scipy(xtol):
+    rng = np.random.default_rng(2)
+    funcs = [
+        lambda r: (lambda x: math.tanh(4.0 * (x - r)) + 0.1 * (x - r) ** 3),
+        lambda r: (lambda x: math.exp(x) - math.exp(r)),
+        lambda r: (lambda x: (x - r) * (1.0 + (x - r) ** 2) * 1e-7),
+        lambda r: (lambda x: np.float64(math.atan(x - r) - 1e-3 * (x - r) ** 2)),
+    ]
+    for _ in range(50):
+        a = rng.uniform(-3.0, 0.0)
+        b = a + rng.uniform(0.1, 4.0)
+        r = rng.uniform(a, b)
+        for make in funcs:
+            ours, ours_calls = _recording(make(r))
+            ref, ref_calls = _recording(make(r))
+            root = brentq(ours, a, b, xtol=xtol, rtol=8.9e-16)
+            assert root == scipy_brentq(ref, a, b, xtol=xtol, rtol=8.9e-16)
+            assert ours_calls == ref_calls
+            assert type(root) is float
+
+
+def test_brentq_root_at_an_end():
+    assert brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
+    assert brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+
+@pytest.mark.parametrize("f, a, b, kw", [
+    (lambda x: x * x + 1.0, 0.0, 1.0, {}),
+    (lambda x: math.nan, 0.0, 1.0, {}),
+    (lambda x: x - 0.3 if x < 0.5 else math.nan, 0.0, 1.0, {}),
+    # NaN at the first secant point, inside the bracket
+    (lambda x: x - 0.3 if abs(x - 0.3) > 0.05 else math.nan, 0.0, 1.0, {}),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, {"maxiter": 3}),
+])
+def test_brentq_errors_match_scipy(f, a, b, kw):
+    with pytest.raises((ValueError, RuntimeError)) as ref:
+        scipy_brentq(f, a, b, **kw)
+    with pytest.raises(ref.type) as ours:
+        brentq(f, a, b, **kw)
+    assert str(ours.value) == str(ref.value)
+
+
+def test_hermite_bit_equal_to_scipy():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 10, 500):
+        x = np.sort(rng.uniform(0.0, 10.0, n))
+        y, dydx = rng.normal(size=n), rng.normal(size=n)
+        ours = CubicHermite(x, y, dydx)
+        ref = CubicHermiteSpline(x, y, dydx)
+        # nodes, points between them and points beyond both ends
+        xp = np.concatenate([x, rng.uniform(-3.0, 13.0, 1000), [-1e3, 1e3]])
+        assert np.array_equal(ours(xp), ref(xp))
+        for v in xp[::97]:
+            assert float(ours(v)) == float(ref(v))
+
+
+def test_startup_leaves_out_heavy_scipy(tmp_path):
+    # scipy.integrate, .optimize, .interpolate and .special each cost about
+    # 0.2 s per run; a fixed-eps solve must need none of them
+    code = (
+        "import sys\n"
+        "import normwave.cli\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.interpolate',"
+        " 'scipy.special')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "rc = normwave.cli.main(['solve', '--n', '1', '--p', '5', '--bc',"
+        " 'dirichlet', '--epsilon', '0.3', '--out-dir', sys.argv[1]])\n"
+        "print(rc, sorted(m for m in heavy if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "0 []"]
