@@ -51,11 +51,15 @@ def simpson(y, x) -> np.float64:
 
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12,
-           rtol: float = 8.881784197001252e-16, maxiter: int = 100) -> float:
+           rtol: float = 8.881784197001252e-16, maxiter: int = 100,
+           ftol: float = 0.0) -> float:
     """Root of f in [a, b] by Brent's method (scipy's brentq.c, line by line).
 
-    Raises ValueError when f(a) and f(b) have the same sign or f returns NaN,
-    and RuntimeError after maxiter iterations, with scipy's messages.
+    ftol (not in scipy) also stops at the first point with |f| <= ftol; at
+    its default 0 that is scipy's exact-zero stop, so results stay
+    bit-identical to scipy's. Raises ValueError when f(a) and f(b) have the
+    same sign or f returns NaN, and RuntimeError after maxiter iterations,
+    with scipy's messages.
     """
 
     def call(x: float) -> float:
@@ -69,9 +73,9 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
     xblk = fblk = spre = scur = 0.0
     fpre = call(xpre)
     fcur = call(xcur)
-    if fpre == 0:
+    if abs(fpre) <= ftol:
         return xpre
-    if fcur == 0:
+    if abs(fcur) <= ftol:
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
@@ -84,7 +88,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        if abs(fcur) <= ftol or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate

@@ -80,6 +80,8 @@ class AsymptoticReport:
 def predict_epsilon_noncritical(params: ProblemParams, rho: float,
                                 setting: str, sigma0: float):
     """Leading-order (eps, lambda) with Lambda at its limit value."""
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be positive and finite")
     if params.regime is Regime.MASS_CRITICAL:
         raise RegimeMismatch("prediction requires a noncritical exponent")
     if setting == BOUNDARY_ENDPOINT:

@@ -11,10 +11,11 @@ line with decay rows. The mass of a solution is
 
 and (lambda, v) with lambda = eps^{-2} solves -v'' + (V + lambda) v = v^p.
 
-``solve_normalized`` traces the concentrating branch downward in eps with
-warm starts and runs a bracketed Brent root-find (on log eps) for
-mass(eps) = rho. Interior masses are Richardson-extrapolated over grids with
-spacings h and h/2 so the outer root-find is unpolluted by the O(h^2) bias.
+``solve_normalized`` brackets mass(eps) = rho with steps along the
+regime's leading-order law for the mass, then runs Brent (on log eps) until
+the mass is within tolerance of rho. Interior masses are
+Richardson-extrapolated over grids with spacings h and h/2 so the outer
+root-find is unpolluted by the O(h^2) bias.
 
 Real-line potentials are even polynomials, so those solves exploit evenness:
 the half-line [0, L] is discretized with a symmetric row at 0 and a decay
@@ -59,6 +60,8 @@ NEWTON_MAX_BACKTRACK = 40
 POINTS_PER_WIDTH = 60
 MIN_POINTS_PER_WIDTH = 10
 MIN_NODES = 2000
+# the real line is truncated at this many eps-widths (e^-40 of the peak)
+REALLINE_WIDTHS = 40.0
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,15 @@ class NormalizedSolution:
 
 # -- grids and discrete rows ------------------------------------------------------
 
-def _realline_halfwidth(spec: DomainSpec) -> float:
-    scale = max((abs(c) for c in spec.potential), default=0.0)
-    return max(20.0, 12.0 * scale ** 0.5)
+def _realline_halfwidth(eps: float) -> float:
+    """Half-width L of the truncated real line: 20 at eps = 0.5."""
+    return REALLINE_WIDTHS * eps
 
 
 def _grid(spec: DomainSpec, eps: float, n_override: Optional[int]) -> np.ndarray:
     """Solver grid: the interval with an even panel count, or [-L, L]
-    mirrored from [0, L] with an even panel count on each half.
+    mirrored from [0, L] with an even panel count on each half, L being
+    REALLINE_WIDTHS eps-widths.
 
     n_override counts panels over the whole interval or [-L, L]; fewer than
     MIN_POINTS_PER_WIDTH per eps-width raise ValueError.
@@ -131,7 +135,7 @@ def _grid(spec: DomainSpec, eps: float, n_override: Optional[int]) -> np.ndarray
     if spec.kind == "interval":
         a, b = spec.a, spec.b
     else:
-        b = _realline_halfwidth(spec)
+        b = _realline_halfwidth(eps)
         a = -b
     if n_override is None:
         n = max(MIN_NODES, int(math.ceil(POINTS_PER_WIDTH * (b - a) / eps)))
@@ -392,6 +396,13 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
 
 # -- normalized solve ------------------------------------------------------------
 
+TRACE_RATIO = 0.82  # step down where the law cannot say
+MAX_BRACKET_STEPS = 16  # 0.5 * 0.82^12 is below the default eps_min 0.05
+# mass-critical stop: |mass - rho| at most this fraction of |rho - 2 sigma0|
+CRITICAL_STOP = 1e-3
+WARM_RANGE = (0.8, 1.25)  # warm starts only within this factor of eps
+
+
 def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
                     two_sigma0: float) -> Optional[str]:
     if params.regime is not Regime.MASS_CRITICAL:
@@ -409,7 +420,11 @@ def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
 
 
 class MassEvaluator:
-    """Richardson-extrapolated mass(eps) with warm-started solves."""
+    """Richardson-extrapolated mass(eps) with warm-started solves.
+
+    A solve starts from the previous solution only when eps is within
+    WARM_RANGE of its eps; across a longer jump it starts from the ansatz.
+    """
 
     def __init__(self, spec, params, xi=0.0):
         self.spec = spec
@@ -421,10 +436,13 @@ class MassEvaluator:
     def __call__(self, eps: float) -> float:
         if eps in self.cache:
             return self.cache[eps][0]
-        sol_h = _solve_from(self.warm, self.spec, self.params, eps, self.xi)
-        self.warm = sol_h
+        warm = self.warm
+        if warm is not None and not (
+                WARM_RANGE[0] <= eps / warm.epsilon <= WARM_RANGE[1]):
+            warm = None
+        sol_h = _solve_from(warm, self.spec, self.params, eps, self.xi)
         # the refined grid has exactly twice the panels: spacings h and h/2
-        sol_h2 = _solve_from(self.warm, self.spec, self.params, eps, self.xi,
+        sol_h2 = _solve_from(sol_h, self.spec, self.params, eps, self.xi,
                              2 * (len(sol_h.nodes) - 1))
         mass = (4.0 * mass_of(sol_h2) - mass_of(sol_h)) / 3.0
         self.warm = sol_h2
@@ -437,19 +455,50 @@ class MassEvaluator:
         return self.cache[eps][1]
 
 
+def _law_step(spec: DomainSpec, params: ProblemParams, eps: float,
+              mass: float, rho: float, two_sigma0: float) -> Optional[float]:
+    """The eps at which the regime's leading-order law, through
+    (eps, mass), reaches rho; None when the law cannot say.
+
+    Noncritical: mass ∝ eps^{N - 4/(p-1)}. Critical: the offset
+    mass - 2 sigma0 is ∝ e^{-2/eps}/eps on an interval and ∝ eps^4 on the
+    real line with a potential; mass and rho on opposite sides of 2 sigma0
+    leave the law silent.
+    """
+    if params.regime is not Regime.MASS_CRITICAL:
+        exponent = params.dim - 4.0 / (params.p - 1.0)
+        return eps * (rho / mass) ** (1.0 / exponent)
+    ratio = (rho - two_sigma0) / (mass - two_sigma0)
+    if not ratio > 0.0:
+        return None
+    if spec.kind == "realline":
+        return eps * ratio ** 0.25
+    # -2s + log s = c in s = 1/eps; the fixed-point map contracts by 1/(2s)
+    c = math.log(ratio) - 2.0 / eps - math.log(eps)
+    s = 1.0 / eps
+    for _ in range(60):
+        s = max(0.5 * (math.log(s) - c), 1.0)
+    return 1.0 / s
+
+
 def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
                      mass_rtol: float = 5e-8, eps_start: float = 0.5,
-                     eps_min: float = 0.05, trace_ratio: float = 0.82,
+                     eps_min: float = 0.05,
                      ground_state: Optional[GroundState] = None,
                      xi: float = 0.0) -> NormalizedSolution:
     """Solve the mass-prescribed problem by an outer root-find on eps.
 
-    The concentrating branch is traced from eps_start downward with warm
-    starts; Brent runs on log(eps) over the bracketing segment. Raises
+    From the mass at eps_start, at most 16 steps along the regime's
+    leading-order law for the mass (eps -> 0.82 eps where the law is
+    silent), each clipped to [eps_min, eps_start], bracket rho; Brent on
+    log(eps) then runs over the bracket. The first evaluated eps whose mass
+    is within tol of rho is returned: tol = mass_rtol * rho, and in the
+    mass-critical regime at most 1e-3 * |rho - 2 sigma0|, so that the
+    returned eps also resolves a small distance to 2 sigma0. Raises
     NoSolutionInRegime when rho sits on the forbidden side of the critical
-    threshold and BracketFailed when the traced branch never meets rho.
-    A non-finite or non-positive rho, dim != 1 or a non-zero xi on the real
-    line raises ValueError before the ground state is solved.
+    threshold and BracketFailed when no step brackets rho. A non-finite or
+    non-positive rho, dim != 1 or a non-zero xi on the real line raises
+    ValueError before the ground state is solved.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
@@ -461,6 +510,9 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     reason = _forbidden_side(spec, params, rho, two_sigma0)
     if reason is not None:
         raise NoSolutionInRegime(reason)
+    tol = mass_rtol * rho
+    if params.regime is Regime.MASS_CRITICAL:
+        tol = min(tol, CRITICAL_STOP * abs(rho - two_sigma0))
 
     evaluate = MassEvaluator(spec, params, xi=xi)
 
@@ -474,26 +526,27 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
 
     unbracketed = (f"mass {rho:.12g} not bracketed for eps in "
                    f"[{eps_min}, {eps_start}]")
-    eps_hi = eps_start
-    f_hi = f(eps_hi)
-    if abs(f_hi) <= mass_rtol * rho:
-        return finish(eps_hi)
-    while True:
-        eps_lo = max(eps_hi * trace_ratio, eps_min)
-        if eps_lo >= eps_hi:
+    eps_a = eps_start
+    f_a = f(eps_a)
+    steps = 0
+    while abs(f_a) > tol:
+        step = _law_step(spec, params, eps_a, f_a + rho, rho, two_sigma0)
+        eps_b = min(max(eps_a * TRACE_RATIO if step is None else step,
+                        eps_min), eps_start)
+        if eps_b == eps_a or steps == MAX_BRACKET_STEPS:
             raise BracketFailed(unbracketed)
-        f_lo = f(eps_lo)
-        if abs(f_lo) <= mass_rtol * rho:
-            return finish(eps_lo)
-        if np.sign(f_lo) != np.sign(f_hi):
+        steps += 1
+        f_b = f(eps_b)
+        if abs(f_b) > tol and (f_b < 0) != (f_a < 0):
+            # exp(log(eps)) may miss eps by an ulp, and the cache with it
+            ends = {math.log(e): e for e in (eps_a, eps_b)}
+            t = brentq(lambda t: f(ends.get(t, math.exp(t))), min(ends),
+                       max(ends), xtol=1e-12, rtol=8.9e-16, ftol=tol)
+            eps_a = ends.get(t, math.exp(t))
+            f_a = f(eps_a)
+            if abs(f_a) > 1e-6 * rho:
+                raise BracketFailed(
+                    "root-find stalled before reaching the target mass")
             break
-        if eps_lo <= eps_min:
-            raise BracketFailed(unbracketed)
-        eps_hi, f_hi = eps_lo, f_lo
-
-    t = brentq(lambda t: f(math.exp(t)), math.log(eps_lo), math.log(eps_hi),
-               xtol=1e-12, rtol=8.9e-16)
-    eps_root = math.exp(t)
-    if abs(f(eps_root)) > 1e-6 * rho:
-        raise BracketFailed("root-find stalled before reaching the target mass")
-    return finish(eps_root)
+        eps_a, f_a = eps_b, f_b
+    return finish(eps_a)

@@ -343,8 +343,8 @@ def scale_solution(gs: GroundState, lam: float):
     Returns (profile, mass) with mass measured by quadrature on the scaled
     profile; the closed form is rho = lam^{2/(p-1) - N/2} * 2*sigma0.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be positive and finite")
     p = gs.params.p
     amp = lam ** (1.0 / (p - 1.0))
     root = np.sqrt(lam)
@@ -365,8 +365,8 @@ def solve_pure_scaling(params: ProblemParams, rho: float,
     ANY_LAMBDA sentinel at rho = 2*sigma0 (within tol) and raises
     MassCriticalInfeasible otherwise.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be positive and finite")
     gs = ground_state if ground_state is not None else solve_ground_state(params)
     two_sigma0 = 2.0 * gs.sigma0
     if params.regime is Regime.MASS_CRITICAL:

@@ -49,6 +49,13 @@ def test_predict_endpoint_vs_interior_factor():
     assert e_end / e_int == pytest.approx(factor, rel=1e-13)
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -1.0])
+def test_predict_noncritical_rejects_bad_mass(rho):
+    # nan gave (nan, nan), -1 a complex eps
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        predict_epsilon_noncritical(P3, rho, INTERIOR, SIGMA0_P3)
+
+
 def test_predict_noncritical_regime_errors():
     with pytest.raises(RegimeMismatch):
         predict_epsilon_noncritical(ProblemParams(1, 5.0), 2.0, INTERIOR,

@@ -222,6 +222,78 @@ def test_solve_normalized_bracket_failure(gs5):
                          ground_state=gs5, eps_min=0.2)
 
 
+def _count_misses(monkeypatch):
+    """eps values at which a MassEvaluator solves (cache misses)."""
+    misses = []
+    call = MassEvaluator.__call__
+
+    def counting(self, eps):
+        if eps not in self.cache:
+            misses.append(eps)
+        return call(self, eps)
+
+    monkeypatch.setattr(MassEvaluator, "__call__", counting)
+    return misses
+
+
+def test_solve_normalized_critical_resolves_distance_to_two_sigma0(gs5):
+    # within mass_rtol * rho (1.4e-7) of rho is no answer 1e-7 below
+    # 2 sigma0: at eps = 0.0838 the Theta law puts the deficit at 7.2e-9.
+    # The root of the extrapolated mass is 0.0953296355.
+    sol = solve_normalized(DomainSpec("interval", -1, 1, "dirichlet"), P5,
+                           TWO_SIGMA0_P5 - 1e-7, ground_state=gs5)
+    assert sol.epsilon == pytest.approx(0.0953296355, rel=1e-2)
+
+
+def test_solve_normalized_flat_critical_mass_cost(monkeypatch, gs5):
+    # the mass curve is flat here: a root-find to xtol 1e-12 on log eps
+    # needs about 20 solves
+    misses = _count_misses(monkeypatch)
+    rho = TWO_SIGMA0_P5 - 1.03e-4
+    sol = solve_normalized(DomainSpec("realline", potential=(1.0,)), P5, rho,
+                           ground_state=gs5)
+    assert len(misses) <= 8
+    assert abs(sol.mass - rho) < 1e-4 * rho
+
+
+@pytest.mark.parametrize("rho", [8.0, 20.0])
+def test_solve_normalized_exact_law_cost(monkeypatch, gs3, rho):
+    # mass = 4 / eps on the line at p = 3: the law step lands on the root
+    misses = _count_misses(monkeypatch)
+    sol = solve_normalized(DomainSpec("realline"), P3, rho, ground_state=gs3)
+    assert len(misses) <= 4
+    assert sol.lambda_ == pytest.approx((rho / 4.0) ** 2, rel=1e-6)
+
+
+@pytest.mark.parametrize("spec, params", [
+    (DomainSpec("realline"), P3),
+    (DomainSpec("realline", potential=(1.0,)), P5),
+])
+def test_realline_truncation_keeps_mass(monkeypatch, spec, params):
+    # the line is cut at 40 eps-widths; the old half-width 20 gives the same
+    # Richardson masses at the same spacing eps/60
+    eps_list = (0.4, 0.1, 0.06)
+    cut = [MassEvaluator(spec, params) for _ in eps_list]
+    masses = [ev(e) for ev, e in zip(cut, eps_list)]
+    monkeypatch.setattr(bvp, "_realline_halfwidth", lambda eps: 20.0)
+    wide = [MassEvaluator(spec, params) for _ in eps_list]
+    assert [ev(e) for ev, e in zip(wide, eps_list)] \
+        == pytest.approx(masses, rel=1e-13)
+    for ev_cut, ev_wide, e in zip(cut, wide, eps_list):
+        assert ev_cut.fine_solution(e).nodes[-1] == pytest.approx(40.0 * e)
+        assert ev_wide.fine_solution(e).nodes[-1] == 20.0
+
+
+def test_solve_normalized_neumann_returns_concentrated_bump(gs3):
+    # Newton from the ansatz at eps = 0.5 lands on the constant solution
+    # u = 1, whose mass 2/eps^2 is 20 at eps = 10^-1/2; the answer is the
+    # concentrated bump, mass about 2 sigma0 / eps = 20 at eps = 0.2
+    sol = solve_normalized(DomainSpec("interval", -1, 1, "neumann"), P3, 20.0,
+                           ground_state=gs3)
+    assert sol.epsilon == pytest.approx(0.2, rel=1e-2)
+    assert np.min(sol.u_values) < 0.1 * np.max(sol.u_values)
+
+
 def test_mass_evaluator_richardson():
     ev = MassEvaluator(DomainSpec("realline"), P3)
     assert abs(ev(0.5) - 8.0) < 1e-7

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_SIGMA0_P3, TWO_SIGMA0_P5
+from normwave import groundstate
 from normwave.errors import (MassCriticalInfeasible, NoConvergence,
                              TailNotResolved)
 from normwave.groundstate import (ANY_LAMBDA, ProblemParams, Regime,
@@ -191,6 +192,29 @@ def test_pure_scaling_roundtrip(gs3):
         _, mass = scale_solution(gs3, lam)
         back = solve_pure_scaling(params, mass, ground_state=gs3)
         assert back == pytest.approx(lam, rel=1e-10)
+
+
+@pytest.mark.parametrize("rho", [np.inf, np.nan])
+def test_pure_scaling_rejects_nonfinite_mass(monkeypatch, rho):
+    # inf returned inf and nan returned nan; rejected before the ground state
+    def no_ground_state(*args, **kwargs):
+        raise AssertionError("ground state solved before rho was checked")
+
+    monkeypatch.setattr(groundstate, "solve_ground_state", no_ground_state)
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        solve_pure_scaling(ProblemParams(1, 3.0), rho)
+
+
+@pytest.mark.parametrize("lam", [np.inf, np.nan])
+def test_scale_solution_rejects_nonfinite_lambda(monkeypatch, gs3, lam):
+    # was "radial grid must start at r = 0" (nan) or "... strictly
+    # increasing" (inf) from the quadrature of the scaled grid
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("scaled profile integrated before lam was checked")
+
+    monkeypatch.setattr(groundstate.radial, "radial_quadrature", no_quadrature)
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        scale_solution(gs3, lam)
 
 
 def test_pure_scaling_critical(gs5, gs2d):

@@ -74,6 +74,27 @@ def test_brentq_bit_equal_to_scipy(xtol):
             assert type(root) is float
 
 
+@pytest.mark.parametrize("ftol", [1e-3, 1e-6, 1e-9])
+def test_brentq_ftol_stops_at_first_point_within_it(ftol):
+    # the same path as ftol = 0, cut at the first |f| <= ftol
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        a = rng.uniform(-3.0, 0.0)
+        b = a + rng.uniform(0.1, 4.0)
+        r = rng.uniform(a, b)
+
+        def f(x):
+            return math.tanh(4.0 * (x - r)) + 0.1 * (x - r) ** 3
+
+        full, full_calls = _recording(f)
+        brentq(full, a, b, xtol=1e-12, rtol=8.9e-16)
+        cut, cut_calls = _recording(f)
+        root = brentq(cut, a, b, xtol=1e-12, rtol=8.9e-16, ftol=ftol)
+        first = next(i for i, x in enumerate(full_calls) if abs(f(x)) <= ftol)
+        assert cut_calls == full_calls[:first + 1]
+        assert root == cut_calls[-1]
+
+
 def test_brentq_root_at_an_end():
     assert brentq(lambda x: x - 1.0, 1.0, 2.0) == 1.0
     assert brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
