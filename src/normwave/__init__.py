@@ -17,7 +17,7 @@ from .asymptotics import (AsymptoticReport, fit_convergence_order,
 from .boundary_layer import (make_boundary_layer, phi_explicit,
                              theta_asymptotic, theta_quadrature,
                              viscosity_rate)
-from .bvp import (DomainSpec, NormalizedSolution, assemble_residual, mass_of,
+from .bvp import (DomainSpec, NormalizedSolution, assemble_residual,
                   solve_fixed_epsilon, solve_normalized, trace_branch)
 from .corrections import (CorrectionProfile, compute_m_frak,
                           correction_profile, factorization_oracle_1d,
@@ -35,7 +35,7 @@ __all__ = [
     "predict_mass_expansion_critical", "verify_report",
     "make_boundary_layer", "phi_explicit", "theta_asymptotic",
     "theta_quadrature", "viscosity_rate",
-    "DomainSpec", "NormalizedSolution", "assemble_residual", "mass_of",
+    "DomainSpec", "NormalizedSolution", "assemble_residual",
     "solve_fixed_epsilon", "solve_normalized", "trace_branch",
     "CorrectionProfile", "compute_m_frak", "correction_profile",
     "factorization_oracle_1d", "solve_linearized_radial", "w_zero_locate",

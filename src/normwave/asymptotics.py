@@ -58,7 +58,7 @@ WHOLE_SPACE = "whole_space"
 REPORT_IDS = ("interior_scaling", "interior_critical_mass",
               "potential_critical_mass")
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "exponential_rel": 0.25,   # exponentially small boundary-layer quantities
     "power_rel": 0.10,         # eps^4 power-law prefactors
     "order_abs": 0.30,         # fitted convergence orders
@@ -75,6 +75,7 @@ class AsymptoticReport:
     passed: bool
     notes: str = ""
     tolerances: dict = field(default_factory=dict)
+    sweep: list = field(default_factory=list)  # measured (eps, mass) pairs
 
 
 def predict_epsilon_noncritical(params: ProblemParams, rho: float,
@@ -178,36 +179,37 @@ def fit_prefactor(pairs: Sequence, order: float, law: str = "power") -> float:
 # -- ansatz residual order ---------------------------------------------------------
 
 def ansatz_residual_l2(gs: GroundState, corr: CorrectionProfile, epsilon: float,
-                       tau: float = 1.0, curvature: float = 1.0,
-                       y_max: float = 30.0, n: int = 120000) -> float:
+                       tau: float = 1.0) -> float:
     """L2 norm of the rescaled-equation residual of Z = U - eps^4 W.
 
-    The potential is curvature * x^2 and the ansatz is centered at
-    eps^2 * tau; tau != 0 exposes the generic fifth-order rate (an exactly
-    quadratic potential with a centered ansatz degenerates to higher order).
+    The potential is x^2 and the ansatz is centered at eps^2 * tau;
+    tau != 0 exposes the generic fifth-order rate (an exactly quadratic
+    potential with a centered ansatz degenerates to higher order). The
+    norm is taken over |y| <= 30 on 120000 panels.
     """
     if gs.params.dim != 1 or gs.u_exact is None:
         raise ValueError("residual-order check uses the closed-form N=1 state")
     p = gs.params.p
-    y = np.linspace(-y_max, y_max, n + 1)
+    y = np.linspace(-30.0, 30.0, 120001)
     U = gs.u_exact(y)
     w_spline = CubicHermite(corr.profile.nodes, corr.profile.values,
                             corr.profile.dvalues)
-    W = curvature * w_spline(np.abs(y))
+    W = w_spline(np.abs(y))
     # second derivatives via the defining equations, no differencing needed
     Upp = U - np.abs(U) ** (p - 1) * U
-    Wpp = (1.0 - p * np.abs(U) ** (p - 1)) * W - curvature * y ** 2 * U
+    Wpp = (1.0 - p * np.abs(U) ** (p - 1)) * W - y ** 2 * U
     Z = U - epsilon ** 4 * W
     Zpp = Upp - epsilon ** 4 * Wpp
-    Vterm = curvature * (epsilon ** 4 * y ** 2 + 2.0 * epsilon ** 5 * tau * y
-                         + epsilon ** 6 * tau ** 2)
+    Vterm = (epsilon ** 4 * y ** 2 + 2.0 * epsilon ** 5 * tau * y
+             + epsilon ** 6 * tau ** 2)
     E = -Zpp + (Vterm + 1.0) * Z - np.abs(Z) ** (p - 1) * Z
     return float(np.sqrt(simpson(E ** 2, x=y)))
 
 
 # -- orchestrated reports -----------------------------------------------------------
 
-def _report_interior_scaling(tol: dict, rho: float = 50.0) -> AsymptoticReport:
+def _report_interior_scaling() -> AsymptoticReport:
+    rho = 50.0
     params = ProblemParams(1, 3.0)
     gs = solve_ground_state(params)
     spec = DomainSpec("interval", -1.0, 1.0, DIRICHLET)
@@ -220,8 +222,8 @@ def _report_interior_scaling(tol: dict, rho: float = 50.0) -> AsymptoticReport:
     sweep = [(e, evaluator(e)) for e in (0.4, 0.3, 0.25, 0.2)]
     slope = fit_convergence_order(sweep, law="power")
     expected_slope = params.dim - 4.0 / (params.p - 1.0)
-    passed = bool(lam_err <= tol["lambda_rel"]
-                  and abs(slope - expected_slope) <= tol["order_abs"])
+    passed = bool(lam_err <= TOLERANCES["lambda_rel"]
+                  and abs(slope - expected_slope) <= TOLERANCES["order_abs"])
     return AsymptoticReport(
         "interior_scaling",
         predicted={"lambda": lam_pred, "epsilon": eps_pred,
@@ -229,13 +231,13 @@ def _report_interior_scaling(tol: dict, rho: float = 50.0) -> AsymptoticReport:
         observed={"lambda": sol.lambda_, "epsilon": sol.epsilon,
                   "lambda_rel_error": lam_err,
                   "mass_scaling_exponent": slope,
-                  "sweep": [(e, m) for e, m in sweep]},
-        fitted_order=slope, passed=passed, tolerances=tol,
-        notes=f"rho={rho}")
+                  "sweep": sweep},
+        fitted_order=slope, passed=passed, tolerances=dict(TOLERANCES),
+        notes=f"rho={rho}", sweep=sweep)
 
 
-def _report_interior_critical(tol: dict,
-                              eps_list=(0.25, 0.2, 0.15, 0.12)) -> AsymptoticReport:
+def _report_interior_critical() -> AsymptoticReport:
+    eps_list = (0.25, 0.2, 0.15, 0.12)
     params = ProblemParams(1, 5.0)
     gs = solve_ground_state(params)
     two_sigma0 = 2.0 * gs.sigma0
@@ -265,8 +267,8 @@ def _report_interior_critical(tol: dict,
         ok = ok and bool(one_sided)
         ok = ok and bool(abs(ratio - 1.0) <= 0.25)
         ok = ok and bool(abs(prefactor / (2.0 * bl.THETA_RATE_CONSTANT) - 1.0)
-                         <= tol["exponential_rel"])
-        ok = ok and bool(abs(slope - 1.0) <= tol["order_abs"])
+                         <= TOLERANCES["exponential_rel"])
+        ok = ok and bool(abs(slope - 1.0) <= TOLERANCES["order_abs"])
     return AsymptoticReport(
         "interior_critical_mass",
         predicted={"two_sigma0": two_sigma0,
@@ -274,12 +276,13 @@ def _report_interior_critical(tol: dict,
                    "rate_slope": 1.0,
                    "deficit_over_2theta_at_eps_min": 1.0},
         observed=observed, fitted_order=float(np.mean(orders)), passed=ok,
-        tolerances=tol, notes=f"eps_list={list(eps_list)}")
+        tolerances=dict(TOLERANCES), notes=f"eps_list={list(eps_list)}",
+        sweep=observed[DIRICHLET]["masses"])
 
 
-def _report_potential_critical(tol: dict,
-                               eps_list=(0.35, 0.3, 0.25, 0.2),
-                               curvature: float = 1.0) -> AsymptoticReport:
+def _report_potential_critical() -> AsymptoticReport:
+    eps_list = (0.35, 0.3, 0.25, 0.2)
+    curvature = 1.0  # V = curvature * x^2
     params = ProblemParams(1, 5.0)
     gs = solve_ground_state(params)
     corr = correction_profile(gs)
@@ -297,8 +300,9 @@ def _report_potential_critical(tol: dict,
     rho_min = dict(masses)[e_min]
     eps_rt, _ = predict_lambda_critical_schrodinger(rho_min, corr.m_frak,
                                                     lap_V, gs.sigma0)
-    ok = bool(abs(slope - 4.0) <= tol["order_abs"]
-              and abs(prefactor / predicted_prefactor - 1.0) <= tol["power_rel"]
+    ok = bool(abs(slope - 4.0) <= TOLERANCES["order_abs"]
+              and abs(prefactor / predicted_prefactor - 1.0)
+              <= TOLERANCES["power_rel"]
               and all(d > 0 for _, d in devs))
     return AsymptoticReport(
         "potential_critical_mass",
@@ -307,20 +311,16 @@ def _report_potential_critical(tol: dict,
         observed={"masses": masses, "deficit_order": slope,
                   "deficit_prefactor": prefactor,
                   "epsilon_roundtrip_at_eps_min": eps_rt / e_min},
-        fitted_order=slope, passed=ok, tolerances=tol,
-        notes=f"V = {curvature}*x^2, eps_list={list(eps_list)}")
+        fitted_order=slope, passed=ok, tolerances=dict(TOLERANCES),
+        notes=f"V = {curvature}*x^2, eps_list={list(eps_list)}", sweep=masses)
 
 
-def verify_report(theorem_id: str, tolerances: Optional[dict] = None,
-                  **options) -> AsymptoticReport:
+def verify_report(theorem_id: str) -> AsymptoticReport:
     """Run the orchestrated prediction-vs-direct-solve comparison.
 
     theorem_id is one of REPORT_IDS. Sub-computation failures are reported
     with passed=False rather than raised.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     builders = {
         "interior_scaling": _report_interior_scaling,
         "interior_critical_mass": _report_interior_critical,
@@ -330,9 +330,9 @@ def verify_report(theorem_id: str, tolerances: Optional[dict] = None,
         raise ValueError(f"unknown theorem_id {theorem_id!r}; "
                          f"expected one of {REPORT_IDS}")
     try:
-        return builders[theorem_id](tol, **options)
+        return builders[theorem_id]()
     except SolverError as exc:
         return AsymptoticReport(theorem_id, predicted={}, observed={},
                                 fitted_order=math.nan, passed=False,
-                                tolerances=tol,
+                                tolerances=dict(TOLERANCES),
                                 notes=f"{type(exc).__name__}: {exc}")

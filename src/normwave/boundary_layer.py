@@ -29,7 +29,6 @@ import numpy as np
 from .bvp import DIRICHLET, NEUMANN
 
 __all__ = [
-    "BoundaryCondition",
     "BoundaryLayer",
     "phi_explicit",
     "theta_quadrature",
@@ -44,8 +43,6 @@ __all__ = [
 # leading coefficients of |Theta| ~ C/eps e^{-2/eps} and |phi(0)| ~ c e^{-2/eps}
 THETA_RATE_CONSTANT = 4.0 * math.sqrt(3.0)
 CENTER_RATE_CONSTANT = 2.0 ** 1.5 * 3.0 ** 0.25
-
-BoundaryCondition = str
 
 
 def _u5(x):

@@ -27,7 +27,7 @@ doubled interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "NormalizedSolution",
     "assemble_residual",
     "solve_fixed_epsilon",
-    "mass_of",
     "solve_normalized",
     "trace_branch",
     "MassEvaluator",
@@ -113,8 +112,6 @@ class NormalizedSolution:
     residual_inf: float
     concentration_point: float
     newton_iterations: int = 0
-    mass_target: Optional[float] = None
-    extras: dict = field(default_factory=dict)
 
 
 # -- grids and discrete rows ------------------------------------------------------
@@ -209,8 +206,7 @@ def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
 # -- damped Newton on the row-scaled system --------------------------------------
 
 def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
-            Vx: np.ndarray, left: str, right: str,
-            tol: float = NEWTON_TOL) -> tuple[np.ndarray, int]:
+            Vx: np.ndarray, left: str, right: str) -> tuple[np.ndarray, int]:
     """Damped Newton on _rows scaled by h^2/eps^2, so the tolerance is
     meaningful in units of u."""
     h = x[1] - x[0]
@@ -232,7 +228,7 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
             raise NewtonDiverged("residual is not finite")
         if converged or rn < 1e-15 * max(1.0, np.max(np.abs(u))):
             return u, it
-        if rn < tol * max(1.0, np.max(np.abs(u))):
+        if rn < NEWTON_TOL * max(1.0, np.max(np.abs(u))):
             converged = True  # one full polish step to the rounding floor
             u = u + solve_banded((1, 1), jacobian(u), -r)
             continue
@@ -261,7 +257,7 @@ def _single_peak(u: np.ndarray) -> bool:
     return np.count_nonzero(np.diff(signs)) <= 1
 
 
-def _package(spec, params, eps, x, u, iters, mass_target=None) -> NormalizedSolution:
+def _package(spec, params, eps, x, u, iters) -> NormalizedSolution:
     res = assemble_residual(spec, params, eps, x, u)
     interior = u[1:-1] if (spec.kind == "interval" and spec.bc == DIRICHLET) else u
     # tolerate rounding dust in the truncation tail, catch real crossings
@@ -272,13 +268,14 @@ def _package(spec, params, eps, x, u, iters, mass_target=None) -> NormalizedSolu
         raise NewtonDiverged("converged profile is not single-peaked")
     p = params.p
     v = eps ** (-2.0 / (p - 1.0)) * u
+    # mass = eps^{-4/(p-1)} ∫ u^2 (= ∫ v^2) by composite Simpson
     mass = eps ** (-4.0 / (p - 1.0)) * simpson(u ** 2, x=x)
     return NormalizedSolution(
         spec=spec, params=params, lambda_=eps ** -2.0, epsilon=eps,
         nodes=x, v_values=v, u_values=u, mass=mass,
         residual_inf=float(np.max(np.abs(res))),
         concentration_point=float(x[np.argmax(u)]),
-        newton_iterations=iters, mass_target=mass_target)
+        newton_iterations=iters)
 
 
 def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
@@ -355,7 +352,7 @@ def _check_xi(spec: DomainSpec, xi: float) -> None:
 
 
 def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
-                params: ProblemParams, eps: float, xi: float = 0.0,
+                params: ProblemParams, eps: float, xi: float,
                 n_override: Optional[int] = None) -> NormalizedSolution:
     """Solve at eps warm-started from prev's profile interpolated onto the
     solver grid, or from the ansatz at xi when there is no prev."""
@@ -366,13 +363,6 @@ def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
     guess = np.interp(x, prev.nodes, prev.u_values)
     return solve_fixed_epsilon(spec, params, eps, init="custom", u0=guess,
                                n_override=len(x) - 1)
-
-
-def mass_of(sol: NormalizedSolution) -> float:
-    """mass = eps^{-4/(p-1)} ∫ u^2 (= ∫ v^2) by composite Simpson."""
-    p = sol.params.p
-    return sol.epsilon ** (-4.0 / (p - 1.0)) * simpson(sol.u_values ** 2,
-                                                       x=sol.nodes)
 
 
 def trace_branch(spec: DomainSpec, params: ProblemParams,
@@ -389,15 +379,20 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
             sol = _solve_from(prev, spec, params, eps, init_xi)
         except (NewtonDiverged, NonPositive) as exc:
             raise type(exc)(f"{exc} (at eps = {eps:.6g})") from exc
-        out.append((eps, mass_of(sol), sol.residual_inf))
+        out.append((eps, sol.mass, sol.residual_inf))
         prev = sol
     return out
 
 
 # -- normalized solve ------------------------------------------------------------
 
+EPS_START = 0.5  # the root-find's first eps, and its largest
+EPS_MIN = 0.05  # default smallest eps of the root-find
+MASS_RTOL = 5e-8  # stop at |mass - rho| <= MASS_RTOL * rho
 TRACE_RATIO = 0.82  # step down where the law cannot say
-MAX_BRACKET_STEPS = 16  # 0.5 * 0.82^12 is below the default eps_min 0.05
+MAX_BRACKET_STEPS = 16  # 0.5 * 0.82^12 is below EPS_MIN
+# a returned profile with max - min below this fraction of max is constant
+FLAT_RTOL = 1e-9
 # mass-critical stop: |mass - rho| at most this fraction of |rho - 2 sigma0|
 CRITICAL_STOP = 1e-3
 WARM_RANGE = (0.8, 1.25)  # warm starts only within this factor of eps
@@ -444,7 +439,7 @@ class MassEvaluator:
         # the refined grid has exactly twice the panels: spacings h and h/2
         sol_h2 = _solve_from(sol_h, self.spec, self.params, eps, self.xi,
                              2 * (len(sol_h.nodes) - 1))
-        mass = (4.0 * mass_of(sol_h2) - mass_of(sol_h)) / 3.0
+        mass = (4.0 * sol_h2.mass - sol_h.mass) / 3.0
         self.warm = sol_h2
         self.cache[eps] = (mass, sol_h2)
         return mass
@@ -482,23 +477,24 @@ def _law_step(spec: DomainSpec, params: ProblemParams, eps: float,
 
 
 def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
-                     mass_rtol: float = 5e-8, eps_start: float = 0.5,
-                     eps_min: float = 0.05,
+                     eps_min: float = EPS_MIN,
                      ground_state: Optional[GroundState] = None,
                      xi: float = 0.0) -> NormalizedSolution:
     """Solve the mass-prescribed problem by an outer root-find on eps.
 
-    From the mass at eps_start, at most 16 steps along the regime's
+    From the mass at EPS_START, at most 16 steps along the regime's
     leading-order law for the mass (eps -> 0.82 eps where the law is
-    silent), each clipped to [eps_min, eps_start], bracket rho; Brent on
+    silent), each clipped to [eps_min, EPS_START], bracket rho; Brent on
     log(eps) then runs over the bracket. The first evaluated eps whose mass
-    is within tol of rho is returned: tol = mass_rtol * rho, and in the
+    is within tol of rho is returned: tol = MASS_RTOL * rho, and in the
     mass-critical regime at most 1e-3 * |rho - 2 sigma0|, so that the
     returned eps also resolves a small distance to 2 sigma0. Raises
     NoSolutionInRegime when rho sits on the forbidden side of the critical
-    threshold and BracketFailed when no step brackets rho. A non-finite or
-    non-positive rho, dim != 1 or a non-zero xi on the real line raises
-    ValueError before the ground state is solved.
+    threshold, and BracketFailed when no step brackets rho or when the
+    root-find ends on a constant solution (u = 1 on a Neumann interval),
+    which does not concentrate. A non-finite or non-positive rho, dim != 1
+    or a non-zero xi on the real line raises ValueError before the ground
+    state is solved.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
@@ -510,7 +506,7 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     reason = _forbidden_side(spec, params, rho, two_sigma0)
     if reason is not None:
         raise NoSolutionInRegime(reason)
-    tol = mass_rtol * rho
+    tol = MASS_RTOL * rho
     if params.regime is Regime.MASS_CRITICAL:
         tol = min(tol, CRITICAL_STOP * abs(rho - two_sigma0))
 
@@ -519,20 +515,15 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     def f(eps: float) -> float:
         return evaluate(eps) - rho
 
-    def finish(eps: float) -> NormalizedSolution:
-        sol = evaluate.fine_solution(eps)
-        sol.mass_target = rho
-        return sol
-
     unbracketed = (f"mass {rho:.12g} not bracketed for eps in "
-                   f"[{eps_min}, {eps_start}]")
-    eps_a = eps_start
+                   f"[{eps_min}, {EPS_START}]")
+    eps_a = EPS_START
     f_a = f(eps_a)
     steps = 0
     while abs(f_a) > tol:
         step = _law_step(spec, params, eps_a, f_a + rho, rho, two_sigma0)
         eps_b = min(max(eps_a * TRACE_RATIO if step is None else step,
-                        eps_min), eps_start)
+                        eps_min), EPS_START)
         if eps_b == eps_a or steps == MAX_BRACKET_STEPS:
             raise BracketFailed(unbracketed)
         steps += 1
@@ -549,4 +540,11 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
                     "root-find stalled before reaching the target mass")
             break
         eps_a, f_a = eps_b, f_b
-    return finish(eps_a)
+    sol = evaluate.fine_solution(eps_a)
+    u = sol.u_values
+    if np.max(u) - np.min(u) <= FLAT_RTOL * np.max(u):
+        raise BracketFailed(
+            f"the root-find for mass {rho:.12g} ended on the constant "
+            f"solution u = {np.mean(u):.6g} at eps = {eps_a:.6g}, which "
+            f"does not concentrate")
+    return sol

@@ -112,8 +112,8 @@ def _resolved(args) -> dict:
 
 def cmd_ground_state(args) -> int:
     params = gsmod.ProblemParams(args.n, args.p)
-    gs = gsmod.solve_ground_state(params, accuracy=args.accuracy,
-                                  r_max=args.r_max, spacing=args.spacing)
+    gs = gsmod.solve_ground_state(params, r_max=args.r_max,
+                                  spacing=args.spacing)
     prof = gs.profile
     write_csv(_out(args, "ground_state_profile", "csv"), ["r", "U", "dU"],
               [prof.nodes, prof.values, prof.dvalues])
@@ -176,24 +176,40 @@ def _domain_from_args(args) -> bvp.DomainSpec:
     return bvp.DomainSpec("realline", potential=potential)
 
 
-def cmd_solve(args) -> int:
+def _direct_solve(args) -> bvp.NormalizedSolution:
+    """The solve that exactly one of --rho and --epsilon selects (solve, mfg).
+
+    --grid-n, --init endpoint and --init-csv apply to --epsilon only; with
+    --rho they are usage errors (ValueError), as is neither or both.
+    """
     params = gsmod.ProblemParams(args.n, args.p)
     spec = _domain_from_args(args)
+    init = getattr(args, "init", "interior")
+    init_csv = getattr(args, "init_csv", None)
+    if (args.rho is None) == (args.epsilon is None):
+        raise ValueError("exactly one of --rho and --epsilon is required")
     if args.rho is not None:
-        sol = bvp.solve_normalized(spec, params, args.rho,
-                                   eps_min=args.eps_min, xi=args.xi)
-    elif args.epsilon is not None:
-        u0 = None
-        init = args.init
-        if args.init_csv:
-            _, data = read_profile_csv(args.init_csv)
-            u0 = data[:, -1]  # last column is the rescaled unknown u
-            init = "custom"
-        sol = bvp.solve_fixed_epsilon(spec, params, args.epsilon, init=init,
-                                      xi=args.xi, u0=u0,
-                                      n_override=args.grid_n)
-    else:
-        raise SolverError("either --rho or --epsilon is required")
+        fixed_eps_only = [flag for flag, given in (
+            ("--grid-n", args.grid_n is not None),
+            ("--init endpoint", init == "endpoint"),
+            ("--init-csv", bool(init_csv))) if given]
+        if fixed_eps_only:
+            raise ValueError(f"{', '.join(fixed_eps_only)} needs --epsilon, "
+                             f"not --rho")
+        return bvp.solve_normalized(
+            spec, params, args.rho, xi=args.xi,
+            eps_min=getattr(args, "eps_min", bvp.EPS_MIN))
+    u0 = None
+    if init_csv:
+        _, data = read_profile_csv(init_csv)
+        u0 = data[:, -1]  # last column is the rescaled unknown u
+        init = "custom"
+    return bvp.solve_fixed_epsilon(spec, params, args.epsilon, init=init,
+                                   xi=args.xi, u0=u0, n_override=args.grid_n)
+
+
+def cmd_solve(args) -> int:
+    sol = _direct_solve(args)
     write_csv(_out(args, "solution_profile", "csv"), ["x", "v", "u"],
               [sol.nodes, sol.v_values, sol.u_values])
     write_json(_out(args, "solution_scalars", "json"), {
@@ -237,28 +253,15 @@ def cmd_verify(args) -> int:
     write_json(_out(args, f"verify_{args.theorem}", "json"),
                json.loads(json.dumps(payload, default=_jsonable)),
                _resolved(args))
-    sweep = report.observed.get("sweep") or report.observed.get("masses")
-    if sweep is None:
-        for key in ("dirichlet", "neumann"):
-            if key in report.observed:
-                sweep = report.observed[key].get("masses")
-                break
-    if sweep:
-        es, ms = zip(*sweep)
+    if report.sweep:
+        es, ms = zip(*report.sweep)
         write_csv(_out(args, f"verify_{args.theorem}_sweep", "csv"),
                   ["epsilon", "mass"], [es, ms])
     return 0
 
 
 def cmd_mfg(args) -> int:
-    params = gsmod.ProblemParams(args.n, args.p)
-    spec = _domain_from_args(args)
-    if args.rho is not None:
-        sol = bvp.solve_normalized(spec, params, args.rho, xi=args.xi)
-    else:
-        sol = bvp.solve_fixed_epsilon(spec, params, args.epsilon, xi=args.xi,
-                                      n_override=args.grid_n)
-    triple = mfg.to_mfg(sol, nu=args.nu)
+    triple = mfg.to_mfg(_direct_solve(args), nu=args.nu)
     write_csv(_out(args, "mfg_profile", "csv"), ["x", "u", "m"],
               [triple.nodes, triple.u_values, triple.m_values])
     write_json(_out(args, "mfg_scalars", "json"), {
@@ -303,10 +306,9 @@ def build_parser() -> _Parser:
                                  "solvers, asymptotics checks, MFG bridge")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("ground-state", parents=[], help="radial ground state")
+    sp = sub.add_parser("ground-state", help="radial ground state")
     sp.add_argument("--n", type=int, required=True, help="space dimension")
     sp.add_argument("--p", type=float, required=True, help="nonlinearity exponent")
-    sp.add_argument("--accuracy", type=float, default=1e-12)
     sp.add_argument("--r-max", type=float, default=40.0)
     sp.add_argument("--spacing", type=float, default=1.0 / 600.0)
     _add_common(sp)
@@ -336,7 +338,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--rho", type=float, default=None)
     sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--eps-min", type=float, default=0.05)
+    sp.add_argument("--eps-min", type=float, default=bvp.EPS_MIN)
     sp.add_argument("--init", choices=["interior", "endpoint"],
                     default="interior")
     sp.add_argument("--init-csv", default=None,

@@ -46,6 +46,9 @@ __all__ = [
     "linearized_residual",
 ]
 
+ORACLE_EXTRA = 20.0  # the oracle's fine grid reaches this far past R
+W_ZERO_XTOL = 1e-10  # absolute tolerance on the zero of W
+
 
 @dataclass
 class CorrectionProfile:
@@ -58,35 +61,29 @@ class CorrectionProfile:
 def solve_linearized_radial(gs: GroundState, rhs) -> RadialProfile:
     """Decaying solution of the linearized radial problem with source rhs.
 
-    rhs may be a RadialProfile on the same grid or a plain array of samples.
-    The far field uses the logarithmic-derivative row W'(R) + W(R) = 0.
+    rhs holds samples on the ground-state grid. The far field uses the
+    logarithmic-derivative row W'(R) + W(R) = 0.
     """
     prof = gs.profile
     r = prof.nodes
-    if isinstance(rhs, RadialProfile):
-        if len(rhs.nodes) != len(r) or rhs.nodes[-1] != r[-1]:
-            raise ValueError("rhs must be sampled on the ground-state grid")
-        b = rhs.values
-    else:
-        b = np.asarray(rhs, dtype=float)
-        if b.shape != r.shape:
-            raise ValueError("rhs must be sampled on the ground-state grid")
+    b = np.asarray(rhs, dtype=float)
+    if b.shape != r.shape:
+        raise ValueError("rhs must be sampled on the ground-state grid")
     q = 1.0 - gs.params.p * np.abs(prof.values) ** (gs.params.p - 1)
     w = radial.solve_radial_linear(r, q, gs.params.dim, b, robin_const=1.0)
-    h = prof.spacing
-    dw = radial.d1_six(w, h, "even")
+    dw = radial.d1_six(w, prof.spacing)
     dw[-3:] = -w[-3:]  # tail model derivative in the one-sided zone
     return RadialProfile(r, w, dw, tail_rate=-1.0)
 
 
-def linearized_residual(gs: GroundState, w: RadialProfile, rhs: np.ndarray,
-                        r_cap: float = 35.0) -> float:
-    """Independent max-norm residual of the linearized equation."""
+def linearized_residual(gs: GroundState, w: RadialProfile,
+                        rhs: np.ndarray) -> float:
+    """Independent max-norm residual of the linearized equation, up to
+    radial.RESIDUAL_R_CAP."""
     r = gs.profile.nodes
     q = 1.0 - gs.params.p * np.abs(gs.profile.values) ** (gs.params.p - 1)
     res = radial.radial_ode_residual(r, w.values, gs.params.dim, q, rhs)
-    keep = (r <= r_cap) & np.isfinite(res)
-    return float(np.max(np.abs(res[keep])))
+    return radial.residual_max(r, res)
 
 
 def compute_m_frak(gs: GroundState, w: RadialProfile) -> float:
@@ -111,11 +108,12 @@ def correction_profile(gs: GroundState) -> CorrectionProfile:
 
 # -- factorization oracle (N = 1) -----------------------------------------------
 
-def _fine_grid(gs: GroundState, extra: float = 20.0) -> np.ndarray:
-    # refine the profile grid 4x so its nodes are an exact subset
+def _fine_grid(gs: GroundState) -> np.ndarray:
+    # refine the profile grid 4x so its nodes are an exact subset, and
+    # reach ORACLE_EXTRA further into the tail
     grid = gs.profile.nodes
     h = grid[1] - grid[0]
-    r_max = grid[-1] + extra
+    r_max = grid[-1] + ORACLE_EXTRA
     n = int(round(r_max / (h / 4.0)))
     n += n % 2
     return np.linspace(0.0, r_max, n + 1)
@@ -130,36 +128,34 @@ def _cumulative(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], cumulative_simpson(f, x=s)])
 
 
-def _suffix_integrals(s: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """∫_{s_i}^{s_max} f at every node, accumulated from the tail inward.
+def _oracle_inner(gs: GroundState) -> tuple[np.ndarray, np.ndarray]:
+    """The fine grid s and ∫_{s_i}^{s_max} s^2 U U' ds at every node.
 
     Accumulating from the decaying end keeps the exponentially small suffix
     values at full relative precision (a forward cumulative saturates).
     """
-    return _cumulative(f[::-1], s)[::-1]
+    if gs.params.dim != 1 or gs.u_exact is None:
+        raise ValueError("factorization oracle requires the closed-form N=1 state")
+    s = _fine_grid(gs)
+    f = s ** 2 * gs.u_exact(s) * gs.du_exact(s)
+    return s, _cumulative(f[::-1], s)[::-1]
 
 
 def oracle_c_prime(gs: GroundState, r) -> np.ndarray:
     """c'(r) of the factorization W = c U', from the explicit inner integral."""
-    if gs.params.dim != 1 or gs.u_exact is None:
-        raise ValueError("factorization oracle requires the closed-form N=1 state")
+    s, suffix = _oracle_inner(gs)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    s = _fine_grid(gs)
-    suffix = _suffix_integrals(s, s ** 2 * gs.u_exact(s) * gs.du_exact(s))
     inner = np.interp(r, s, suffix)  # tail beyond s[-1] negligible
     return inner / gs.du_exact(r) ** 2
 
 
 def factorization_oracle_1d(gs: GroundState) -> CorrectionProfile:
     """Build W by quadrature alone (N = 1), independent of the BVP solve."""
-    if gs.params.dim != 1 or gs.u_exact is None:
-        raise ValueError("factorization oracle requires the closed-form N=1 state")
+    s, suffix = _oracle_inner(gs)
     p = gs.params.p
     u0 = float(gs.u_exact(0.0))
     u0pp = u0 - u0 ** p                     # U''(0) from the equation at r = 0
     grid = gs.profile.nodes
-    s = _fine_grid(gs)
-    suffix = _suffix_integrals(s, s ** 2 * gs.u_exact(s) * gs.du_exact(s))
     I0 = suffix[0]                          # ∫_0^∞ s^2 U U' ds  (negative)
     w_center = I0 / (-u0pp)
 
@@ -187,8 +183,9 @@ def factorization_oracle_1d(gs: GroundState) -> CorrectionProfile:
                              w_zero_locate(prof))
 
 
-def w_zero_locate(w: RadialProfile, tol: float = 1e-10) -> float:
-    """Unique sign change of W, refined by bisection on the C^1 interpolant."""
+def w_zero_locate(w: RadialProfile) -> float:
+    """Unique sign change of W, refined by Brent's method on the C^1
+    interpolant to W_ZERO_XTOL."""
     vals = w.values
     mask = np.abs(vals) > 1e-13
     signs = np.sign(vals[mask])
@@ -198,4 +195,4 @@ def w_zero_locate(w: RadialProfile, tol: float = 1e-10) -> float:
     idx = np.where(np.diff(np.sign(vals)) != 0)[0][0]
     spline = CubicHermite(w.nodes, vals, w.dvalues)
     return float(brentq(spline, w.nodes[idx], w.nodes[idx + 1],
-                        xtol=tol, rtol=8.9e-16))
+                        xtol=W_ZERO_XTOL, rtol=8.9e-16))

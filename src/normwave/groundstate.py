@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 MASS_CRITICAL_TOL = 1e-12  # |p - (1 + 4/N)| below this counts as critical
+RESIDUAL_GATE = 1e-8  # largest accepted N >= 2 ground-state ODE residual
+PURE_SCALING_RTOL = 1e-10  # solve_pure_scaling: rho = 2 sigma0 within this
 
 
 class Regime(str, Enum):
@@ -254,10 +256,15 @@ def _shooting_guess(params: ProblemParams, r: np.ndarray,
     return vals
 
 
-def solve_ground_state(params: ProblemParams, accuracy: float = 1e-12,
-                       r_max: float = 40.0, spacing: float = 1.0 / 600.0,
+def solve_ground_state(params: ProblemParams, r_max: float = 40.0,
+                       spacing: float = 1.0 / 600.0,
                        max_doublings: int = 60) -> GroundState:
-    """Compute the radial ground state profile and its derived constants."""
+    """Compute the radial ground state profile and its derived constants.
+
+    For N >= 2 the Newton-polished profile is accepted only if its
+    sixth-order ODE residual is at most RESIDUAL_GATE; otherwise
+    NoConvergence is raised.
+    """
     r = radial.uniform_grid(r_max, spacing)
     if params.dim == 1:
         u, du, d2u = closed_form_soliton(params.p)
@@ -265,16 +272,15 @@ def solve_ground_state(params: ProblemParams, accuracy: float = 1e-12,
         gs = GroundState(params, profile, 0.0, 0.0, u, du, d2u)
     else:
         vals = _shooting_guess(params, r, max_doublings)
-        vals = radial.radial_newton(r, params.dim, params.p, vals,
-                                    tol=min(accuracy, 1e-12))
-        dvals = radial.d1_six(vals, r[1] - r[0], "even")
+        vals = radial.radial_newton(r, params.dim, params.p, vals)
+        dvals = radial.d1_six(vals, r[1] - r[0])
         # one-sided zone: use the tail model derivative (poly x exp(-r))
         tail_ld = -1.0 - (params.dim - 1) / (2.0 * r[-3:])
         dvals[-3:] = tail_ld * vals[-3:]
         profile = RadialProfile(r, vals, dvals, tail_rate=-1.0)
         gs = GroundState(params, profile, 0.0, 0.0)
         res = ode_residual_max(gs)
-        if not np.isfinite(res) or res > max(accuracy, 1e-8):
+        if not np.isfinite(res) or res > RESIDUAL_GATE:
             raise NoConvergence(f"ground-state residual {res:.2e} above tolerance")
     if np.any(np.diff(profile.values) >= 0):
         raise NoConvergence("computed profile is not strictly decreasing")
@@ -283,11 +289,12 @@ def solve_ground_state(params: ProblemParams, accuracy: float = 1e-12,
     return gs
 
 
-def ode_residual_max(gs: GroundState, r_cap: float = 35.0) -> float:
+def ode_residual_max(gs: GroundState) -> float:
     """Max-norm ODE residual over interior nodes, via an independent evaluator.
 
     The closed-form branch substitutes the analytic second derivative; the
-    shooting branch uses sixth-order differences of the sampled values.
+    shooting branch uses sixth-order differences of the sampled values, up
+    to radial.RESIDUAL_R_CAP.
     """
     prof = gs.profile
     r = prof.nodes
@@ -298,8 +305,7 @@ def ode_residual_max(gs: GroundState, r_cap: float = 35.0) -> float:
         r, prof.values, gs.params.dim,
         coeff=np.ones_like(r),
         rhs=np.abs(prof.values) ** (gs.params.p - 1) * prof.values)
-    keep = (r <= r_cap) & np.isfinite(res)
-    return float(np.max(np.abs(res[keep])))
+    return radial.residual_max(r, res)
 
 
 def mass_sigma0(gs: GroundState, rule: str = "simpson") -> float:
@@ -357,20 +363,19 @@ def scale_solution(gs: GroundState, lam: float):
 
 
 def solve_pure_scaling(params: ProblemParams, rho: float,
-                       ground_state: GroundState | None = None,
-                       tol: float = 1e-10):
+                       ground_state: GroundState | None = None):
     """Invert rho = lam^{2/(p-1) - N/2} * 2*sigma0 for lam.
 
     In the mass-critical regime the mass is lambda-independent: returns the
-    ANY_LAMBDA sentinel at rho = 2*sigma0 (within tol) and raises
-    MassCriticalInfeasible otherwise.
+    ANY_LAMBDA sentinel at rho = 2*sigma0 (within PURE_SCALING_RTOL relative
+    to max(1, 2 sigma0)) and raises MassCriticalInfeasible otherwise.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
     gs = ground_state if ground_state is not None else solve_ground_state(params)
     two_sigma0 = 2.0 * gs.sigma0
     if params.regime is Regime.MASS_CRITICAL:
-        if abs(rho - two_sigma0) <= tol * max(1.0, two_sigma0):
+        if abs(rho - two_sigma0) <= PURE_SCALING_RTOL * max(1.0, two_sigma0):
             return ANY_LAMBDA
         raise MassCriticalInfeasible(
             f"critical pure-scaling mass must equal {two_sigma0:.12g}, got {rho:.12g}")

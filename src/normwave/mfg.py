@@ -18,8 +18,7 @@ residual measures pure truncation and refines at second order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class MfgTriple:
     residual_hjb: float = math.nan
     residual_kolmogorov: float = math.nan
     mass_defect: float = math.nan
-    extras: dict = field(default_factory=dict)
 
     @property
     def rho(self) -> float:
@@ -69,17 +67,16 @@ def _d2_zero_flux(g: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def mfg_residuals(triple: MfgTriple, spec: Optional[DomainSpec] = None):
+def mfg_residuals(triple: MfgTriple):
     """Finite-difference residual arrays of the two coupled equations.
 
     Boundary rows use zero-flux ghost points for both u and m; the density
     flux m u' is reflected oddly so the divergence row conserves mass.
     """
-    spec = spec if spec is not None else triple.spec
     x, u, m = triple.nodes, triple.u_values, triple.m_values
     h = x[1] - x[0]
     nu, q, alpha, lam = triple.nu, triple.q, triple.alpha, triple.lambda_
-    Vx = spec.V(x)
+    Vx = triple.spec.V(x)
     du = _d1_zero_flux(u, h)
     r_hjb = -nu * _d2_zero_flux(u, h) + 0.5 * du ** 2 - lam - Vx \
         + alpha * m ** q
@@ -92,18 +89,14 @@ def mfg_residuals(triple: MfgTriple, spec: Optional[DomainSpec] = None):
     return r_hjb, r_kol
 
 
-def to_mfg(sol: NormalizedSolution, q: Optional[float] = None,
-           nu: float = DEFAULT_NU) -> MfgTriple:
+def to_mfg(sol: NormalizedSolution, nu: float = DEFAULT_NU) -> MfgTriple:
     """Map a positive normalized solution (lambda, v) to an equilibrium.
 
-    m = v^2 / rho (unit mass at the quadrature level), alpha = rho^q,
-    u = -2 nu ln v gauged to min u = 0.
+    q = (p - 1)/2 from the dictionary p = 2q + 1, m = v^2 / rho (unit mass
+    at the quadrature level), alpha = rho^q, u = -2 nu ln v gauged to
+    min u = 0.
     """
-    p = sol.params.p
-    if q is None:
-        q = (p - 1.0) / 2.0
-    if abs(2.0 * q + 1.0 - p) > 1e-12:
-        raise ValueError("dictionary requires p = 2q + 1")
+    q = (sol.params.p - 1.0) / 2.0
     v = sol.v_values
     if np.min(v) <= 0.0:
         raise NonPositiveDensity("Hopf-Cole needs v > 0 up to the boundary")

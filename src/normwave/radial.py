@@ -2,7 +2,7 @@
 
 All radial profiles live on uniform grids r_i = i*h. Operators act on even
 functions of r (smooth radial functions), so the node at r=0 is handled with
-the symmetric stencil and ghost nodes are filled by parity reflection.
+the symmetric stencil and ghost nodes are filled by even reflection.
 
 The discrete operator implemented here is
 
@@ -33,7 +33,12 @@ __all__ = [
     "radial_ode_residual",
     "surface_area",
     "radial_quadrature",
+    "residual_max",
 ]
+
+NEWTON_TOL = 1e-12  # radial_newton's residual stop
+COND_LIMIT = 1e14   # solve_radial_linear refuses a worse-conditioned operator
+RESIDUAL_R_CAP = 35.0  # residual checks skip the last r, deep in the tail
 
 
 def uniform_grid(r_max: float, spacing: float) -> np.ndarray:
@@ -109,27 +114,26 @@ def _condition_estimate(A: csc_matrix, lu) -> float:
 
 
 def solve_radial_linear(r: np.ndarray, q: np.ndarray, dim: int, rhs: np.ndarray,
-                        robin_const: float | None = None,
-                        cond_limit: float = 1e14) -> np.ndarray:
+                        robin_const: float | None = None) -> np.ndarray:
     """Solve L[q] w = rhs with the decay boundary row (rhs forced to 0 there)."""
     A = radial_operator(r, q, dim, robin_const)
     lu = splu(A)
-    if _condition_estimate(A, lu) > cond_limit:
+    if _condition_estimate(A, lu) > COND_LIMIT:
         raise SingularOperator(
-            f"radial operator condition estimate exceeds {cond_limit:.1e}")
+            f"radial operator condition estimate exceeds {COND_LIMIT:.1e}")
     b = np.asarray(rhs, dtype=float).copy()
     b[-1] = 0.0
     return lu.solve(b)
 
 
 def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
-                  tol: float = 1e-12, max_iter: int = 60) -> np.ndarray:
+                  max_iter: int = 60) -> np.ndarray:
     """Newton polish for -u'' - (dim-1)/r u' + u = |u|^{p-1} u with decay tail.
 
-    Stops when the residual is below tol, or when a Newton step is at
+    Stops when the residual is below NEWTON_TOL, or when a Newton step is at
     rounding level, ||du||_inf <= 1e-10 * max(1, ||u||_inf): the residual
     of the fourth-order system bottoms out near 1e-9 on fine grids, above
-    any absolute tol, while the step keeps shrinking (Deuflhard's step-norm
+    NEWTON_TOL, while the step keeps shrinking (Deuflhard's step-norm
     test). Raises NoConvergence after max_iter steps.
 
     The operator L[1] is assembled once; the Jacobian L[1 - p|u|^{p-1}]
@@ -140,7 +144,7 @@ def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
     for _ in range(max_iter):
         F = base @ u
         F[:-1] -= np.abs(u[:-1]) ** (p - 1) * u[:-1]
-        if np.max(np.abs(F[:-1])) < tol and abs(F[-1]) < tol:
+        if np.max(np.abs(F[:-1])) < NEWTON_TOL and abs(F[-1]) < NEWTON_TOL:
             return u
         shift = p * np.abs(u) ** (p - 1)
         shift[-1] = 0.0  # the Robin row carries no potential
@@ -153,30 +157,10 @@ def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
 
 # -- high-order difference stencils (independent residual checks) ------------
 
-def _pad_left(vals: np.ndarray, parity: str, k: int = 3) -> np.ndarray:
-    sign = 1.0 if parity == "even" else -1.0
-    return np.concatenate([sign * vals[k:0:-1], vals])
-
-
-def d1_six(vals: np.ndarray, h: float, parity: str) -> np.ndarray:
-    """Sixth-order first derivative; last three entries are NaN (one-sided zone)."""
-    g = _pad_left(vals, parity)
-    c = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60 * h)
-    out = np.full_like(vals, np.nan)
-    m = len(vals) - 3
-    acc = np.zeros(m)
-    for k in range(7):
-        acc += c[k] * g[k:k + m]
-    out[:m] = acc
-    if parity == "even":
-        out[0] = 0.0  # exact by symmetry; the stencil cancels only to rounding
-    return out
-
-
-def d2_six(vals: np.ndarray, h: float, parity: str) -> np.ndarray:
-    """Sixth-order second derivative; last three entries are NaN."""
-    g = _pad_left(vals, parity)
-    c = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / (180 * h * h)
+def _stencil_six(vals: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A seven-point centred stencil on an even function, the ghost nodes at
+    r < 0 filled by reflection; the last three entries are NaN."""
+    g = np.concatenate([vals[3:0:-1], vals])
     out = np.full_like(vals, np.nan)
     m = len(vals) - 3
     acc = np.zeros(m)
@@ -184,6 +168,22 @@ def d2_six(vals: np.ndarray, h: float, parity: str) -> np.ndarray:
         acc += c[k] * g[k:k + m]
     out[:m] = acc
     return out
+
+
+def d1_six(vals: np.ndarray, h: float) -> np.ndarray:
+    """Sixth-order first derivative of an even function; the last three
+    entries are NaN (one-sided zone)."""
+    out = _stencil_six(vals, np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0])
+                       / (60 * h))
+    out[0] = 0.0  # exact by symmetry; the stencil cancels only to rounding
+    return out
+
+
+def d2_six(vals: np.ndarray, h: float) -> np.ndarray:
+    """Sixth-order second derivative of an even function; the last three
+    entries are NaN."""
+    return _stencil_six(vals, np.array([2.0, -27.0, 270.0, -490.0, 270.0,
+                                        -27.0, 2.0]) / (180 * h * h))
 
 
 def radial_ode_residual(r: np.ndarray, vals: np.ndarray, dim: int,
@@ -195,12 +195,18 @@ def radial_ode_residual(r: np.ndarray, vals: np.ndarray, dim: int,
     should be excluded from max-norm checks.
     """
     h = r[1] - r[0]
-    d2 = d2_six(vals, h, "even")
-    d1 = d1_six(vals, h, "even")
+    d2 = d2_six(vals, h)
+    d1 = d1_six(vals, h)
     with np.errstate(divide="ignore", invalid="ignore"):
         fric = np.where(r > 0, d1 / np.where(r > 0, r, 1.0), 0.0)
     fric[0] = d2[0]  # limit w'(r)/r -> w''(0)
     return -d2 - (dim - 1) * fric + coeff * vals - rhs
+
+
+def residual_max(r: np.ndarray, res: np.ndarray) -> float:
+    """Max-norm of a residual over its finite entries with r <= RESIDUAL_R_CAP."""
+    keep = (r <= RESIDUAL_R_CAP) & np.isfinite(res)
+    return float(np.max(np.abs(res[keep])))
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -208,11 +214,6 @@ def radial_ode_residual(r: np.ndarray, vals: np.ndarray, dim: int,
 def surface_area(dim: int) -> float:
     """Surface measure of the unit sphere S^{dim-1} (2 for dim=1)."""
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
-def _tail_integral(g_end: float, decay: float) -> float:
-    # int_R^inf g(R) e^{-decay (r-R)} dr
-    return g_end / decay
 
 
 def radial_quadrature(r: np.ndarray, f: np.ndarray, dim: int,
@@ -239,4 +240,5 @@ def radial_quadrature(r: np.ndarray, f: np.ndarray, dim: int,
         core -= h * h / 12.0 * (dgR - dg0)
     else:
         raise ValueError(f"unknown rule {rule!r}")
-    return surface_area(dim) * (core + _tail_integral(g[-1], tail_decay))
+    # the tail: ∫_R^∞ g(R) e^{-tail_decay (r - R)} dr
+    return surface_area(dim) * (core + g[-1] / tail_decay)

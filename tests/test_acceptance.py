@@ -18,8 +18,8 @@ from scipy.integrate import simpson
 from normwave.asymptotics import (ansatz_residual_l2, fit_convergence_order,
                                   fit_prefactor)
 from normwave.boundary_layer import theta_asymptotic, theta_quadrature
-from normwave.bvp import (DomainSpec, MassEvaluator, mass_of,
-                          solve_fixed_epsilon, solve_normalized)
+from normwave.bvp import (DomainSpec, MassEvaluator, solve_fixed_epsilon,
+                          solve_normalized)
 from normwave.corrections import (correction_profile, factorization_oracle_1d)
 from normwave.errors import NoSolutionInRegime
 from normwave.groundstate import (ProblemParams, ode_residual_max,
@@ -112,7 +112,7 @@ def test_criterion_05_critical_one_sidedness():
         spec = DomainSpec("interval", -1.0, 1.0, bc)
         prev = None
         for eps in eps_list:
-            m = mass_of(solve_fixed_epsilon(spec, P5, eps))
+            m = solve_fixed_epsilon(spec, P5, eps).mass
             if bc == "dirichlet":
                 assert m < TWO_SIGMA0_P5
                 if prev is not None:
@@ -165,11 +165,11 @@ def test_criterion_08_endpoint_vs_interior_mass():
     budget = Budget(30.0)
     spec = DomainSpec("interval", -1.0, 1.0, "neumann")
     sol = solve_fixed_epsilon(spec, P5, 0.2, init="endpoint")
-    half_mass = mass_of(sol)
+    half_mass = sol.mass
     sigma0 = TWO_SIGMA0_P5 / 2.0
     assert abs(half_mass / sigma0 - 1.0) <= 0.05
     doubled = DomainSpec("interval", -1.0, 3.0, "neumann")
-    full_mass = mass_of(solve_fixed_epsilon(doubled, P5, 0.2, xi=1.0))
+    full_mass = solve_fixed_epsilon(doubled, P5, 0.2, xi=1.0).mass
     assert abs(half_mass / (full_mass / 2.0) - 1.0) <= 1e-6
     budget.done(8, f"endpoint mass = {half_mass:.6f} vs sigma0 = "
                    f"{sigma0:.6f}; interior bump = {full_mass:.6f}")

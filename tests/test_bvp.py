@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 from conftest import TWO_SIGMA0_P5
 from normwave import bvp
 from normwave.bvp import (DomainSpec, MassEvaluator, NormalizedSolution,
-                          assemble_residual, mass_of, solve_fixed_epsilon,
+                          assemble_residual, solve_fixed_epsilon,
                           solve_normalized, trace_branch)
 from normwave.errors import (BracketFailed, NewtonDiverged, NonPositive,
                              NoSolutionInRegime)
@@ -65,7 +65,7 @@ def test_mass_discretization_order_exact_case():
     errs = {}
     for n in (4800, 9600):
         sol = solve_fixed_epsilon(spec, P3, 0.5, n_override=n)
-        errs[n] = abs(mass_of(sol) - 8.0)
+        errs[n] = abs(sol.mass - 8.0)
     ratio = errs[4800] / errs[9600]
     assert abs(ratio - 4.0) < 0.6
 
@@ -101,20 +101,20 @@ def test_unknown_conventions_consistency():
 def test_one_sided_masses(gs5):
     sd = solve_fixed_epsilon(DomainSpec("interval", -1, 1, "dirichlet"), P5, 0.2)
     sn = solve_fixed_epsilon(DomainSpec("interval", -1, 1, "neumann"), P5, 0.2)
-    assert mass_of(sd) < TWO_SIGMA0_P5
-    assert mass_of(sn) > TWO_SIGMA0_P5
+    assert sd.mass < TWO_SIGMA0_P5
+    assert sn.mass > TWO_SIGMA0_P5
 
 
 def test_endpoint_concentration(gs5):
     spec = DomainSpec("interval", -1, 1, "neumann")
     sol = solve_fixed_epsilon(spec, P5, 0.2, init="endpoint")
     assert sol.concentration_point == pytest.approx(1.0)
-    assert abs(mass_of(sol) / gs5.sigma0 - 1.0) < 0.05
+    assert abs(sol.mass / gs5.sigma0 - 1.0) < 0.05
     # half of the interior bump on the doubled interval (up to the tiny
     # translation-mode defect of the doubled solve)
     doubled = DomainSpec("interval", -1, 3, "neumann")
     inner = solve_fixed_epsilon(doubled, P5, 0.2, xi=1.0)
-    assert mass_of(sol) == pytest.approx(mass_of(inner) / 2.0, rel=1e-5)
+    assert sol.mass == pytest.approx(inner.mass / 2.0, rel=1e-5)
 
 
 def test_endpoint_requires_neumann():
@@ -165,7 +165,7 @@ def test_trace_branch_single_entry_matches_fixed():
     spec = DomainSpec("interval", -1, 1, "dirichlet")
     rows = trace_branch(spec, P5, [0.25])
     sol = solve_fixed_epsilon(spec, P5, 0.25)
-    assert rows[0][1] == pytest.approx(mass_of(sol), rel=1e-13)
+    assert rows[0][1] == pytest.approx(sol.mass, rel=1e-13)
 
 
 def test_trace_branch_requires_decreasing():
@@ -185,7 +185,6 @@ def test_solve_normalized_dirichlet_branch(gs5):
                            rho, ground_state=gs5)
     assert sol.lambda_ > 10.0
     assert abs(sol.mass - rho) < 1e-4 * rho
-    assert sol.mass_target == rho
 
 
 def test_solve_normalized_forbidden_sides(gs5):
@@ -292,6 +291,26 @@ def test_solve_normalized_neumann_returns_concentrated_bump(gs3):
                            ground_state=gs3)
     assert sol.epsilon == pytest.approx(0.2, rel=1e-2)
     assert np.min(sol.u_values) < 0.1 * np.max(sol.u_values)
+
+
+def test_solve_normalized_refuses_constant_solution(gs3):
+    # the mass 2/eps^2 of u = 1 is 9 at eps = 0.4714, where Newton from the
+    # ansatz lands on it; that profile does not concentrate
+    spec = DomainSpec("interval", -1, 1, "neumann")
+    with pytest.raises(BracketFailed, match="constant solution u = 1"):
+        solve_normalized(spec, P3, 9.0, ground_state=gs3)
+
+
+@pytest.mark.parametrize("rho, eps", [(20.0, 0.2003), (12.0, 0.3469)])
+def test_solve_normalized_neumann_bumps_past_constant(gs3, rho, eps):
+    # rho = 20 evaluates the constant solution at eps = 0.5 on its way to
+    # the bump; only the returned solution is checked
+    sol = solve_normalized(DomainSpec("interval", -1, 1, "neumann"), P3, rho,
+                           ground_state=gs3)
+    assert sol.epsilon == pytest.approx(eps, rel=1e-3)
+    assert sol.concentration_point == pytest.approx(0.0, abs=1e-12)
+    u = sol.u_values
+    assert np.max(u) - np.min(u) > 0.5 * np.max(u)
 
 
 def test_mass_evaluator_richardson():

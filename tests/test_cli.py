@@ -113,7 +113,57 @@ def test_nonfinite_exponent_is_usage_error(run_main, tmp_path, args):
 def test_solve_requires_rho_or_epsilon(run_main, tmp_path):
     out = run_main("solve", "--domain", "realline", "--p", "3", "--n", "1",
                    "--out-dir", str(tmp_path))
-    assert out.returncode == 2
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert "error: exactly one of --rho and --epsilon" in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
+NEUMANN_P5 = ("--n", "1", "--p", "5", "--domain", "interval", "--bc",
+              "neumann")
+LINE_P3 = ("--n", "1", "--p", "3", "--domain", "realline")
+
+
+ONE_OF = "exactly one of --rho and --epsilon"
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(("mfg", *NEUMANN_P5), ONE_OF, id="mfg-neither"),
+    pytest.param(("solve", *LINE_P3, "--rho", "8", "--epsilon", "0.5"),
+                 ONE_OF, id="solve-both"),
+    pytest.param(("mfg", *NEUMANN_P5, "--rho", "2.75", "--epsilon", "0.4"),
+                 ONE_OF, id="mfg-both"),
+    pytest.param(("solve", *LINE_P3, "--rho", "8", "--grid-n", "5000"),
+                 "--grid-n needs --epsilon", id="solve-rho-grid-n"),
+    pytest.param(("solve", *NEUMANN_P5, "--rho", "2.75", "--init", "endpoint"),
+                 "--init endpoint needs --epsilon", id="solve-rho-endpoint"),
+    pytest.param(("solve", *LINE_P3, "--rho", "8", "--init-csv", "u.csv"),
+                 "--init-csv needs --epsilon", id="solve-rho-init-csv"),
+    pytest.param(("mfg", *NEUMANN_P5, "--rho", "2.75", "--grid-n", "4000"),
+                 "--grid-n needs --epsilon", id="mfg-rho-grid-n"),
+])
+def test_rho_or_epsilon_selection_is_usage_error(run_main, tmp_path, args,
+                                                 message):
+    # neither flag, both, or a fixed-eps flag with --rho: one error line
+    out = run_main(*args, "--out-dir", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert f"error: {message}" in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_accuracy_is_not_an_option(capsys, tmp_path):
+    # the ground-state tolerances are fixed: Newton 1e-12, residual gate 1e-8
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("accuracy = 1e-7\n")
+    out_dir = tmp_path / "out"
+    for extra in (("--accuracy", "1e-7"), ("--config", str(cfg))):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ground-state", "--n", "3", "--p", "3", *extra,
+                      "--out-dir", str(out_dir)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --accuracy" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_determinism_identical_bytes(tmp_path):

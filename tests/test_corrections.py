@@ -85,7 +85,7 @@ def test_w_unique_zero_in_unit_interval(corr5, oracle5):
 
 def test_w_zero_bisection_accuracy(corr5):
     from scipy.interpolate import CubicHermiteSpline
-    r0 = w_zero_locate(corr5.profile, tol=1e-10)
+    r0 = w_zero_locate(corr5.profile)  # to W_ZERO_XTOL = 1e-10
     spline = CubicHermiteSpline(corr5.profile.nodes, corr5.profile.values,
                                 corr5.profile.dvalues)
     assert abs(float(spline(r0))) < 1e-10

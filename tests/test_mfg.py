@@ -139,8 +139,3 @@ def test_to_mfg_requires_positive_v(gs5):
     sol = solve_fixed_epsilon(spec, P5, 0.3)
     with pytest.raises(NonPositiveDensity):
         to_mfg(sol)  # Dirichlet trace vanishes on the boundary
-
-
-def test_dictionary_mismatch_rejected(neumann_sol):
-    with pytest.raises(ValueError):
-        to_mfg(neumann_sol, q=1.0)  # p = 5 requires q = 2
