@@ -11,6 +11,10 @@ The discrete operator implemented here is
 with a fourth-order interior discretization, the symmetric limit
 -dim * w''(0) + q(0) w(0) at the origin, and a Robin far-field row
 w'(R) + robin_const * w(R) = 0 modelling exponential decay.
+
+scipy.sparse is imported by the functions that assemble or factorise L, on
+their first call, so that importing normwave (and every command that never
+solves a radial problem) does without it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import NoConvergence, SingularOperator
 
@@ -54,9 +56,22 @@ def uniform_grid(r_max: float, spacing: float) -> np.ndarray:
     return np.linspace(0.0, r_max, n + 1)
 
 
+def splu(A):
+    """scipy.sparse.linalg.splu, imported on the first call."""
+    from scipy.sparse.linalg import splu as scipy_splu
+    return scipy_splu(A)
+
+
+def onenormest(A) -> float:
+    """scipy.sparse.linalg.onenormest, imported on the first call."""
+    from scipy.sparse.linalg import onenormest as scipy_onenormest
+    return scipy_onenormest(A)
+
+
 def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
                     robin_const: float | None = None) -> csc_matrix:
     """Assemble L[q] as a sparse matrix (see module docstring for rows)."""
+    from scipy.sparse import csc_matrix
     n = len(r) - 1
     h = r[1] - r[0]
     if robin_const is None:
@@ -108,6 +123,7 @@ def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
 
 
 def _condition_estimate(A: csc_matrix, lu) -> float:
+    from scipy.sparse.linalg import LinearOperator
     inv = LinearOperator(A.shape, matvec=lu.solve,
                          rmatvec=lambda x: lu.solve(x, trans="T"))
     return onenormest(A) * onenormest(inv)
@@ -139,6 +155,7 @@ def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
     The operator L[1] is assembled once; the Jacobian L[1 - p|u|^{p-1}]
     differs from it only on the diagonal of the interior rows.
     """
+    from scipy.sparse import diags
     base = radial_operator(r, np.ones_like(r), dim)
     u = u0.copy()
     for _ in range(max_iter):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from normwave.boundary_layer import (CENTER_RATE_CONSTANT,
+from normwave.boundary_layer import (CENTER_RATE_CONSTANT, EPS_FLOOR,
                                      THETA_RATE_CONSTANT, make_boundary_layer,
                                      phi_explicit, theta_antiderivative,
                                      theta_asymptotic, theta_quadrature,
                                      viscosity_rate)
+from normwave.errors import NoConvergence
 
 
 def _u5(x):
@@ -158,3 +159,48 @@ def test_boundary_layer_container():
     assert layer.center_value == pytest.approx(1.6899e-4, rel=1e-4)
     assert layer.theta == pytest.approx(theta_quadrature(0.2, "dirichlet"),
                                         rel=1e-13)
+
+
+THETA_EPS = (0.5, 0.3, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01, 0.003)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_theta_quadrature_matches_antiderivative(bc):
+    # phi(eps y) = phi(0) cosh(y), so Theta = phi(0) 3^{1/4} A(1/eps) with A
+    # the symmetric antiderivative
+    for eps in THETA_EPS:
+        exact = float(phi_explicit(eps, bc, 0.0)) * 3 ** 0.25 \
+            * float(theta_antiderivative(1 / eps))
+        assert theta_quadrature(eps, bc) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_theta_quadrature_matches_adaptive_quad(bc):
+    for eps in THETA_EPS:
+        val, _ = quad(lambda y: math.cosh(y) * _u5(y), -1 / eps, 1 / eps,
+                      epsabs=0.0, epsrel=1e-13, limit=400)
+        assert theta_quadrature(eps, bc) \
+            == pytest.approx(float(phi_explicit(eps, bc, 0.0)) * val,
+                             rel=1e-13)
+
+
+def test_theta_quadrature_refuses_unconverged_rule(monkeypatch):
+    # a two-point rule on unit panels misses the halving check by far
+    monkeypatch.setattr("normwave.boundary_layer._GL_NODES",
+                        np.array([-1.0, 1.0]) / math.sqrt(3.0))
+    monkeypatch.setattr("normwave.boundary_layer._GL_WEIGHTS",
+                        np.array([1.0, 1.0]))
+    with pytest.raises(NoConvergence):
+        theta_quadrature(0.2, "dirichlet")
+
+
+@pytest.mark.parametrize("eps", [0.002, 0.001, 1e-4])
+def test_epsilon_below_underflow_floor_rejected(eps):
+    # e^{-2/eps} underflows below eps = 2/708.4: the layer would be zero
+    for fn in (theta_quadrature, theta_asymptotic, viscosity_rate,
+               make_boundary_layer):
+        with pytest.raises(ValueError, match="underflows"):
+            fn(eps, "dirichlet")
+    with pytest.raises(ValueError, match="underflows"):
+        phi_explicit(eps, "neumann", 0.0)
+    assert EPS_FLOOR == pytest.approx(2.0 / 708.396, rel=1e-5)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import TWO_SIGMA0_P5
 from normwave import cli
+from normwave import groundstate as gsmod
 
 
 def run_cli(*args, cwd=None):
@@ -277,3 +278,45 @@ def test_solve_init_csv_roundtrip(run_main, tmp_path):
     assert out.returncode == 0
     doc = json.loads((tmp_path / "second/solution_scalars.json").read_text())
     assert doc["epsilon"] == 0.29
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", ["0.002", "0.001"])
+def test_boundary_layer_tiny_epsilon_is_usage_error(run_main, tmp_path, eps):
+    # e^{-2/eps} underflows: one error line, no traceback or warning, no file
+    out = run_main("boundary-layer", "--epsilon", eps,
+                   "--out-dir", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert "error: epsilon must be at least" in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def _write_csv_per_value(path, header, columns):
+    """The per-value writer that write_csv replaced, as its reference."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _csv_tables():
+    special = [-0.0, 5e-324, 1e308, np.inf, np.nan, -np.inf, 0.1, 1.0 / 3.0]
+    yield "special", ["x"], [special]
+    yield "mixed", ["a", "b", "c", "d"], [
+        np.array(special), np.linspace(-1.0, 7.0, 8, dtype=np.float32),
+        np.arange(-3, 5), tuple(float(v) * 1e-7 for v in range(8))]
+    yield "ints", ["i", "j"], [np.arange(5), (1, 2, 3, 4, 2 ** 60)]
+    yield "float32", ["f"], [np.float32([1e-30, 3.1415927, -2.5e30])]
+    yield "one_row", ["x", "y", "z"], [(0.2,), (-1e-300,), (np.float64(7),)]
+    prof = gsmod.solve_ground_state(gsmod.ProblemParams(1, 5.0)).profile
+    yield "ground_state", ["r", "U", "dU"], [prof.nodes, prof.values,
+                                             prof.dvalues]
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    for name, header, columns in _csv_tables():
+        cli.write_csv(str(tmp_path / f"{name}.csv"), header, columns)
+        _write_csv_per_value(tmp_path / f"{name}.ref", header, columns)
+        assert (tmp_path / f"{name}.csv").read_bytes() \
+            == (tmp_path / f"{name}.ref").read_bytes(), name

@@ -132,17 +132,24 @@ def test_hermite_bit_equal_to_scipy():
 
 def test_startup_leaves_out_heavy_scipy(tmp_path):
     # scipy.integrate, .optimize, .interpolate and .special each cost about
-    # 0.2 s per run; a fixed-eps solve must need none of them
+    # 0.2 s per run, scipy.sparse about 40 ms; importing the CLI needs none of
+    # them, and neither do a fixed-eps solve, the boundary-layer sweep (the
+    # Theta quadrature) or the interior critical-mass report
     code = (
         "import sys\n"
         "import normwave.cli\n"
         "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.interpolate',"
-        " 'scipy.special')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
-        "rc = normwave.cli.main(['solve', '--n', '1', '--p', '5', '--bc',"
-        " 'dirichlet', '--epsilon', '0.3', '--out-dir', sys.argv[1]])\n"
-        "print(rc, sorted(m for m in heavy if m in sys.modules))\n")
+        " 'scipy.special', 'scipy.sparse')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in heavy if m in sys.modules)\n"
+        "print(loaded())\n"
+        "for argv in (['solve', '--n', '1', '--p', '5', '--bc', 'dirichlet',"
+        " '--epsilon', '0.3'],"
+        " ['boundary-layer', '--sweep', '0.3,0.2,0.15'],"
+        " ['verify', '--theorem', 'interior_critical_mass']):\n"
+        "    rc = normwave.cli.main(argv + ['--out-dir', sys.argv[1]])\n"
+        "    print(rc, loaded())\n")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "0 []"]
+    assert out.stdout.splitlines() == ["[]", "0 []", "0 []", "0 []"]
