@@ -65,10 +65,11 @@ REALLINE_WIDTHS = 40.0
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Interval with boundary condition, or truncated real line.
+    """Interval (a, b) with boundary condition, or truncated real line.
 
-    potential: coefficients (a1, a2, ...) of the even polynomial
-    V(x) = a1 x^2 + a2 x^4 + ...; only allowed on the real line.
+    potential: finite coefficients (a1, a2, ...) of the even polynomial
+    V(x) = a1 x^2 + a2 x^4 + ...; only allowed on the real line, which
+    takes no bc and keeps the default a, b.
     """
 
     kind: str  # "interval" | "realline"
@@ -78,6 +79,8 @@ class DomainSpec:
     potential: tuple = ()
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(c) for c in (self.a, self.b, *self.potential)):
+            raise ValueError("domain ends and potential coefficients must be finite")
         if self.kind == "interval":
             if self.bc not in (DIRICHLET, NEUMANN):
                 raise ValueError("interval requires dirichlet or neumann bc")
@@ -88,6 +91,8 @@ class DomainSpec:
         elif self.kind == "realline":
             if self.bc is not None:
                 raise ValueError("real line uses decay conditions, bc must be None")
+            if (self.a, self.b) != (DomainSpec.a, DomainSpec.b):
+                raise ValueError("the real line takes no ends a, b")
         else:
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
@@ -282,19 +287,25 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
                         init: str = "interior", xi: float = 0.0,
                         u0: Optional[np.ndarray] = None,
                         n_override: Optional[int] = None) -> NormalizedSolution:
-    """Damped-Newton solve at fixed eps from a concentration ansatz.
-
-    init: "interior" (bump at xi), "endpoint" (Neumann, bump at b, via
-    reflection onto the doubled interval), or "custom" (u0 given on the
-    grid). n_override counts panels on spec's interval, also for "endpoint".
-    On the real line the profile is even about 0, and a non-zero xi raises
-    ValueError.
+    """Damped-Newton solve at fixed eps from u0 (on the solver grid) or,
+    without u0, from the ansatz that init selects: "interior" (bump at xi)
+    or "endpoint" (Neumann, bump at b, via reflection onto the doubled
+    interval). u0 with "endpoint", and a non-zero xi with u0 or "endpoint",
+    raise ValueError before any solve. n_override counts panels on spec's
+    interval, also for "endpoint". On the real line the profile is even
+    about 0, and a non-zero xi raises ValueError.
     """
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 0.5]")
     _check_xi(spec, xi)
+    if init not in ("interior", "endpoint"):
+        raise ValueError(f"init must be 'interior' or 'endpoint' (got {init!r})")
+    if u0 is not None and init == "endpoint":
+        raise ValueError("u0 cannot be combined with init='endpoint'")
+    if xi != 0.0 and (u0 is not None or init == "endpoint"):
+        raise ValueError("xi must be 0 with u0 or init='endpoint'")
     p = params.p
 
     if init == "endpoint":
@@ -315,9 +326,9 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     x = _grid(spec, epsilon, n_override)
     n = len(x) - 1
     side = spec.bc or DECAY
-    if init == "custom":
-        if u0 is None or len(u0) != n + 1:
-            raise ValueError("custom init requires u0 on the solver grid")
+    if u0 is not None:
+        if len(u0) != n + 1:
+            raise ValueError(f"u0 must hold the {n + 1} solver grid values")
         guess = np.asarray(u0, dtype=float)
         scale = max(1.0, float(np.max(np.abs(guess))))
         even = spec.kind == "realline" or np.all(
@@ -361,7 +372,7 @@ def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
                                    n_override=n_override)
     x = _grid(spec, eps, n_override)
     guess = np.interp(x, prev.nodes, prev.u_values)
-    return solve_fixed_epsilon(spec, params, eps, init="custom", u0=guess,
+    return solve_fixed_epsilon(spec, params, eps, u0=guess,
                                n_override=len(x) - 1)
 
 
@@ -492,12 +503,14 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     NoSolutionInRegime when rho sits on the forbidden side of the critical
     threshold, and BracketFailed when no step brackets rho or when the
     root-find ends on a constant solution (u = 1 on a Neumann interval),
-    which does not concentrate. A non-finite or non-positive rho, dim != 1
-    or a non-zero xi on the real line raises ValueError before the ground
-    state is solved.
+    which does not concentrate. A non-finite or non-positive rho, an eps_min
+    outside (0, EPS_START), dim != 1 or a non-zero xi on the real line
+    raises ValueError before the ground state is solved.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
+    if not 0.0 < eps_min < EPS_START:
+        raise ValueError(f"eps_min must lie in (0, {EPS_START:g})")
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
     _check_xi(spec, xi)

@@ -64,13 +64,6 @@ def write_json(path: str, payload: dict, config: dict) -> None:
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_profile_csv(path: str):
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        data = np.loadtxt(f, delimiter=",")
-    return header, np.atleast_2d(data)
-
-
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -169,10 +162,9 @@ def cmd_boundary_layer(args) -> int:
 
 
 def _domain_from_args(args) -> bvp.DomainSpec:
-    if args.domain == "interval":
-        return bvp.DomainSpec("interval", args.a, args.b, args.bc)
-    potential = tuple(_floats(args.potential)) if args.potential else ()
-    return bvp.DomainSpec("realline", potential=potential)
+    # DomainSpec refuses the flags that the domain does not take
+    return bvp.DomainSpec(args.domain, args.a, args.b, args.bc,
+                          tuple(_floats(args.potential)))
 
 
 def _direct_solve(args) -> bvp.NormalizedSolution:
@@ -200,9 +192,9 @@ def _direct_solve(args) -> bvp.NormalizedSolution:
             eps_min=getattr(args, "eps_min", bvp.EPS_MIN))
     u0 = None
     if init_csv:
-        _, data = read_profile_csv(init_csv)
-        u0 = data[:, -1]  # last column is the rescaled unknown u
-        init = "custom"
+        # after the header, the last column is the rescaled unknown u
+        u0 = np.atleast_2d(np.loadtxt(init_csv, delimiter=",",
+                                      skiprows=1))[:, -1]
     return bvp.solve_fixed_epsilon(spec, params, args.epsilon, init=init,
                                    xi=args.xi, u0=u0, n_override=args.grid_n)
 
@@ -260,12 +252,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mfg(args) -> int:
-    triple = mfg.to_mfg(_direct_solve(args), nu=args.nu)
+    triple = mfg.to_mfg(_direct_solve(args))
     write_csv(_out(args, "mfg_profile", "csv"), ["x", "u", "m"],
               [triple.nodes, triple.u_values, triple.m_values])
     write_json(_out(args, "mfg_scalars", "json"), {
         "lambda": triple.lambda_, "alpha": triple.alpha, "q": triple.q,
-        "nu": triple.nu, "residual_hjb": triple.residual_hjb,
+        "nu": mfg.NU, "residual_hjb": triple.residual_hjb,
         "residual_kolmogorov": triple.residual_kolmogorov,
         "mass_defect": triple.mass_defect,
     }, _resolved(args))
@@ -274,14 +266,20 @@ def cmd_mfg(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-def _add_common(sp) -> None:
-    sp.add_argument("--out-dir", default=".", help="output directory")
-    sp.add_argument("--config", default=None,
-                    help="flat key=value config file (flags take precedence)")
-
-
 def _bool(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+# Each flag group is defined once; a subcommand lists the groups it takes.
+def _add_problem(sp) -> None:
+    sp.add_argument("--n", type=int, required=True, help="space dimension")
+    sp.add_argument("--p", type=float, required=True,
+                    help="nonlinearity exponent")
+
+
+def _add_radial_grid(sp) -> None:
+    sp.add_argument("--r-max", type=float, default=40.0)
+    sp.add_argument("--spacing", type=float, default=1.0 / 600.0)
 
 
 def _add_domain(sp) -> None:
@@ -295,8 +293,27 @@ def _add_domain(sp) -> None:
                          "V = a1 x^2 + a2 x^4 + ... (real line only)")
     sp.add_argument("--xi", type=float, default=0.0,
                     help="concentration point of the initial ansatz")
+
+
+def _add_direct(sp) -> None:
+    """The flags that _direct_solve reads in both solve and mfg."""
+    sp.add_argument("--rho", type=float, default=None)
+    sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--grid-n", type=int, default=None,
-                    help="override the automatic grid size")
+                    help="override the automatic grid size (--epsilon only)")
+    _add_domain(sp)
+
+
+def _command(sub, name: str, func, help_: str, *groups):
+    """A subcommand with the given flag groups, --out-dir and --config."""
+    sp = sub.add_parser(name, help=help_)
+    for add in groups:
+        add(sp)
+    sp.add_argument("--out-dir", default=".", help="output directory")
+    sp.add_argument("--config", default=None,
+                    help="flat key=value config file (flags take precedence)")
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> _Parser:
@@ -304,72 +321,38 @@ def build_parser() -> _Parser:
                      description="mass-normalized concentrating waves: "
                                  "solvers, asymptotics checks, MFG bridge")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("ground-state", help="radial ground state")
-    sp.add_argument("--n", type=int, required=True, help="space dimension")
-    sp.add_argument("--p", type=float, required=True, help="nonlinearity exponent")
-    sp.add_argument("--r-max", type=float, default=40.0)
-    sp.add_argument("--spacing", type=float, default=1.0 / 600.0)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_ground_state)
-
-    sp = sub.add_parser("correction", help="linearized correction profile W")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--r-max", type=float, default=40.0)
-    sp.add_argument("--spacing", type=float, default=1.0 / 600.0)
+    _command(sub, "ground-state", cmd_ground_state, "radial ground state",
+             _add_problem, _add_radial_grid)
+    sp = _command(sub, "correction", cmd_correction,
+                  "linearized correction profile W",
+                  _add_problem, _add_radial_grid)
     sp.add_argument("--oracle", action="store_true",
                     help="use the 1D factorization route instead of the BVP")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_correction)
-
-    sp = sub.add_parser("boundary-layer", help="explicit 1D boundary layers")
+    sp = _command(sub, "boundary-layer", cmd_boundary_layer,
+                  "explicit 1D boundary layers")
     sp.add_argument("--epsilon", type=float, default=0.2)
     sp.add_argument("--bc", choices=["dirichlet", "neumann"],
                     default="dirichlet")
     sp.add_argument("--sweep", default="",
                     help="comma-separated epsilon list (overrides --epsilon)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_boundary_layer)
-
-    sp = sub.add_parser("solve", help="direct solve (fixed eps or fixed mass)")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
+    sp = _command(sub, "solve", cmd_solve,
+                  "direct solve (fixed eps or fixed mass)",
+                  _add_problem, _add_direct)
     sp.add_argument("--eps-min", type=float, default=bvp.EPS_MIN)
     sp.add_argument("--init", choices=["interior", "endpoint"],
                     default="interior")
     sp.add_argument("--init-csv", default=None,
-                    help="profile CSV used as a custom initial guess")
-    _add_domain(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("trace", help="warm-started continuation in epsilon")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
+                    help="profile CSV whose last column starts Newton")
+    sp = _command(sub, "trace", cmd_trace,
+                  "warm-started continuation in epsilon",
+                  _add_problem, _add_domain)
     sp.add_argument("--eps-list", required=True,
                     help="strictly decreasing comma-separated epsilons")
-    _add_domain(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_trace)
-
-    sp = sub.add_parser("verify", help="prediction-vs-solver reports")
+    sp = _command(sub, "verify", cmd_verify, "prediction-vs-solver reports")
     sp.add_argument("--theorem", required=True,
                     choices=list(asymptotics.REPORT_IDS))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("mfg", help="Hopf-Cole transform of a direct solve")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--nu", type=float, default=mfg.DEFAULT_NU)
-    _add_domain(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_mfg)
+    _command(sub, "mfg", cmd_mfg, "Hopf-Cole transform of a direct solve",
+             _add_problem, _add_direct)
     return parser
 
 

@@ -99,10 +99,10 @@ def correction_profile(gs: GroundState) -> CorrectionProfile:
     r = gs.profile.nodes
     w = solve_linearized_radial(gs, r ** 2 * gs.profile.values)
     m = compute_m_frak(gs, w)
-    zero = None
-    signs = np.sign(w.values[np.abs(w.values) > 1e-13])
-    if np.count_nonzero(np.diff(signs)) == 1:
+    try:
         zero = w_zero_locate(w)
+    except ZeroCountMismatch:
+        zero = None
     return CorrectionProfile(gs.params, w, m, zero)
 
 

@@ -7,9 +7,10 @@ The ergodic system with quadratic Hamiltonian and aggregative power coupling,
     -nu Δm - div(m ∇u)  = 0,          ∫ m = 1,   m > 0,
 
 reduces under  v^2 = alpha^{1/q} m = c e^{-u/nu}  to the single equation
--2 nu^2 Δv + (V + lambda) v = v^{2q+1}. With the dictionary nu = sqrt(2)/2,
-p = 2q + 1, rho = alpha^{1/q} this is exactly the normalized-wave problem,
-so equilibria are read off from a positive solve and vice versa.
+-2 nu^2 Δv + (V + lambda) v = v^{2q+1}. With the dictionary nu = sqrt(2)/2
+(fixed: NU), p = 2q + 1, rho = alpha^{1/q} this is exactly the
+normalized-wave problem, so equilibria are read off from a positive solve
+and vice versa; at any other nu the transform yields no equilibrium.
 
 The Kolmogorov equation is an identity under the transform; its discrete
 residual measures pure truncation and refines at second order.
@@ -27,9 +28,9 @@ from .bvp import DomainSpec, NormalizedSolution, assemble_residual
 from .errors import NonPositiveDensity
 from .groundstate import ProblemParams
 
-__all__ = ["MfgTriple", "to_mfg", "from_mfg", "mfg_residuals", "DEFAULT_NU"]
+__all__ = ["MfgTriple", "to_mfg", "from_mfg", "mfg_residuals", "NU"]
 
-DEFAULT_NU = math.sqrt(2.0) / 2.0
+NU = math.sqrt(2.0) / 2.0  # the viscosity that turns -2 nu^2 Δv into -Δv
 
 
 @dataclass
@@ -41,7 +42,6 @@ class MfgTriple:
     lambda_: float
     alpha: float
     q: float
-    nu: float = DEFAULT_NU
     residual_hjb: float = math.nan
     residual_kolmogorov: float = math.nan
     mass_defect: float = math.nan
@@ -75,25 +75,25 @@ def mfg_residuals(triple: MfgTriple):
     """
     x, u, m = triple.nodes, triple.u_values, triple.m_values
     h = x[1] - x[0]
-    nu, q, alpha, lam = triple.nu, triple.q, triple.alpha, triple.lambda_
+    q, alpha, lam = triple.q, triple.alpha, triple.lambda_
     Vx = triple.spec.V(x)
     du = _d1_zero_flux(u, h)
-    r_hjb = -nu * _d2_zero_flux(u, h) + 0.5 * du ** 2 - lam - Vx \
+    r_hjb = -NU * _d2_zero_flux(u, h) + 0.5 * du ** 2 - lam - Vx \
         + alpha * m ** q
     flux = m * du
     div = np.empty_like(flux)
     div[1:-1] = (flux[2:] - flux[:-2]) / (2 * h)
     div[0] = flux[1] / h          # odd reflection of the zero boundary flux
     div[-1] = -flux[-2] / h
-    r_kol = -nu * _d2_zero_flux(m, h) - div
+    r_kol = -NU * _d2_zero_flux(m, h) - div
     return r_hjb, r_kol
 
 
-def to_mfg(sol: NormalizedSolution, nu: float = DEFAULT_NU) -> MfgTriple:
+def to_mfg(sol: NormalizedSolution) -> MfgTriple:
     """Map a positive normalized solution (lambda, v) to an equilibrium.
 
     q = (p - 1)/2 from the dictionary p = 2q + 1, m = v^2 / rho (unit mass
-    at the quadrature level), alpha = rho^q, u = -2 nu ln v gauged to
+    at the quadrature level), alpha = rho^q, u = -2 NU ln v gauged to
     min u = 0.
     """
     q = (sol.params.p - 1.0) / 2.0
@@ -103,10 +103,10 @@ def to_mfg(sol: NormalizedSolution, nu: float = DEFAULT_NU) -> MfgTriple:
     x = sol.nodes
     rho = simpson(v ** 2, x=x)
     m = v ** 2 / rho
-    u = -2.0 * nu * np.log(v)
+    u = -2.0 * NU * np.log(v)
     u = u - np.min(u)
     triple = MfgTriple(spec=sol.spec, nodes=x, u_values=u, m_values=m,
-                       lambda_=sol.lambda_, alpha=rho ** q, q=q, nu=nu)
+                       lambda_=sol.lambda_, alpha=rho ** q, q=q)
     r_hjb, r_kol = mfg_residuals(triple)
     triple.residual_hjb = float(np.max(np.abs(r_hjb[1:-1])))
     triple.residual_kolmogorov = float(np.max(np.abs(r_kol[1:-1])))

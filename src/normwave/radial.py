@@ -47,8 +47,10 @@ def uniform_grid(r_max: float, spacing: float) -> np.ndarray:
     """Uniform grid on [0, r_max] with about the requested spacing.
 
     The interval count is rounded up to an even number so composite Simpson
-    applies directly.
+    applies directly. r_max and spacing must be positive and finite.
     """
+    if not all(math.isfinite(v) and v > 0 for v in (r_max, spacing)):
+        raise ValueError("r_max and spacing must be positive and finite")
     n = int(round(r_max / spacing))
     n += n % 2
     if n < 16:

@@ -26,6 +26,24 @@ def test_domain_validation():
         DomainSpec("realline", bc="neumann")
     with pytest.raises(ValueError):
         DomainSpec("disk")
+    for bad in (dict(a=0.0), dict(b=5.0)):
+        with pytest.raises(ValueError, match="the real line takes no ends"):
+            DomainSpec("realline", **bad)
+    for kind, bad in (("interval", dict(b=np.inf, bc="dirichlet")),
+                      ("interval", dict(a=np.nan, bc="neumann")),
+                      ("realline", dict(potential=(1.0, np.nan)))):
+        with pytest.raises(ValueError, match="must be finite"):
+            DomainSpec(kind, **bad)
+
+
+@pytest.mark.parametrize("eps_min", [np.nan, np.inf, 0.0, -0.1, 0.5])
+def test_solve_normalized_rejects_eps_min(monkeypatch, eps_min):
+    def no_ground_state(*args, **kwargs):
+        raise AssertionError("ground state solved before eps_min was checked")
+
+    monkeypatch.setattr(bvp, "solve_ground_state", no_ground_state)
+    with pytest.raises(ValueError, match="eps_min"):
+        solve_normalized(DomainSpec("realline"), P3, 8.0, eps_min=eps_min)
 
 
 def test_residual_zero_solution():
@@ -135,8 +153,8 @@ def test_zero_init_raises_nonpositive():
     spec = DomainSpec("interval", -1, 1, "dirichlet")
     n = 2000
     with pytest.raises(NonPositive):
-        solve_fixed_epsilon(spec, P5, 0.3, init="custom",
-                            u0=np.zeros(n + 1), n_override=n)
+        solve_fixed_epsilon(spec, P5, 0.3, u0=np.zeros(n + 1),
+                            n_override=n)
 
 
 def test_huge_init_raises_diverged():
@@ -144,8 +162,8 @@ def test_huge_init_raises_diverged():
     n = 2000
     with np.errstate(over="ignore"):  # the overflow is the point
         with pytest.raises(NewtonDiverged):
-            solve_fixed_epsilon(spec, P5, 0.3, init="custom",
-                                u0=np.full(n + 1, 1e160), n_override=n)
+            solve_fixed_epsilon(spec, P5, 0.3, u0=np.full(n + 1, 1e160),
+                                n_override=n)
 
 
 def test_epsilon_validation():
@@ -386,6 +404,24 @@ def test_grid_resolution_floor(monkeypatch, spec, eps, n, init):
     monkeypatch.setattr(bvp, "solve_banded", no_newton)
     with pytest.raises(ValueError, match="nodes per eps-width"):
         solve_fixed_epsilon(spec, P5, eps, init=init, n_override=n)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(init="endpoint", u0=np.ones(401)),
+     "u0 cannot be combined with init='endpoint'"),
+    (dict(u0=np.ones(401), xi=0.3), "xi must be 0 with u0 or init='endpoint'"),
+    (dict(init="endpoint", xi=0.5), "xi must be 0 with u0 or init='endpoint'"),
+    (dict(init="custom", u0=np.ones(401)), "init must be"),
+])
+def test_start_conflicts_are_refused(monkeypatch, kwargs, message):
+    # a given u0 is the start; init and xi only shape the ansatz
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton ran on a refused start")
+
+    monkeypatch.setattr(bvp, "solve_banded", no_newton)
+    spec = DomainSpec("interval", -1, 1, "neumann")
+    with pytest.raises(ValueError, match=message):
+        solve_fixed_epsilon(spec, P5, 0.2, n_override=400, **kwargs)
 
 
 def test_endpoint_grid_override_matches_interior():

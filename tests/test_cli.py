@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_SIGMA0_P5
-from normwave import cli
+from normwave import cli, mfg
 from normwave import groundstate as gsmod
 
 
@@ -80,18 +80,32 @@ def test_solve_infinite_mass_exits_nonzero(tmp_path):
     assert not (tmp_path / "solution_scalars.json").exists()
 
 
+SOLVE_P5 = ("solve", "--n", "1", "--p", "5")
+GROUND_P5 = ("ground-state", "--n", "1", "--p", "5")
+
+
 @pytest.mark.parametrize("args", [
-    ("--domain", "interval", "--rho", "2.5"),
-    ("--domain", "interval", "--bc", "dirichlet", "--epsilon", "0.2",
-     "--grid-n", "3"),
-    ("--domain", "realline", "--potential", "1.0", "--epsilon", "0.25",
+    (*SOLVE_P5, "--domain", "interval", "--rho", "2.5"),
+    (*SOLVE_P5, "--domain", "interval", "--bc", "dirichlet", "--epsilon",
+     "0.2", "--grid-n", "3"),
+    (*SOLVE_P5, "--domain", "realline", "--potential", "1.0", "--epsilon",
+     "0.25", "--xi", "0.5"),
+    (*SOLVE_P5, "--domain", "realline", "--potential", "1.0", "--rho", "2.7",
      "--xi", "0.5"),
-    ("--domain", "realline", "--potential", "1.0", "--rho", "2.7",
-     "--xi", "0.5"),
+    # each of these died with a traceback or exited 0
+    (*GROUND_P5, "--spacing", "0"),
+    (*GROUND_P5, "--r-max", "inf"),
+    (*SOLVE_P5, "--domain", "interval", "--bc", "dirichlet", "--b", "inf",
+     "--epsilon", "0.2"),
+    (*SOLVE_P5, "--domain", "realline", "--potential", "nan", "--epsilon",
+     "0.3"),
+    ("solve", "--n", "1", "--p", "3", "--domain", "realline", "--rho", "8",
+     "--eps-min", "nan"),
+    ("solve", "--n", "1", "--p", "3", "--domain", "realline", "--rho", "8",
+     "--eps-min", "0.5"),
 ])
 def test_invalid_input_is_usage_error(run_main, tmp_path, args):
-    out = run_main("solve", "--n", "1", "--p", "5", *args,
-                   "--out-dir", str(tmp_path))
+    out = run_main(*args, "--out-dir", str(tmp_path))
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
     assert out.stderr.count("\n") == 1 and "error:" in out.stderr
@@ -126,6 +140,7 @@ LINE_P3 = ("--n", "1", "--p", "3", "--domain", "realline")
 
 
 ONE_OF = "exactly one of --rho and --epsilon"
+START_CSV = "<start profile csv>"  # a real file, written by the test
 
 
 @pytest.mark.parametrize("args, message", [
@@ -142,14 +157,55 @@ ONE_OF = "exactly one of --rho and --epsilon"
                  "--init-csv needs --epsilon", id="solve-rho-init-csv"),
     pytest.param(("mfg", *NEUMANN_P5, "--rho", "2.75", "--grid-n", "4000"),
                  "--grid-n needs --epsilon", id="mfg-rho-grid-n"),
+    # domain flags the domain does not take
+    pytest.param(("solve", *NEUMANN_P5, "--potential", "1.0", "--epsilon",
+                  "0.3"), "potential is only supported on the real line",
+                 id="interval-potential"),
+    pytest.param(("solve", *LINE_P3, "--bc", "dirichlet", "--epsilon", "0.3"),
+                 "real line uses decay conditions", id="realline-bc"),
+    pytest.param(("solve", *LINE_P3, "--a", "0", "--b", "5", "--epsilon",
+                  "0.3"), "the real line takes no ends", id="realline-a-b"),
+    pytest.param(("mfg", *LINE_P3, "--b", "5", "--rho", "8"),
+                 "the real line takes no ends", id="mfg-realline-b"),
+    # start-profile flags that exclude each other
+    pytest.param(("solve", *NEUMANN_P5, "--epsilon", "0.3", "--init",
+                  "endpoint", "--init-csv", START_CSV),
+                 "u0 cannot be combined with init='endpoint'",
+                 id="endpoint-init-csv"),
+    pytest.param(("solve", *NEUMANN_P5, "--epsilon", "0.3", "--init",
+                  "endpoint", "--xi", "0.5"),
+                 "xi must be 0 with u0 or init='endpoint'", id="endpoint-xi"),
+    pytest.param(("solve", *NEUMANN_P5, "--epsilon", "0.3", "--init-csv",
+                  START_CSV, "--xi", "0.3"),
+                 "xi must be 0 with u0 or init='endpoint'", id="init-csv-xi"),
 ])
-def test_rho_or_epsilon_selection_is_usage_error(run_main, tmp_path, args,
-                                                 message):
-    # neither flag, both, or a fixed-eps flag with --rho: one error line
+def test_rho_or_epsilon_selection_is_usage_error(run_main, tmp_path_factory,
+                                                 tmp_path, args, message):
+    # neither flag, both, a fixed-eps flag with --rho, or flags that the
+    # library refuses together: one error line, no file
+    start = tmp_path_factory.mktemp("start") / "u.csv"
+    start.write_text("x,v,u\n0,1,1\n")
+    args = [str(start) if a == START_CSV else a for a in args]
     out = run_main(*args, "--out-dir", str(tmp_path))
     assert out.returncode == 1
     assert out.stderr.count("\n") == 1
     assert f"error: {message}" in out.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("trace", "--n", "1", "--p", "5", "--domain", "interval", "--bc",
+      "dirichlet", "--eps-list", "0.3,0.25", "--grid-n", "7"), "--grid-n 7"),
+    (("mfg", *NEUMANN_P5, "--epsilon", "0.4", "--nu", "0.5"), "--nu 0.5"),
+])
+def test_removed_flag_is_usage_error(capsys, tmp_path, args, flag):
+    # trace never read --grid-n; nu other than sqrt(2)/2 is no equilibrium
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == [f"normwave: error: unrecognized arguments: {flag}"]
     assert not list(tmp_path.iterdir())
 
 
@@ -222,6 +278,7 @@ def test_mfg_command(run_main, tmp_path):
     doc = json.loads((tmp_path / "mfg_scalars.json").read_text())
     assert doc["mass_defect"] <= 1e-10
     assert doc["q"] == 2.0
+    assert doc["nu"] == mfg.NU and "nu" not in doc["config"]
     data = np.loadtxt(tmp_path / "mfg_profile.csv", delimiter=",", skiprows=1)
     assert np.all(data[:, 2] > 0)
 

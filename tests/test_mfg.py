@@ -5,7 +5,7 @@ from scipy.integrate import simpson
 from normwave.bvp import DomainSpec, solve_fixed_epsilon
 from normwave.errors import NonPositiveDensity
 from normwave.groundstate import ProblemParams
-from normwave.mfg import DEFAULT_NU, MfgTriple, from_mfg, mfg_residuals, to_mfg
+from normwave.mfg import NU, MfgTriple, from_mfg, mfg_residuals, to_mfg
 
 P5 = ProblemParams(1, 5.0)
 
@@ -29,7 +29,7 @@ def test_unit_mass(triple):
 def test_dictionary(neumann_sol, triple):
     p = neumann_sol.params.p
     assert triple.q == (p - 1.0) / 2.0
-    assert triple.nu == DEFAULT_NU
+    assert 2.0 * NU ** 2 == pytest.approx(1.0, rel=1e-15)  # -2 nu^2 = -1
     rho = simpson(neumann_sol.v_values ** 2, x=neumann_sol.nodes)
     assert triple.alpha == pytest.approx(rho ** triple.q, rel=1e-14)
     assert triple.rho == pytest.approx(rho, rel=1e-12)
@@ -64,7 +64,7 @@ def test_gauge_invariance(triple):
     shifted = MfgTriple(spec=triple.spec, nodes=triple.nodes,
                         u_values=triple.u_values + shift,
                         m_values=triple.m_values, lambda_=triple.lambda_,
-                        alpha=triple.alpha, q=triple.q, nu=triple.nu)
+                        alpha=triple.alpha, q=triple.q)
     r1 = mfg_residuals(triple)
     r2 = mfg_residuals(shifted)
     # invariant up to the h^-2 cancellation noise of differencing a constant
@@ -80,7 +80,7 @@ def test_perturbed_density_detected(triple):
                           u_values=triple.u_values,
                           m_values=triple.m_values + bump,
                           lambda_=triple.lambda_, alpha=triple.alpha,
-                          q=triple.q, nu=triple.nu)
+                          q=triple.q)
     _, r_kol = mfg_residuals(perturbed)
     assert np.max(np.abs(r_kol[1:-1])) > 100 * triple.residual_kolmogorov
 

@@ -103,3 +103,12 @@ def test_newton_from_perturbed_shot(gs2d):
     gs = GroundState(params, RadialProfile(r, u, gs2d.profile.dvalues), 0.0, 0.0)
     assert mass_sigma0(gs) == pytest.approx(gs2d.sigma0, rel=1e-10)
     assert decay_constant(gs) == pytest.approx(gs2d.frak_c, rel=1e-10)
+
+
+@pytest.mark.parametrize("r_max, spacing", [
+    (40.0, 0.0), (40.0, -0.01), (40.0, np.nan), (np.inf, 0.01),
+    (-40.0, 0.01), (40.0, np.inf),
+])
+def test_uniform_grid_rejects_bad_extent(r_max, spacing):
+    with pytest.raises(ValueError, match="positive and finite"):
+        radial.uniform_grid(r_max, spacing)
