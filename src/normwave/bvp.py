@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from ._numerics import brentq, simpson
 from .errors import (BracketFailed, NewtonDiverged, NonPositive,
@@ -175,7 +175,8 @@ def _rows(u, a, b, d, p, h, eps, left, right):
 
 
 def _rows_jacobian(u, a, b, d, p, h, eps, left, right):
-    """Jacobian of _rows in solve_banded's (1, 1) storage."""
+    """Jacobian of _rows in (1, 1) banded storage: ab[0, 1:] the upper,
+    ab[1] the main and ab[2, :-1] the lower diagonal."""
     ab = np.zeros((3, len(u)))
     ab[0, 1:] = -a
     ab[1, :] = 2.0 * a + b - d * p * np.abs(u) ** (p - 1)
@@ -210,6 +211,19 @@ def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
 
 # -- damped Newton on the row-scaled system --------------------------------------
 
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system held in (1, 1) banded storage with LAPACK
+    dgtsv, the routine scipy.linalg.solve_banded((1, 1), ...) calls, without
+    scipy's wrapper. ab and rhs are overwritten. Non-finite input raises
+    ValueError, a singular pivot LinAlgError."""
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
             Vx: np.ndarray, left: str, right: str) -> tuple[np.ndarray, int]:
     """Damped Newton on _rows scaled by h^2/eps^2, so the tolerance is
@@ -226,8 +240,8 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
         return _rows_jacobian(u, 1.0, w, s, p, h, eps, left, right)
 
     converged = False
+    r = F(u)
     for it in range(NEWTON_MAX_ITER):
-        r = F(u)
         rn = np.max(np.abs(r))
         if not np.isfinite(rn):
             raise NewtonDiverged("residual is not finite")
@@ -235,9 +249,10 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
             return u, it
         if rn < NEWTON_TOL * max(1.0, np.max(np.abs(u))):
             converged = True  # one full polish step to the rounding floor
-            u = u + solve_banded((1, 1), jacobian(u), -r)
+            u = u + solve_banded(jacobian(u), -r)
+            r = F(u)
             continue
-        d = solve_banded((1, 1), jacobian(u), -r)
+        d = solve_banded(jacobian(u), -r)
         t = 1.0
         for _ in range(NEWTON_MAX_BACKTRACK):
             rt = F(u + t * d)
@@ -249,8 +264,9 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
                 return u, it  # stagnated at the rounding floor
             raise NewtonDiverged("backtracking budget exhausted")
         u = u + t * d
+        r = rt  # the residual at the accepted step, F(u)
         if np.max(np.abs(t * d)) < 1e-15 * max(1.0, np.max(np.abs(u))):
-            if np.max(np.abs(F(u))) < 1e-9 * max(1.0, np.max(np.abs(u))):
+            if np.max(np.abs(r)) < 1e-9 * max(1.0, np.max(np.abs(u))):
                 return u, it
             raise NewtonDiverged("step collapsed before convergence")
     raise NewtonDiverged(f"no convergence in {NEWTON_MAX_ITER} iterations")
