@@ -1,6 +1,6 @@
 """Direct solver for the singularly perturbed problem with prescribed mass.
 
-Fixed-frequency form (unknown u, second-order finite differences):
+Fixed-frequency form (unknown u, fourth-order Numerov rows):
 
     -eps^2 u'' + (eps^2 V(x) + 1) u = u^p,
 
@@ -13,9 +13,10 @@ and (lambda, v) with lambda = eps^{-2} solves -v'' + (V + lambda) v = v^p.
 
 ``solve_normalized`` brackets mass(eps) = rho with steps along the
 regime's leading-order law for the mass, then runs Brent (on log eps) until
-the mass is within tolerance of rho. Interior masses are
-Richardson-extrapolated over grids with spacings h and h/2 so the outer
-root-find is unpolluted by the O(h^2) bias.
+the mass is within tolerance of rho. Each mass comes from one solve: the
+Numerov rows and Simpson's rule make it fourth order in h, and the default
+spacing eps/80 (at least MIN_NODES panels) keeps its error at or below that
+of a second-order Richardson pair at eps/60 and eps/120.
 
 Real-line potentials are even polynomials, so those solves exploit evenness:
 the half-line [0, L] is discretized with a symmetric row at 0 and a decay
@@ -56,11 +57,13 @@ DECAY = "decay"
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 200
 NEWTON_MAX_BACKTRACK = 40
-POINTS_PER_WIDTH = 60
+POINTS_PER_WIDTH = 80
 MIN_POINTS_PER_WIDTH = 10
-MIN_NODES = 2000
+MIN_NODES = 2640
 # the real line is truncated at this many eps-widths (e^-40 of the peak)
 REALLINE_WIDTHS = 40.0
+# eps^{-4/(p-1)}, the factor from ∫u^2 to the mass, stays below 1e300
+MAX_LOG_MASS_SCALE = 300.0 * math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -155,47 +158,53 @@ def _grid(spec: DomainSpec, eps: float, n_override: Optional[int]) -> np.ndarray
 
 
 def _rows(u, a, b, d, p, h, eps, left, right):
-    """Rows -a δ²u + b u - d |u|^{p-1} u, δ²u the second difference.
+    """Numerov rows -a δ²u + (g₋ + 10 g + g₊)/12, g = b u - d |u|^{p-1} u,
+    δ²u the second difference; fourth order in h.
 
     Boundary row kinds: DIRICHLET value rows u; NEUMANN rows with the ghost
     u_{-1} = u_1; DECAY rows with the ghost u_{-1} = u_1 - 2h u_0/eps, i.e.
-    u' = u/eps at a real-line truncation (mirrored on the right).
+    u' = u/eps at a real-line truncation (mirrored on the right). Both
+    ghosts take g_{-1} = g_1; at a truncation, e^-40 of the peak, the
+    mirror costs nothing.
     """
+    g = b * u - d * np.abs(u) ** (p - 1) * u
     r = np.empty_like(u)
-    r[1:-1] = -a * (u[:-2] - 2 * u[1:-1] + u[2:]) + b[1:-1] * u[1:-1] \
-        - d * np.abs(u[1:-1]) ** (p - 1) * u[1:-1]
+    r[1:-1] = -a * (u[:-2] - 2 * u[1:-1] + u[2:]) \
+        + (g[:-2] + 10.0 * g[1:-1] + g[2:]) / 12.0
     for side, i, j in ((left, 0, 1), (right, -1, -2)):
         if side == DIRICHLET:
             r[i] = u[i]
         else:
             ghost = 2 * h * u[i] / eps if side == DECAY else 0.0
-            r[i] = -a * (2 * u[j] - 2 * u[i] - ghost) + b[i] * u[i] \
-                - d * np.abs(u[i]) ** (p - 1) * u[i]
+            r[i] = -a * (2 * u[j] - 2 * u[i] - ghost) \
+                + (2.0 * g[j] + 10.0 * g[i]) / 12.0
     return r
 
 
 def _rows_jacobian(u, a, b, d, p, h, eps, left, right):
     """Jacobian of _rows in (1, 1) banded storage: ab[0, 1:] the upper,
-    ab[1] the main and ab[2, :-1] the lower diagonal."""
+    ab[1] the main and ab[2, :-1] the lower diagonal. Every off-diagonal
+    entry in column j is -a + g'_j/12 (twice that at a ghost row)."""
+    dg = b - d * p * np.abs(u) ** (p - 1)
     ab = np.zeros((3, len(u)))
-    ab[0, 1:] = -a
-    ab[1, :] = 2.0 * a + b - d * p * np.abs(u) ** (p - 1)
-    ab[2, :-1] = -a
+    ab[0, 1:] = -a + dg[1:] / 12.0
+    ab[1, :] = 2.0 * a + 10.0 * dg / 12.0
+    ab[2, :-1] = -a + dg[:-1] / 12.0
     for side, i, off in ((left, 0, (0, 1)), (right, -1, (2, -2))):
         if side == DIRICHLET:
             ab[1, i] = 1.0
             ab[off] = 0.0
         else:
-            ab[off] = -2.0 * a
+            ab[off] *= 2.0
             if side == DECAY:
-                ab[1, i] = a * (2.0 + 2 * h / eps) + b[i] \
-                    - d * p * np.abs(u[i]) ** (p - 1)
+                ab[1, i] += 2.0 * a * h / eps
     return ab
 
 
 def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
                       x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Second-order discrete residual of the fixed-frequency equation.
+    """Numerov residual of the fixed-frequency equation: the rows of
+    _rows that Newton solves, unscaled.
 
     Boundary rows: Dirichlet value rows; Neumann ghost-point PDE rows;
     decay ghost rows u' + u/eps = 0 at a real-line truncation.
@@ -285,6 +294,10 @@ def _package(spec, params, eps, x, u, iters) -> NormalizedSolution:
     floor = 1e-12 * float(np.max(np.abs(u)))
     if np.max(u) <= 0 or np.min(interior) < -floor:
         raise NonPositive("solution is not positive at interior nodes")
+    # at the peak of a positive solution u'' <= 0 and V = 0, so u^{p-1} >= 1
+    if np.max(u) < 0.5:
+        raise NonPositive(f"Newton fell onto the trivial solution u = 0 "
+                          f"(max u = {np.max(u):.3g})")
     if not _single_peak(u):
         raise NewtonDiverged("converged profile is not single-peaked")
     p = params.p
@@ -309,12 +322,18 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     interval). u0 with "endpoint", and a non-zero xi with u0 or "endpoint",
     raise ValueError before any solve. n_override counts panels on spec's
     interval, also for "endpoint". On the real line the profile is even
-    about 0, and a non-zero xi raises ValueError.
+    about 0, and a non-zero xi raises ValueError. So does an eps whose mass
+    scale eps^{-4/(p-1)} exceeds 1e300. Newton failing raises
+    NewtonDiverged; a profile that crosses zero, or falls onto the trivial
+    solution u = 0, raises NonPositive.
     """
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 0.5]")
+    if -4.0 / (params.p - 1.0) * math.log(epsilon) > MAX_LOG_MASS_SCALE:
+        raise ValueError(f"the mass scale eps^(-4/(p-1)) exceeds 1e300 at "
+                         f"eps = {epsilon:.6g}, p = {params.p:.6g}")
     _check_xi(spec, xi)
     if init not in ("interior", "endpoint"):
         raise ValueError(f"init must be 'interior' or 'endpoint' (got {init!r})")
@@ -442,7 +461,8 @@ def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
 
 
 class MassEvaluator:
-    """Richardson-extrapolated mass(eps) with warm-started solves.
+    """mass(eps) of one warm-started solve on the default grid, kept with
+    its solution.
 
     A solve starts from the previous solution only when eps is within
     WARM_RANGE of its eps; across a longer jump it starts from the ansatz.
@@ -453,28 +473,20 @@ class MassEvaluator:
         self.params = params
         self.xi = xi
         self.warm: Optional[NormalizedSolution] = None
-        self.cache: dict[float, tuple[float, NormalizedSolution]] = {}
+        self.cache: dict[float, NormalizedSolution] = {}
 
     def __call__(self, eps: float) -> float:
-        if eps in self.cache:
-            return self.cache[eps][0]
-        warm = self.warm
-        if warm is not None and not (
-                WARM_RANGE[0] <= eps / warm.epsilon <= WARM_RANGE[1]):
-            warm = None
-        sol_h = _solve_from(warm, self.spec, self.params, eps, self.xi)
-        # the refined grid has exactly twice the panels: spacings h and h/2
-        sol_h2 = _solve_from(sol_h, self.spec, self.params, eps, self.xi,
-                             2 * (len(sol_h.nodes) - 1))
-        mass = (4.0 * sol_h2.mass - sol_h.mass) / 3.0
-        self.warm = sol_h2
-        self.cache[eps] = (mass, sol_h2)
-        return mass
+        return self.solution(eps).mass
 
-    def fine_solution(self, eps: float) -> NormalizedSolution:
+    def solution(self, eps: float) -> NormalizedSolution:
         if eps not in self.cache:
-            self(eps)
-        return self.cache[eps][1]
+            warm = self.warm
+            if warm is not None and not (
+                    WARM_RANGE[0] <= eps / warm.epsilon <= WARM_RANGE[1]):
+                warm = None
+            self.warm = self.cache[eps] = _solve_from(
+                warm, self.spec, self.params, eps, self.xi)
+        return self.cache[eps]
 
 
 def _law_step(spec: DomainSpec, params: ProblemParams, eps: float,
@@ -569,7 +581,7 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
                     "root-find stalled before reaching the target mass")
             break
         eps_a, f_a = eps_b, f_b
-    sol = evaluate.fine_solution(eps_a)
+    sol = evaluate.solution(eps_a)
     u = sol.u_values
     if np.max(u) - np.min(u) <= FLAT_RTOL * np.max(u):
         raise BracketFailed(

@@ -170,15 +170,19 @@ def _domain_from_args(args) -> bvp.DomainSpec:
 def _direct_solve(args) -> bvp.NormalizedSolution:
     """The solve that exactly one of --rho and --epsilon selects (solve, mfg).
 
-    --grid-n, --init endpoint and --init-csv apply to --epsilon only; with
-    --rho they are usage errors (ValueError), as is neither or both.
+    --grid-n, --init endpoint and --init-csv apply to --epsilon only, and
+    --eps-min to --rho only; any other pairing is a usage error (ValueError),
+    as is neither or both.
     """
     params = gsmod.ProblemParams(args.n, args.p)
     spec = _domain_from_args(args)
     init = getattr(args, "init", "interior")
     init_csv = getattr(args, "init_csv", None)
+    eps_min = getattr(args, "eps_min", None)
     if (args.rho is None) == (args.epsilon is None):
         raise ValueError("exactly one of --rho and --epsilon is required")
+    if args.epsilon is not None and eps_min is not None:
+        raise ValueError("--eps-min needs --rho, not --epsilon")
     if args.rho is not None:
         fixed_eps_only = [flag for flag, given in (
             ("--grid-n", args.grid_n is not None),
@@ -189,7 +193,7 @@ def _direct_solve(args) -> bvp.NormalizedSolution:
                              f"not --rho")
         return bvp.solve_normalized(
             spec, params, args.rho, xi=args.xi,
-            eps_min=getattr(args, "eps_min", bvp.EPS_MIN))
+            eps_min=bvp.EPS_MIN if eps_min is None else eps_min)
     u0 = None
     if init_csv:
         # after the header, the last column is the rescaled unknown u
@@ -338,7 +342,9 @@ def build_parser() -> _Parser:
     sp = _command(sub, "solve", cmd_solve,
                   "direct solve (fixed eps or fixed mass)",
                   _add_problem, _add_direct)
-    sp.add_argument("--eps-min", type=float, default=bvp.EPS_MIN)
+    sp.add_argument("--eps-min", type=float, default=None,
+                    help=f"smallest eps of the root-find (--rho only; "
+                         f"default {bvp.EPS_MIN:g})")
     sp.add_argument("--init", choices=["interior", "endpoint"],
                     default="interior")
     sp.add_argument("--init-csv", default=None,
@@ -394,7 +400,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolverError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # invalid input rejected by the library
+    except (ValueError, OSError) as exc:  # invalid input, unreadable file
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
 

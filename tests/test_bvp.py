@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from conftest import TWO_SIGMA0_P5
@@ -65,7 +67,7 @@ def test_residual_neumann_constant_row():
 
 
 def test_residual_discretization_order_exact_soliton():
-    # second-order truncation: halving h divides the residual by ~4
+    # Numerov rows are fourth order: halving h divides the residual by ~16
     spec = DomainSpec("realline")
     u_exact, _, _ = closed_form_soliton(3.0)
     norms = {}
@@ -74,18 +76,19 @@ def test_residual_discretization_order_exact_soliton():
         res = assemble_residual(spec, P3, 1.0, x, u_exact(x))
         norms[n] = np.max(np.abs(res))
     ratio = norms[2000] / norms[4000]
-    assert abs(ratio - 4.0) < 0.6
+    assert abs(ratio - 16.0) < 0.6
 
 
 def test_mass_discretization_order_exact_case():
-    # realline p=3 at eps=0.5 has exact mass 8
+    # realline p=3 at eps=0.5 has exact mass 8; Numerov rows and Simpson's
+    # rule make the mass fourth order
     spec = DomainSpec("realline")
     errs = {}
     for n in (4800, 9600):
         sol = solve_fixed_epsilon(spec, P3, 0.5, n_override=n)
         errs[n] = abs(sol.mass - 8.0)
     ratio = errs[4800] / errs[9600]
-    assert abs(ratio - 4.0) < 0.6
+    assert abs(ratio - 16.0) < 0.6
 
 
 def test_fixed_epsilon_dirichlet_center_value(gs5):
@@ -166,6 +169,26 @@ def test_huge_init_raises_diverged():
                                 n_override=n)
 
 
+def test_collapse_to_trivial_solution_raises_nonpositive():
+    # p = 1.1: the bump is wider than (-1, 1), and Newton from the ansatz
+    # at eps = 0.35 decays onto u = 0 (max u 2.4e-9, which was returned
+    # with residual 2.9e-9 and mass 9.7)
+    with pytest.raises(NonPositive, match="trivial solution"):
+        solve_fixed_epsilon(DomainSpec("interval", -1, 1, "dirichlet"),
+                            ProblemParams(1, 1.1), 0.35)
+
+
+@pytest.mark.parametrize("p, eps", [(1.01, 0.1), (1.0001, 0.5)])
+def test_overflowing_mass_scale_is_refused(monkeypatch, p, eps):
+    # eps^{-4/(p-1)} overflows: an OverflowError after Newton before
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton ran before the mass scale was checked")
+
+    monkeypatch.setattr(bvp, "solve_banded", no_newton)
+    with pytest.raises(ValueError, match="mass scale"):
+        solve_fixed_epsilon(DomainSpec("realline"), ProblemParams(1, p), eps)
+
+
 def test_epsilon_validation():
     with pytest.raises(ValueError):
         solve_fixed_epsilon(DomainSpec("realline"), P3, 0.7)
@@ -195,6 +218,25 @@ def test_trace_branch_requires_decreasing():
 def test_solve_normalized_exact_scaling():
     sol = solve_normalized(DomainSpec("realline"), P3, 8.0)
     assert abs(sol.lambda_ / 4.0 - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("spec, params, rho", [
+    (DomainSpec("realline"), P3, 8.0),
+    (DomainSpec("interval", -1, 1, "dirichlet"), P5, TWO_SIGMA0_P5 - 0.01),
+])
+def test_solve_normalized_returns_matched_mass(monkeypatch, spec, params, rho):
+    # the returned mass is the one the root-find compared with rho
+    matched = {}
+    call = MassEvaluator.__call__
+
+    def recording(self, eps):
+        matched[eps] = call(self, eps)
+        return matched[eps]
+
+    monkeypatch.setattr(MassEvaluator, "__call__", recording)
+    sol = solve_normalized(spec, params, rho)
+    assert sol.mass == matched[sol.epsilon]
+    assert abs(sol.mass - rho) <= bvp.MASS_RTOL * rho
 
 
 def test_solve_normalized_dirichlet_branch(gs5):
@@ -288,8 +330,11 @@ def test_solve_normalized_exact_law_cost(monkeypatch, gs3, rho):
 ])
 def test_realline_truncation_keeps_mass(monkeypatch, spec, params):
     # the line is cut at 40 eps-widths; the old half-width 20 gives the same
-    # Richardson masses at the same spacing eps/60
-    eps_list = (0.4, 0.1, 0.06)
+    # masses at the same spacing eps/80. Each eps puts a whole number of
+    # cut grids into [0, 20], so the spacings are equal: at eps = 0.06 the
+    # wide grid rounds up to 26668 panels a half, and the 5e-5 change in h
+    # alone moves the mass by 1e-13.
+    eps_list = (0.4, 0.1, 0.0625)
     cut = [MassEvaluator(spec, params) for _ in eps_list]
     masses = [ev(e) for ev, e in zip(cut, eps_list)]
     monkeypatch.setattr(bvp, "_realline_halfwidth", lambda eps: 20.0)
@@ -297,8 +342,8 @@ def test_realline_truncation_keeps_mass(monkeypatch, spec, params):
     assert [ev(e) for ev, e in zip(wide, eps_list)] \
         == pytest.approx(masses, rel=1e-13)
     for ev_cut, ev_wide, e in zip(cut, wide, eps_list):
-        assert ev_cut.fine_solution(e).nodes[-1] == pytest.approx(40.0 * e)
-        assert ev_wide.fine_solution(e).nodes[-1] == 20.0
+        assert ev_cut.solution(e).nodes[-1] == pytest.approx(40.0 * e)
+        assert ev_wide.solution(e).nodes[-1] == 20.0
 
 
 def test_solve_normalized_neumann_returns_concentrated_bump(gs3):
@@ -331,9 +376,10 @@ def test_solve_normalized_neumann_bumps_past_constant(gs3, rho, eps):
     assert np.max(u) - np.min(u) > 0.5 * np.max(u)
 
 
-def test_mass_evaluator_richardson():
+def test_mass_evaluator_exact_line_mass():
+    # one solve on the default grid: mass 8 at eps = 0.5 to 5.3e-10 relative
     ev = MassEvaluator(DomainSpec("realline"), P3)
-    assert abs(ev(0.5) - 8.0) < 1e-7
+    assert abs(ev(0.5) - 8.0) < 1e-8
 
 
 def test_trace_branch_realline_warm_starts():
@@ -354,20 +400,24 @@ def test_solve_normalized_supercritical_small_mass(gs3):
     assert abs(sol.lambda_ / lam_exact - 1.0) < 1e-6
 
 
-def test_mass_evaluator_richardson_pair_is_h_and_half_h(monkeypatch):
-    # at eps = 0.35 with V = x^2 the automatic real-line grid has an odd
-    # panel count per half, which must not skew the refinement ratio
-    spacings = []
+def test_mass_evaluator_one_solve_per_miss(monkeypatch):
+    # each new eps is one solve on the default grid; a repeated eps none
+    spec = DomainSpec("realline", potential=(1.0,))
+    calls = []
 
     def recording(*args, **kwargs):
         sol = solve_fixed_epsilon(*args, **kwargs)
-        spacings.append(sol.nodes[1] - sol.nodes[0])
+        calls.append(sol.nodes)
         return sol
 
     monkeypatch.setattr(bvp, "solve_fixed_epsilon", recording)
-    MassEvaluator(DomainSpec("realline", potential=(1.0,)), P5)(0.35)
-    assert len(spacings) == 2
-    assert spacings[0] / spacings[1] == pytest.approx(2.0, rel=1e-12)
+    ev = MassEvaluator(spec, P5)
+    for eps in (0.35, 0.3, 0.35):
+        ev(eps)
+    assert len(calls) == 2
+    for nodes, eps in zip(calls, (0.35, 0.3)):
+        assert np.array_equal(nodes, bvp._grid(spec, eps, None))
+        assert ev.solution(eps).nodes is nodes
 
 
 def test_solve_normalized_releases_cached_solutions():
@@ -447,3 +497,32 @@ def test_realline_rejects_nonzero_xi(monkeypatch, call):
     monkeypatch.setattr(bvp, "solve_banded", no_solve)
     with pytest.raises(ValueError, match="xi must be 0"):
         call(DomainSpec("realline", potential=(1.0,)))
+
+
+SPECS = {"dirichlet": DomainSpec("interval", -1, 1, "dirichlet"),
+         "neumann": DomainSpec("interval", -1, 1, "neumann"),
+         "line": DomainSpec("realline")}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(p=st.floats(1.0, 9.0, exclude_min=True), eps=st.floats(0.06, 0.5),
+       kind=st.sampled_from(sorted(SPECS)))
+def test_fixed_epsilon_contract(p, eps, kind):
+    # a documented error, or a converged, positive, single-peaked profile
+    # whose mass is its own ∫v^2
+    try:
+        sol = solve_fixed_epsilon(SPECS[kind], ProblemParams(1, p), eps)
+    except ValueError as exc:
+        assert "mass scale" in str(exc)
+        return
+    except (NewtonDiverged, NonPositive):
+        return
+    u = sol.u_values
+    assert sol.residual_inf <= 1e-9
+    inner = u[1:-1] if kind == "dirichlet" else u
+    assert np.min(inner) > 0.0
+    du = np.diff(u)
+    du = du[np.abs(du) > 1e-12 * np.max(u)]
+    assert np.count_nonzero(np.diff(np.sign(du))) <= 1
+    assert sol.mass == pytest.approx(simpson(sol.v_values ** 2, x=sol.nodes),
+                                     rel=1e-12)

@@ -63,6 +63,16 @@ def test_solve_exact_scaling(run_main, tmp_path):
     assert abs(doc["lambda"] / 4.0 - 1.0) < 1e-6
 
 
+def test_solve_writes_matched_mass(run_main, tmp_path):
+    # the JSON mass is the one the root-find matched to 5e-8 rho, not the
+    # raw mass of a finer grid (7.999945986424066 before)
+    out = run_main("solve", "--n", "1", "--p", "3", "--domain", "realline",
+                   "--rho", "8", "--out-dir", str(tmp_path))
+    assert out.returncode == 0
+    doc = json.loads((tmp_path / "solution_scalars.json").read_text())
+    assert abs(doc["mass"] - 8.0) <= 5e-8 * 8.0
+
+
 def test_solve_forbidden_side_exits_2(tmp_path):
     rho = TWO_SIGMA0_P5 + 0.01
     out = run_cli("solve", "--domain", "interval", "--bc", "dirichlet",
@@ -157,6 +167,12 @@ START_CSV = "<start profile csv>"  # a real file, written by the test
                  "--init-csv needs --epsilon", id="solve-rho-init-csv"),
     pytest.param(("mfg", *NEUMANN_P5, "--rho", "2.75", "--grid-n", "4000"),
                  "--grid-n needs --epsilon", id="mfg-rho-grid-n"),
+    # --eps-min only bounds the root-find; nan once reached the JSON as NaN
+    pytest.param(("solve", *NEUMANN_P5, "--epsilon", "0.3", "--eps-min",
+                  "nan"), "--eps-min needs --rho", id="solve-epsilon-eps-min"),
+    pytest.param(("solve", *NEUMANN_P5, "--epsilon", "0.3", "--eps-min",
+                  "0.1"), "--eps-min needs --rho",
+                 id="solve-epsilon-eps-min-finite"),
     # domain flags the domain does not take
     pytest.param(("solve", *NEUMANN_P5, "--potential", "1.0", "--epsilon",
                   "0.3"), "potential is only supported on the real line",
@@ -321,6 +337,21 @@ def test_verify_interior_critical_serializes(run_main, tmp_path):
         (tmp_path / "verify_interior_critical_mass.json").read_text())
     assert doc["passed"] is True
     assert doc["observed"]["dirichlet"]["one_sided"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", *NEUMANN_P5, "--epsilon", "0.3", "--init-csv", "missing.csv"),
+    ("ground-state", "--n", "1", "--p", "5", "--config", "missing.cfg"),
+])
+def test_missing_input_file_is_usage_error(run_main, tmp_path, args):
+    # a missing file is one error line, not a FileNotFoundError traceback
+    args = [str(tmp_path / a) if a.startswith("missing.") else a for a in args]
+    out_dir = tmp_path / "out"
+    out = run_main(*args, "--out-dir", str(out_dir))
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1 and "error:" in out.stderr
+    assert "missing." in out.stderr
+    assert not out_dir.exists()
 
 
 def test_solve_init_csv_roundtrip(run_main, tmp_path):
