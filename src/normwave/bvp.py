@@ -398,17 +398,14 @@ def _check_xi(spec: DomainSpec, xi: float) -> None:
 
 
 def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
-                params: ProblemParams, eps: float, xi: float,
-                n_override: Optional[int] = None) -> NormalizedSolution:
+                params: ProblemParams, eps: float,
+                xi: float) -> NormalizedSolution:
     """Solve at eps warm-started from prev's profile interpolated onto the
     solver grid, or from the ansatz at xi when there is no prev."""
     if prev is None:
-        return solve_fixed_epsilon(spec, params, eps, init="interior", xi=xi,
-                                   n_override=n_override)
-    x = _grid(spec, eps, n_override)
-    guess = np.interp(x, prev.nodes, prev.u_values)
-    return solve_fixed_epsilon(spec, params, eps, u0=guess,
-                               n_override=len(x) - 1)
+        return solve_fixed_epsilon(spec, params, eps, init="interior", xi=xi)
+    guess = np.interp(_grid(spec, eps, None), prev.nodes, prev.u_values)
+    return solve_fixed_epsilon(spec, params, eps, u0=guess)
 
 
 def trace_branch(spec: DomainSpec, params: ProblemParams,

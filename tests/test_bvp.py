@@ -180,7 +180,7 @@ def test_collapse_to_trivial_solution_raises_nonpositive():
 
 @pytest.mark.parametrize("p, eps", [(1.01, 0.1), (1.0001, 0.5)])
 def test_overflowing_mass_scale_is_refused(monkeypatch, p, eps):
-    # eps^{-4/(p-1)} overflows: an OverflowError after Newton before
+    # eps^{-4/(p-1)} overflows; this was an OverflowError after Newton
     def no_newton(*args, **kwargs):
         raise AssertionError("Newton ran before the mass scale was checked")
 
@@ -377,9 +377,24 @@ def test_solve_normalized_neumann_bumps_past_constant(gs3, rho, eps):
 
 
 def test_mass_evaluator_exact_line_mass():
-    # one solve on the default grid: mass 8 at eps = 0.5 to 5.3e-10 relative
+    # one solve on the default grid: mass 8 at eps = 0.5 to 5.3e-10
+    # relative, within the 6.2e-10 of the former Richardson pair
     ev = MassEvaluator(DomainSpec("realline"), P3)
-    assert abs(ev(0.5) - 8.0) < 1e-8
+    assert abs(ev(0.5) - 8.0) <= 6.2e-10 * 8.0
+
+
+@pytest.mark.parametrize("spec, richardson_error", [
+    (DomainSpec("interval", -1, 1, "dirichlet"), 5.28e-10),
+    (DomainSpec("interval", -1, 1, "neumann"), 5.28e-10),
+    (DomainSpec("realline", potential=(1.0,)), 4.08e-9),
+])
+def test_default_grid_mass_error(spec, richardson_error):
+    # p = 5, eps = 0.1: against 8x the panels, the default-grid mass is no
+    # further off than the former Richardson mass over h and h/2 was
+    n = len(bvp._grid(spec, 0.1, None)) - 1
+    ref = solve_fixed_epsilon(spec, P5, 0.1, n_override=8 * n).mass
+    mass = solve_fixed_epsilon(spec, P5, 0.1).mass
+    assert abs(mass / ref - 1.0) <= richardson_error
 
 
 def test_trace_branch_realline_warm_starts():

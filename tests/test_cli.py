@@ -61,15 +61,8 @@ def test_solve_exact_scaling(run_main, tmp_path):
     assert out.returncode == 0
     doc = json.loads((tmp_path / "solution_scalars.json").read_text())
     assert abs(doc["lambda"] / 4.0 - 1.0) < 1e-6
-
-
-def test_solve_writes_matched_mass(run_main, tmp_path):
-    # the JSON mass is the one the root-find matched to 5e-8 rho, not the
-    # raw mass of a finer grid (7.999945986424066 before)
-    out = run_main("solve", "--n", "1", "--p", "3", "--domain", "realline",
-                   "--rho", "8", "--out-dir", str(tmp_path))
-    assert out.returncode == 0
-    doc = json.loads((tmp_path / "solution_scalars.json").read_text())
+    # the mass the root-find matched to 5e-8 rho, not the raw mass of a
+    # finer grid (7.999945986424066 before)
     assert abs(doc["mass"] - 8.0) <= 5e-8 * 8.0
 
 
