@@ -3,13 +3,13 @@
 Each follows scipy's arithmetic operation for operation, so results are
 bit-identical to ``scipy.integrate.simpson`` (1-D, nodes given),
 ``scipy.optimize.brentq`` and ``scipy.interpolate.CubicHermiteSpline``.
-They live here so that importing normwave loads only numpy and scipy.linalg:
-importing scipy.integrate, scipy.optimize or scipy.interpolate takes about as
-long as numpy and scipy.linalg together, and a command-line run pays for
-every import anew. (scipy.sparse, about 40 ms, is imported by the radial
-solver on first use, and the Theta quadrature is Gauss-Legendre in
-boundary_layer.py.) The bit-equality holds against numpy 2.4.6 and scipy
-1.17.1, the versions CI pins.
+They live here so that importing normwave loads only numpy: importing
+scipy.integrate, scipy.optimize or scipy.interpolate takes about as long as
+numpy and scipy.linalg together, and a command-line run pays for every import
+anew. (scipy.linalg is imported by the 1D Newton solve and scipy.sparse, about
+40 ms, by the radial solver, each on first use, and the Theta quadrature is
+Gauss-Legendre in boundary_layer.py.) The bit-equality holds against numpy
+2.4.6 and scipy 1.17.1, the versions CI pins.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp import DIRICHLET, NEUMANN
+from .bvp import DIRICHLET, NEUMANN, THETA_RATE_CONSTANT
 from .errors import NoConvergence
 
 __all__ = [
@@ -46,8 +46,9 @@ __all__ = [
     "CENTER_RATE_CONSTANT",
 ]
 
-# leading coefficients of |Theta| ~ C/eps e^{-2/eps} and |phi(0)| ~ c e^{-2/eps}
-THETA_RATE_CONSTANT = 4.0 * math.sqrt(3.0)
+# leading coefficients of |Theta| ~ C/eps e^{-2/eps} (THETA_RATE_CONSTANT,
+# defined in bvp, whose mass root-find starts from that law) and of
+# |phi(0)| ~ c e^{-2/eps}
 CENTER_RATE_CONSTANT = 2.0 ** 1.5 * 3.0 ** 0.25
 
 # smallest eps at which e^{-2/eps} is still a normal double (about 0.002823)

@@ -11,12 +11,13 @@ line with decay rows. The mass of a solution is
 
 and (lambda, v) with lambda = eps^{-2} solves -v'' + (V + lambda) v = v^p.
 
-``solve_normalized`` brackets mass(eps) = rho with steps along the
-regime's leading-order law for the mass, then runs Brent (on log eps) until
-the mass is within tolerance of rho. Each mass comes from one solve: the
-Numerov rows and Simpson's rule make it fourth order in h, and the default
-spacing eps/80 (at least MIN_NODES panels) keeps its error at or below that
-of a second-order Richardson pair at eps/60 and eps/120.
+``solve_normalized`` starts at the eps where the regime's leading-order law
+for the mass, taken from its eps -> 0 anchor, gives rho, brackets
+mass(eps) = rho with further steps along that law, then runs Brent (on
+log eps) until the mass is within tolerance of rho. Each mass comes from one
+solve: the Numerov rows and Simpson's rule make it fourth order in h, and
+the default spacing eps/80 (at least MIN_NODES panels) keeps its error at or
+below that of a second-order Richardson pair at eps/60 and eps/120.
 
 Real-line potentials are even polynomials, so those solves exploit evenness:
 the half-line [0, L] is discretized with a symmetric row at 0 and a decay
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from ._numerics import brentq, simpson
 from .errors import (BracketFailed, NewtonDiverged, NonPositive,
@@ -223,8 +223,10 @@ def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system held in (1, 1) banded storage with LAPACK
     dgtsv, the routine scipy.linalg.solve_banded((1, 1), ...) calls, without
-    scipy's wrapper. ab and rhs are overwritten. Non-finite input raises
-    ValueError, a singular pivot LinAlgError."""
+    scipy's wrapper; scipy.linalg is imported on the first call. ab and rhs
+    are overwritten. Non-finite input raises ValueError, a singular pivot
+    LinAlgError."""
+    from scipy.linalg.lapack import dgtsv
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
@@ -429,7 +431,7 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
 
 # -- normalized solve ------------------------------------------------------------
 
-EPS_START = 0.5  # the root-find's first eps, and its largest
+EPS_START = 0.5  # largest eps of the root-find, and its start without a law
 EPS_MIN = 0.05  # default smallest eps of the root-find
 MASS_RTOL = 5e-8  # stop at |mass - rho| <= MASS_RTOL * rho
 TRACE_RATIO = 0.82  # step down where the law cannot say
@@ -439,6 +441,9 @@ FLAT_RTOL = 1e-9
 # mass-critical stop: |mass - rho| at most this fraction of |rho - 2 sigma0|
 CRITICAL_STOP = 1e-3
 WARM_RANGE = (0.8, 1.25)  # warm starts only within this factor of eps
+# |Theta| ~ THETA_RATE_CONSTANT s e^{-2s}, s = d/eps, at p = 1 + 4/N on an
+# interval of half-width d, and mass - 2 sigma0 ~ -2 Theta (boundary_layer)
+THETA_RATE_CONSTANT = 4.0 * math.sqrt(3.0)
 
 
 def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
@@ -492,7 +497,8 @@ def _law_step(spec: DomainSpec, params: ProblemParams, eps: float,
     (eps, mass), reaches rho; None when the law cannot say.
 
     Noncritical: mass ∝ eps^{N - 4/(p-1)}. Critical: the offset
-    mass - 2 sigma0 is ∝ e^{-2/eps}/eps on an interval and ∝ eps^4 on the
+    mass - 2 sigma0 is ∝ s e^{-2s}, s = d/eps, on an interval of half-width
+    d (at p = 1 + 4/N the mass depends on eps/d only) and ∝ eps^4 on the
     real line with a potential; mass and rho on opposite sides of 2 sigma0
     leave the law silent.
     """
@@ -504,12 +510,31 @@ def _law_step(spec: DomainSpec, params: ProblemParams, eps: float,
         return None
     if spec.kind == "realline":
         return eps * ratio ** 0.25
-    # -2s + log s = c in s = 1/eps; the fixed-point map contracts by 1/(2s)
-    c = math.log(ratio) - 2.0 / eps - math.log(eps)
-    s = 1.0 / eps
+    # -2s + log s = c in s = d/eps; the fixed-point map contracts by 1/(2s)
+    d = 0.5 * (spec.b - spec.a)
+    s = d / eps
+    c = math.log(ratio) - 2.0 * s + math.log(s)
     for _ in range(60):
         s = max(0.5 * (math.log(s) - c), 1.0)
-    return 1.0 / s
+    return d / s
+
+
+def _law_start(spec: DomainSpec, params: ProblemParams, rho: float,
+               two_sigma0: float) -> float:
+    """The eps at which the regime's law reaches rho, stepped from its
+    eps -> 0 anchor: mass = 2 sigma0 eps^{N - 4/(p-1)} off p = 1 + 4/N, and
+    |mass - 2 sigma0| = 2 THETA_RATE_CONSTANT s e^{-2s}, s = d/eps, on an
+    interval at p = 1 + 4/N (anchored at s = 1). On the line with a
+    potential the law's constant needs m_frak, so the start is EPS_START.
+    """
+    if params.regime is not Regime.MASS_CRITICAL:
+        return _law_step(spec, params, 1.0, two_sigma0, rho, two_sigma0)
+    if spec.kind == "realline":
+        return EPS_START
+    offset = 2.0 * THETA_RATE_CONSTANT * math.exp(-2.0)
+    return _law_step(spec, params, 0.5 * (spec.b - spec.a),
+                     two_sigma0 + math.copysign(offset, rho - two_sigma0),
+                     rho, two_sigma0)
 
 
 def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
@@ -518,10 +543,12 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
                      xi: float = 0.0) -> NormalizedSolution:
     """Solve the mass-prescribed problem by an outer root-find on eps.
 
-    From the mass at EPS_START, at most 16 steps along the regime's
-    leading-order law for the mass (eps -> 0.82 eps where the law is
-    silent), each clipped to [eps_min, EPS_START], bracket rho; Brent on
-    log(eps) then runs over the bracket. The first evaluated eps whose mass
+    The first eps is the one at which the regime's leading-order law for
+    the mass, from its eps -> 0 anchor, gives rho (_law_start; EPS_START on
+    the real line with a potential at p = 1 + 4/N). From the mass there, at
+    most 16 further steps along the law (eps -> 0.82 eps where the law is
+    silent) bracket rho; Brent on log(eps) then runs over the bracket. Every
+    eps is clipped to [eps_min, EPS_START]. The first evaluated eps whose mass
     is within tol of rho is returned: tol = MASS_RTOL * rho, and in the
     mass-critical regime at most 1e-3 * |rho - 2 sigma0|, so that the
     returned eps also resolves a small distance to 2 sigma0. Raises
@@ -553,15 +580,17 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     def f(eps: float) -> float:
         return evaluate(eps) - rho
 
+    def clip(eps: float) -> float:
+        return min(max(eps, eps_min), EPS_START)
+
     unbracketed = (f"mass {rho:.12g} not bracketed for eps in "
                    f"[{eps_min}, {EPS_START}]")
-    eps_a = EPS_START
+    eps_a = clip(_law_start(spec, params, rho, two_sigma0))
     f_a = f(eps_a)
     steps = 0
     while abs(f_a) > tol:
         step = _law_step(spec, params, eps_a, f_a + rho, rho, two_sigma0)
-        eps_b = min(max(eps_a * TRACE_RATIO if step is None else step,
-                        eps_min), EPS_START)
+        eps_b = clip(eps_a * TRACE_RATIO if step is None else step)
         if eps_b == eps_a or steps == MAX_BRACKET_STEPS:
             raise BracketFailed(unbracketed)
         steps += 1

@@ -142,6 +142,16 @@ class GroundState:
     d2u_exact: Optional[Callable] = field(default=None, repr=False)
 
 
+def _cosh_power(y, q: float):
+    """cosh(y)^q for q < 0: the plain power where cosh(y) is finite, and
+    2^{-q} e^{q|y|} past |y| = 710, where cosh overflows and the dropped
+    factor (1 + e^{-2|y|})^q differs from 1 by less than 1e-600."""
+    with np.errstate(over="ignore"):
+        c = np.cosh(y)
+    return np.where(np.isinf(c), np.exp(q * (np.abs(y) - math.log(2.0))),
+                    c ** q)
+
+
 def closed_form_soliton(p: float):
     """Return (U, U', U'') callables for the explicit N=1 ground state."""
     m = 2.0 / (p - 1.0)
@@ -149,7 +159,7 @@ def closed_form_soliton(p: float):
     amp = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
 
     def u(x):
-        return amp * np.cosh(k * np.asarray(x, dtype=float)) ** (-m)
+        return amp * _cosh_power(k * np.asarray(x, dtype=float), -m)
 
     def du(x):
         x = np.asarray(x, dtype=float)
@@ -157,7 +167,7 @@ def closed_form_soliton(p: float):
 
     def d2u(x):
         x = np.asarray(x, dtype=float)
-        sech2 = np.cosh(k * x) ** (-2.0)
+        sech2 = _cosh_power(k * x, -2.0)
         return m * k * k * u(x) * (m - (m + 1.0) * sech2)
 
     return u, du, d2u

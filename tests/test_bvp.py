@@ -13,7 +13,8 @@ from normwave.bvp import (DomainSpec, MassEvaluator, NormalizedSolution,
                           solve_normalized, trace_branch)
 from normwave.errors import (BracketFailed, NewtonDiverged, NonPositive,
                              NoSolutionInRegime)
-from normwave.groundstate import ProblemParams, closed_form_soliton
+from normwave.groundstate import (ProblemParams, closed_form_soliton,
+                                  solve_ground_state)
 
 P3 = ProblemParams(1, 3.0)
 P5 = ProblemParams(1, 5.0)
@@ -324,6 +325,48 @@ def test_solve_normalized_exact_law_cost(monkeypatch, gs3, rho):
     assert sol.lambda_ == pytest.approx((rho / 4.0) ** 2, rel=1e-6)
 
 
+@pytest.mark.parametrize("spec, params, rho, budget", [
+    # mass about 4/eps: the law's start is within 1e-3 of the root
+    (DomainSpec("interval", -1, 1, "dirichlet"), P3, 56.56, 2),
+    (DomainSpec("interval", -1, 1, "dirichlet"), P5, TWO_SIGMA0_P5 - 1e-6, 3),
+])
+def test_solve_normalized_starts_at_law_prediction(monkeypatch, gs3, gs5,
+                                                   spec, params, rho, budget):
+    misses = _count_misses(monkeypatch)
+    gs = gs3 if params.p == 3.0 else gs5
+    sol = solve_normalized(spec, params, rho, ground_state=gs)
+    assert len(misses) <= budget
+    assert abs(sol.mass - rho) <= bvp.MASS_RTOL * rho
+
+
+@pytest.mark.parametrize("p, rho", [(2.0, 1000.0), (3.0, 20.0), (7.0, 1.2)])
+def test_law_start_is_interior_prediction(p, rho):
+    # off p = 1 + 4/N the start is the asymptotic interior-bump eps
+    from normwave.asymptotics import INTERIOR, predict_epsilon_noncritical
+    params = ProblemParams(1, p)
+    sigma0 = solve_ground_state(params).sigma0
+    start = bvp._law_start(DomainSpec("interval", -1, 1, "neumann"), params,
+                           rho, 2.0 * sigma0)
+    expect, _ = predict_epsilon_noncritical(params, rho, INTERIOR, sigma0)
+    assert start == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("bc, offset", [("dirichlet", -1e-3),
+                                        ("neumann", 1e-3)])
+def test_critical_interval_law_scales_with_half_width(monkeypatch, gs5, d, bc,
+                                                      offset):
+    # at p = 5 the mass on (-d, d) depends on eps/d only, so the root on
+    # (-1, 1), eps = 0.18107, scales with d; a law in 1/eps instead of d/eps
+    # misses it on (-0.5, 0.5) and takes 9 misses on (-2, 2)
+    misses = _count_misses(monkeypatch)
+    sol = solve_normalized(DomainSpec("interval", -d, d, bc), P5,
+                           TWO_SIGMA0_P5 + offset, ground_state=gs5)
+    assert sol.epsilon == pytest.approx(0.18107 * d, rel=1e-3)
+    assert np.max(sol.u_values) - np.min(sol.u_values) > 0.5
+    assert len(misses) <= 3
+
+
 @pytest.mark.parametrize("spec, params", [
     (DomainSpec("realline"), P3),
     (DomainSpec("realline", potential=(1.0,)), P5),
@@ -364,9 +407,33 @@ def test_solve_normalized_refuses_constant_solution(gs3):
         solve_normalized(spec, P3, 9.0, ground_state=gs3)
 
 
+@pytest.mark.parametrize("rho", [8.0, 9.5])
+def test_solve_normalized_neumann_no_bump_below_branch_point(gs3, rho):
+    # the bump branch leaves u = 1 at eps = 0.450, mass 9.87; below that
+    # mass there is no bump, and the root-find ends on u = 1
+    spec = DomainSpec("interval", -1, 1, "neumann")
+    with pytest.raises(BracketFailed, match="constant solution u = 1"):
+        solve_normalized(spec, P3, rho, ground_state=gs3)
+
+
+@pytest.mark.parametrize("rho, eps, depth", [(10.0, 0.44147, 0.28),
+                                             (9.9, 0.44809, 0.14)])
+def test_solve_normalized_neumann_bumps_near_branch_point(gs3, rho, eps,
+                                                          depth):
+    # just above the branch point at mass 9.87 a start at eps = 0.5 ended
+    # on u = 1 (mass 2/eps^2); the law's start at 4/rho reaches the bump,
+    # which is shallow there: max - min is depth * max
+    sol = solve_normalized(DomainSpec("interval", -1, 1, "neumann"), P3, rho,
+                           ground_state=gs3)
+    assert sol.epsilon == pytest.approx(eps, rel=1e-4)
+    assert sol.concentration_point == pytest.approx(0.0, abs=1e-12)
+    u = sol.u_values
+    assert np.max(u) - np.min(u) == pytest.approx(depth * np.max(u), rel=0.1)
+
+
 @pytest.mark.parametrize("rho, eps", [(20.0, 0.2003), (12.0, 0.3469)])
 def test_solve_normalized_neumann_bumps_past_constant(gs3, rho, eps):
-    # rho = 20 evaluates the constant solution at eps = 0.5 on its way to
+    # rho = 20 evaluated the constant solution at eps = 0.5 on its way to
     # the bump; only the returned solution is checked
     sol = solve_normalized(DomainSpec("interval", -1, 1, "neumann"), P3, rho,
                            ground_state=gs3)

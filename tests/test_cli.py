@@ -83,6 +83,18 @@ def test_solve_infinite_mass_exits_nonzero(tmp_path):
     assert not (tmp_path / "solution_scalars.json").exists()
 
 
+def test_wide_interval_ansatz_runs_under_warnings_as_errors(tmp_path):
+    # the ansatz on (-20, 20) at eps = 0.05 reaches k x / eps = 800, where
+    # cosh overflowed and the warning killed the run
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "normwave.cli",
+         "solve", "--n", "1", "--p", "5", "--domain", "interval", "--a", "-20",
+         "--b", "20", "--bc", "neumann", "--epsilon", "0.05",
+         "--out-dir", str(tmp_path)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+
+
 SOLVE_P5 = ("solve", "--n", "1", "--p", "5")
 GROUND_P5 = ("ground-state", "--n", "1", "--p", "5")
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,25 @@ def test_closed_form_p5_center_and_shape(gs5):
     x = np.linspace(0.0, 5.0, 101)
     expect = 3.0 ** 0.25 * np.cosh(2 * x) ** -0.5
     assert np.max(np.abs(gs5.u_exact(x) - expect)) < 1e-14
+
+
+def test_closed_form_tail_does_not_overflow():
+    # cosh(k x) overflows past k x = 710; there U = amp 2^m e^{-m k |x|}
+    # (1.9e-174 amp at k x = 800 for p = 5), and where cosh is finite the
+    # values are the cosh formula's, bit for bit
+    u, du, d2u = closed_form_soliton(5.0)
+    amp = 3.0 ** 0.25
+    near = np.array([0.0, 0.5, 7.0, 300.0, -354.0])
+    far = np.array([400.0, -400.0, 700.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [f(np.concatenate([near, far])) for f in (u, du, d2u)]
+    assert np.array_equal(values[0][:5], amp * np.cosh(2.0 * near) ** -0.5)
+    assert np.array_equal(values[2][:5], 0.5 * 4.0 * values[0][:5] * (
+        0.5 - 1.5 * np.cosh(2.0 * near) ** -2.0))
+    tail = amp * np.sqrt(2.0) * np.exp(-np.abs(far))
+    assert values[0][5:] == pytest.approx(tail, rel=1e-12, abs=0.0)
+    assert np.all(np.isfinite(values[1])) and np.all(np.isfinite(values[2]))
 
 
 def test_closed_form_p3_residual(gs3):
