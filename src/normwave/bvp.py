@@ -12,9 +12,11 @@ line with decay rows. The mass of a solution is
 and (lambda, v) with lambda = eps^{-2} solves -v'' + (V + lambda) v = v^p.
 
 ``solve_normalized`` starts at the eps where the regime's leading-order law
-for the mass, taken from its eps -> 0 anchor, gives rho, brackets
-mass(eps) = rho with further steps along that law, then runs Brent (on
-log eps) until the mass is within tolerance of rho. Each mass comes from one
+for the mass, taken from its eps -> 0 anchor, gives rho (on the line with
+a potential the anchor is a moment of the ground state), brackets
+mass(eps) = rho with further steps along that law, secant steps once two
+masses lie on one side of rho, then runs Brent (on log eps) until the mass
+is within tolerance of rho. Each mass comes from one
 solve: the Numerov rows and Simpson's rule make it fourth order in h, and
 the default spacing eps/80 (at least MIN_NODES panels) keeps its error at or
 below that of a second-order Richardson pair at eps/60 and eps/120.
@@ -38,7 +40,7 @@ from ._numerics import brentq, simpson
 from .errors import (BracketFailed, NewtonDiverged, NonPositive,
                      NoSolutionInRegime)
 from .groundstate import (GroundState, ProblemParams, Regime,
-                          closed_form_soliton, solve_ground_state)
+                          closed_form_soliton, mass_moment, solve_ground_state)
 
 __all__ = [
     "DomainSpec",
@@ -236,9 +238,11 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
-            Vx: np.ndarray, left: str, right: str) -> tuple[np.ndarray, int]:
+            Vx: np.ndarray, left: str, right: str
+            ) -> tuple[np.ndarray, int, float]:
     """Damped Newton on _rows scaled by h^2/eps^2, so the tolerance is
-    meaningful in units of u."""
+    meaningful in units of u. Returns u, the iteration count and max |F(u)|
+    divided by h^2/eps^2: the unscaled residual of assemble_residual."""
     h = x[1] - x[0]
     s = h * h / (eps * eps)
     w = s * (eps * eps * Vx + 1.0)
@@ -257,7 +261,7 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
         if not np.isfinite(rn):
             raise NewtonDiverged("residual is not finite")
         if converged or rn < 1e-15 * max(1.0, np.max(np.abs(u))):
-            return u, it
+            return u, it, rn / s
         if rn < NEWTON_TOL * max(1.0, np.max(np.abs(u))):
             converged = True  # one full polish step to the rounding floor
             u = u + solve_banded(jacobian(u), -r)
@@ -272,13 +276,14 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
             t *= 0.5
         else:
             if rn < 1e-9 * max(1.0, np.max(np.abs(u))):
-                return u, it  # stagnated at the rounding floor
+                return u, it, rn / s  # stagnated at the rounding floor
             raise NewtonDiverged("backtracking budget exhausted")
         u = u + t * d
         r = rt  # the residual at the accepted step, F(u)
         if np.max(np.abs(t * d)) < 1e-15 * max(1.0, np.max(np.abs(u))):
-            if np.max(np.abs(r)) < 1e-9 * max(1.0, np.max(np.abs(u))):
-                return u, it
+            rn = np.max(np.abs(r))
+            if rn < 1e-9 * max(1.0, np.max(np.abs(u))):
+                return u, it, rn / s
             raise NewtonDiverged("step collapsed before convergence")
     raise NewtonDiverged(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
@@ -289,8 +294,7 @@ def _single_peak(u: np.ndarray) -> bool:
     return np.count_nonzero(np.diff(signs)) <= 1
 
 
-def _package(spec, params, eps, x, u, iters) -> NormalizedSolution:
-    res = assemble_residual(spec, params, eps, x, u)
+def _package(spec, params, eps, x, u, iters, residual) -> NormalizedSolution:
     interior = u[1:-1] if (spec.kind == "interval" and spec.bc == DIRICHLET) else u
     # tolerate rounding dust in the truncation tail, catch real crossings
     floor = 1e-12 * float(np.max(np.abs(u)))
@@ -309,7 +313,7 @@ def _package(spec, params, eps, x, u, iters) -> NormalizedSolution:
     return NormalizedSolution(
         spec=spec, params=params, lambda_=eps ** -2.0, epsilon=eps,
         nodes=x, v_values=v, u_values=u, mass=mass,
-        residual_inf=float(np.max(np.abs(res))),
+        residual_inf=float(residual),
         concentration_point=float(x[np.argmax(u)]),
         newton_iterations=iters)
 
@@ -358,7 +362,8 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
                                     xi=spec.b, n_override=n2)
         keep = inner.nodes <= spec.b + 1e-14
         x, u = inner.nodes[keep], inner.u_values[keep]
-        return _package(spec, params, epsilon, x, u, inner.newton_iterations)
+        return _package(spec, params, epsilon, x, u, inner.newton_iterations,
+                        inner.residual_inf)
 
     x = _grid(spec, epsilon, n_override)
     n = len(x) - 1
@@ -384,12 +389,13 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
         if spec.kind == "interval":
             guess = 0.5 * (guess + guess[::-1])
         xh = x[n // 2:]
-        uh, iters = _newton(xh, guess[n // 2:], epsilon, p, spec.V(xh),
-                            NEUMANN, side)
+        uh, iters, residual = _newton(xh, guess[n // 2:], epsilon, p,
+                                      spec.V(xh), NEUMANN, side)
         u = np.concatenate([uh[::-1], uh[1:]])
     else:
-        u, iters = _newton(x, guess, epsilon, p, spec.V(x), side, side)
-    return _package(spec, params, epsilon, x, u, iters)
+        u, iters, residual = _newton(x, guess, epsilon, p, spec.V(x), side,
+                                     side)
+    return _package(spec, params, epsilon, x, u, iters, residual)
 
 
 def _check_xi(spec: DomainSpec, xi: float) -> None:
@@ -491,50 +497,110 @@ class MassEvaluator:
         return self.cache[eps]
 
 
-def _law_step(spec: DomainSpec, params: ProblemParams, eps: float,
-              mass: float, rho: float, two_sigma0: float) -> Optional[float]:
-    """The eps at which the regime's leading-order law, through
-    (eps, mass), reaches rho; None when the law cannot say.
+def _potential_order(spec: DomainSpec) -> Optional[int]:
+    """k of the first non-zero coefficient a_k of V, or None for V = 0."""
+    return next((k for k, c in enumerate(spec.potential, start=1)
+                 if c != 0.0), None)
 
-    Noncritical: mass ∝ eps^{N - 4/(p-1)}. Critical: the offset
+
+def _law_slope(spec: DomainSpec, params: ProblemParams) -> Optional[float]:
+    """Slope of the regime's leading-order mass law, a straight line in the
+    coordinates of _law_coordinates; None where there is no law (V = 0 on
+    the line at p = 1 + 4/N).
+
+    Off p = 1 + 4/N mass ∝ eps^{N - 4/(p-1)}. At p = 1 + 4/N the offset
     mass - 2 sigma0 is ∝ s e^{-2s}, s = d/eps, on an interval of half-width
-    d (at p = 1 + 4/N the mass depends on eps/d only) and ∝ eps^4 on the
-    real line with a potential; mass and rho on opposite sides of 2 sigma0
-    leave the law silent.
+    d (the mass depends on eps/d only) and ∝ eps^{2k+2} on the line, a_k the
+    first non-zero coefficient of V.
     """
     if params.regime is not Regime.MASS_CRITICAL:
-        exponent = params.dim - 4.0 / (params.p - 1.0)
-        return eps * (rho / mass) ** (1.0 / exponent)
-    ratio = (rho - two_sigma0) / (mass - two_sigma0)
-    if not ratio > 0.0:
-        return None
+        return params.dim - 4.0 / (params.p - 1.0)
+    if spec.kind == "interval":
+        return -2.0
+    k = _potential_order(spec)
+    return None if k is None else 2.0 * k + 2.0
+
+
+def _law_coordinates(spec: DomainSpec, params: ProblemParams, eps: float,
+                     mass: float, two_sigma0: float) -> tuple[float, float]:
+    """(x, y) in which the regime's law is a straight line:
+    (log eps, log mass) off p = 1 + 4/N; at p = 1 + 4/N
+    (log eps, log|mass - 2 sigma0|) on the line and
+    (s, log|mass - 2 sigma0| - log s), s = d/eps, on an interval."""
+    if params.regime is not Regime.MASS_CRITICAL:
+        return math.log(eps), math.log(mass)
+    y = math.log(abs(mass - two_sigma0))
     if spec.kind == "realline":
-        return eps * ratio ** 0.25
-    # -2s + log s = c in s = d/eps; the fixed-point map contracts by 1/(2s)
+        return math.log(eps), y
+    s = 0.5 * (spec.b - spec.a) / eps
+    return s, y - math.log(s)
+
+
+def _law_step(spec: DomainSpec, params: ProblemParams, eps: float,
+              mass: float, rho: float, two_sigma0: float,
+              slope: Optional[float]) -> Optional[float]:
+    """The eps at which the straight line of the given slope through
+    (eps, mass), in the coordinates of _law_coordinates, reaches rho; None
+    without a slope, or when mass and rho lie on opposite sides of
+    2 sigma0 at p = 1 + 4/N."""
+    critical = params.regime is Regime.MASS_CRITICAL
+    origin = two_sigma0 if critical else 0.0
+    ratio = (rho - origin) / (mass - origin)
+    if slope is None or not ratio > 0.0:
+        return None
+    if not critical or spec.kind == "realline":
+        return eps * ratio ** (1.0 / slope)
+    # log ratio - log(s'/s) = slope (s' - s) in s' = d/eps'; the fixed-point
+    # map contracts by 1/(|slope| s')
     d = 0.5 * (spec.b - spec.a)
     s = d / eps
-    c = math.log(ratio) - 2.0 * s + math.log(s)
+    c = math.log(ratio) + slope * s + math.log(s)
     for _ in range(60):
-        s = max(0.5 * (math.log(s) - c), 1.0)
+        s = max((c - math.log(s)) / slope, 1.0)
     return d / s
 
 
+def _step_slope(spec: DomainSpec, params: ProblemParams, two_sigma0: float,
+                behind: Optional[tuple[float, float]],
+                point: tuple[float, float]) -> Optional[float]:
+    """Slope of the next step from point = (eps, mass): the secant through
+    behind and point in the law's coordinates, where it is within a factor
+    2 of the law's slope, else the law's slope."""
+    law = _law_slope(spec, params)
+    if behind is None or law is None:
+        return law
+    (x0, y0), (x1, y1) = (_law_coordinates(spec, params, eps, mass, two_sigma0)
+                          for eps, mass in (behind, point))
+    secant = (y1 - y0) / (x1 - x0)
+    return secant if 0.5 <= secant / law <= 2.0 else law
+
+
 def _law_start(spec: DomainSpec, params: ProblemParams, rho: float,
-               two_sigma0: float) -> float:
+               gs: GroundState) -> float:
     """The eps at which the regime's law reaches rho, stepped from its
-    eps -> 0 anchor: mass = 2 sigma0 eps^{N - 4/(p-1)} off p = 1 + 4/N, and
-    |mass - 2 sigma0| = 2 THETA_RATE_CONSTANT s e^{-2s}, s = d/eps, on an
-    interval at p = 1 + 4/N (anchored at s = 1). On the line with a
-    potential the law's constant needs m_frak, so the start is EPS_START.
+    eps -> 0 anchor: mass = 2 sigma0 eps^{N - 4/(p-1)} off p = 1 + 4/N; at
+    p = 1 + 4/N, |mass - 2 sigma0| = 2 THETA_RATE_CONSTANT s e^{-2s},
+    s = d/eps, on an interval (anchored at s = 1), and
+    2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2 on the line (anchored
+    at eps = 1). Where the law cannot reach rho (V = 0, or a law offset of
+    the other sign than rho - 2 sigma0) the start is EPS_START.
     """
+    two_sigma0 = 2.0 * gs.sigma0
     if params.regime is not Regime.MASS_CRITICAL:
-        return _law_step(spec, params, 1.0, two_sigma0, rho, two_sigma0)
-    if spec.kind == "realline":
-        return EPS_START
-    offset = 2.0 * THETA_RATE_CONSTANT * math.exp(-2.0)
-    return _law_step(spec, params, 0.5 * (spec.b - spec.a),
-                     two_sigma0 + math.copysign(offset, rho - two_sigma0),
-                     rho, two_sigma0)
+        anchor, mass = 1.0, two_sigma0
+    elif spec.kind == "interval":
+        offset = 2.0 * THETA_RATE_CONSTANT * math.exp(-2.0)
+        anchor = 0.5 * (spec.b - spec.a)
+        mass = two_sigma0 + math.copysign(offset, rho - two_sigma0)
+    else:
+        k = _potential_order(spec)
+        if k is None:
+            return EPS_START
+        anchor = 1.0
+        mass = two_sigma0 - k * spec.potential[k - 1] * mass_moment(gs, k)
+    step = _law_step(spec, params, anchor, mass, rho, two_sigma0,
+                     _law_slope(spec, params))
+    return EPS_START if step is None else step
 
 
 def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
@@ -544,10 +610,12 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     """Solve the mass-prescribed problem by an outer root-find on eps.
 
     The first eps is the one at which the regime's leading-order law for
-    the mass, from its eps -> 0 anchor, gives rho (_law_start; EPS_START on
-    the real line with a potential at p = 1 + 4/N). From the mass there, at
-    most 16 further steps along the law (eps -> 0.82 eps where the law is
-    silent) bracket rho; Brent on log(eps) then runs over the bracket. Every
+    the mass, from its eps -> 0 anchor, gives rho (_law_start; EPS_START
+    where the law cannot reach rho). From the mass there, at most 16
+    further steps bracket rho: along the law's slope, then along the
+    secant through the last two masses in the law's coordinates where it
+    is within a factor 2 of the law's (eps -> 0.82 eps where the law is
+    silent). Brent on log(eps) then runs over the bracket. Every
     eps is clipped to [eps_min, EPS_START]. The first evaluated eps whose mass
     is within tol of rho is returned: tol = MASS_RTOL * rho, and in the
     mass-critical regime at most 1e-3 * |rho - 2 sigma0|, so that the
@@ -585,11 +653,14 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
 
     unbracketed = (f"mass {rho:.12g} not bracketed for eps in "
                    f"[{eps_min}, {EPS_START}]")
-    eps_a = clip(_law_start(spec, params, rho, two_sigma0))
+    eps_a = clip(_law_start(spec, params, rho, gs))
     f_a = f(eps_a)
+    behind = None  # the point before eps_a, on the same side of rho
     steps = 0
     while abs(f_a) > tol:
-        step = _law_step(spec, params, eps_a, f_a + rho, rho, two_sigma0)
+        point = (eps_a, f_a + rho)
+        step = _law_step(spec, params, *point, rho, two_sigma0,
+                         _step_slope(spec, params, two_sigma0, behind, point))
         eps_b = clip(eps_a * TRACE_RATIO if step is None else step)
         if eps_b == eps_a or steps == MAX_BRACKET_STEPS:
             raise BracketFailed(unbracketed)
@@ -606,6 +677,7 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
                 raise BracketFailed(
                     "root-find stalled before reaching the target mass")
             break
+        behind = None if step is None else point
         eps_a, f_a = eps_b, f_b
     sol = evaluate.solution(eps_a)
     u = sol.u_values

@@ -38,6 +38,7 @@ __all__ = [
     "solve_ground_state",
     "ode_residual_max",
     "mass_sigma0",
+    "mass_moment",
     "decay_constant",
     "scale_solution",
     "solve_pure_scaling",
@@ -324,6 +325,14 @@ def mass_sigma0(gs: GroundState, rule: str = "simpson") -> float:
     total = radial.radial_quadrature(prof.nodes, prof.values ** 2,
                                      gs.params.dim, tail_decay=2.0, rule=rule)
     return 0.5 * total
+
+
+def mass_moment(gs: GroundState, k: int) -> float:
+    """∫_{R^N} |y|^{2k} U^2, by radial quadrature + tail."""
+    prof = gs.profile
+    return radial.radial_quadrature(prof.nodes,
+                                    prof.nodes ** (2 * k) * prof.values ** 2,
+                                    gs.params.dim, tail_decay=2.0)
 
 
 def decay_constant(gs: GroundState, spread_tol: float = 1e-3) -> float:

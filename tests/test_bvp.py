@@ -18,6 +18,8 @@ from normwave.groundstate import (ProblemParams, closed_form_soliton,
 
 P3 = ProblemParams(1, 3.0)
 P5 = ProblemParams(1, 5.0)
+LINE_X2 = DomainSpec("realline", potential=(1.0,))
+LINE_X4 = DomainSpec("realline", potential=(0.0, 1.0))
 
 
 def test_domain_validation():
@@ -329,6 +331,14 @@ def test_solve_normalized_exact_law_cost(monkeypatch, gs3, rho):
     # mass about 4/eps: the law's start is within 1e-3 of the root
     (DomainSpec("interval", -1, 1, "dirichlet"), P3, 56.56, 2),
     (DomainSpec("interval", -1, 1, "dirichlet"), P5, TWO_SIGMA0_P5 - 1e-6, 3),
+    # on the line at p = 5 the mass is 2 sigma0 - k a_k eps^{2k+2} ∫y^{2k}U^2
+    # for V = a_k x^{2k} + ...: V = x^2 took 6 and 4 misses from eps = 0.5,
+    # V = x^4 took 7, 10 and 10 with an eps^4 law
+    (LINE_X2, P5, TWO_SIGMA0_P5 - 1e-2, 3),
+    (LINE_X2, P5, TWO_SIGMA0_P5 - 1e-3, 2),
+    (LINE_X4, P5, TWO_SIGMA0_P5 - 1e-2, 4),
+    (LINE_X4, P5, TWO_SIGMA0_P5 - 1e-3, 3),
+    (LINE_X4, P5, TWO_SIGMA0_P5 - 1e-4, 3),
 ])
 def test_solve_normalized_starts_at_law_prediction(monkeypatch, gs3, gs5,
                                                    spec, params, rho, budget):
@@ -344,11 +354,34 @@ def test_law_start_is_interior_prediction(p, rho):
     # off p = 1 + 4/N the start is the asymptotic interior-bump eps
     from normwave.asymptotics import INTERIOR, predict_epsilon_noncritical
     params = ProblemParams(1, p)
-    sigma0 = solve_ground_state(params).sigma0
+    gs = solve_ground_state(params)
     start = bvp._law_start(DomainSpec("interval", -1, 1, "neumann"), params,
-                           rho, 2.0 * sigma0)
-    expect, _ = predict_epsilon_noncritical(params, rho, INTERIOR, sigma0)
+                           rho, gs)
+    expect, _ = predict_epsilon_noncritical(params, rho, INTERIOR, gs.sigma0)
     assert start == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("potential", [(1.0,), (0.0, 1.0), (0.0, 0.0, 2.0)])
+@pytest.mark.parametrize("delta", [1e-3, 1e-4])
+def test_potential_law_start_is_near_root(gs5, potential, delta):
+    # the first non-zero coefficient a_k of V sets the law's exponent
+    # 2k + 2 and its constant k a_k ∫y^{2k}U^2; an eps^4 law put the start
+    # for V = x^4 at 0.1700 and 0.0956, where the roots are 0.2150 and 0.1460.
+    # The law is leading order: V = 2x^6 at rho = 2 sigma0 - 1e-3 starts
+    # 1.3 % below its root 0.2162
+    spec = DomainSpec("realline", potential=potential)
+    rho = TWO_SIGMA0_P5 - delta
+    sol = solve_normalized(spec, P5, rho, ground_state=gs5)
+    assert bvp._law_start(spec, P5, rho, gs5) \
+        == pytest.approx(sol.epsilon, rel=2e-2)
+
+
+@pytest.mark.parametrize("potential", [(0.0,), (-1.0,)])
+def test_potential_law_start_without_law(gs5, potential):
+    # V = 0 has no law; V = -x^2 puts the mass above 2 sigma0, not at rho
+    spec = DomainSpec("realline", potential=potential)
+    assert bvp._law_start(spec, P5, TWO_SIGMA0_P5 - 1e-3, gs5) \
+        == bvp.EPS_START
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])
@@ -429,6 +462,18 @@ def test_solve_normalized_neumann_bumps_near_branch_point(gs3, rho, eps,
     assert sol.concentration_point == pytest.approx(0.0, abs=1e-12)
     u = sol.u_values
     assert np.max(u) - np.min(u) == pytest.approx(depth * np.max(u), rel=0.1)
+
+
+@pytest.mark.parametrize("rho", [9.9, 10.0, 10.5, 12.0])
+def test_solve_normalized_neumann_branch_point_cost(monkeypatch, gs3, rho):
+    # near the branch point at mass 9.87 the bump's mass is flatter in eps
+    # than the law's 4/eps, so law steps alone crept up on the root from one
+    # side in 9 to 14 misses; secant steps along the law fit the flattening
+    misses = _count_misses(monkeypatch)
+    sol = solve_normalized(DomainSpec("interval", -1, 1, "neumann"), P3, rho,
+                           ground_state=gs3)
+    assert len(misses) <= 6
+    assert abs(sol.mass - rho) <= bvp.MASS_RTOL * rho
 
 
 @pytest.mark.parametrize("rho, eps", [(20.0, 0.2003), (12.0, 0.3469)])
@@ -608,3 +653,38 @@ def test_fixed_epsilon_contract(p, eps, kind):
     assert np.count_nonzero(np.diff(np.sign(du))) <= 1
     assert sol.mass == pytest.approx(simpson(sol.v_values ** 2, x=sol.nodes),
                                      rel=1e-12)
+
+
+NORMALIZED_SPECS = {**SPECS, "line_x2": LINE_X2}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(NORMALIZED_SPECS)),
+       p=st.sampled_from([3.0, 5.0, 7.0]), sign=st.sampled_from([-1.0, 1.0]),
+       log_eps=st.floats(-1.5, -0.2), log_offset=st.floats(-5.0, -0.5))
+def test_normalized_contract(kind, p, sign, log_eps, log_offset):
+    # off p = 5, rho is the law's mass 2 sigma0 eps^{1 - 4/(p-1)} at
+    # eps = 10^log_eps, so some roots lie outside [EPS_MIN, EPS_START]; at
+    # p = 5, rho = 2 sigma0 ± 10^log_offset, on either side. Each case is a
+    # documented error, or a positive single-peaked profile whose mass is
+    # within the documented tol of rho
+    params = ProblemParams(1, p)
+    two_sigma0 = 2.0 * solve_ground_state(params).sigma0
+    if p == 5.0:
+        rho = two_sigma0 + sign * 10.0 ** log_offset
+    else:
+        rho = two_sigma0 * 10.0 ** (log_eps * (1.0 - 4.0 / (p - 1.0)))
+    try:
+        sol = solve_normalized(NORMALIZED_SPECS[kind], params, rho)
+    except (BracketFailed, NoSolutionInRegime, ValueError):
+        return
+    tol = bvp.MASS_RTOL * rho
+    if p == 5.0:
+        tol = min(tol, bvp.CRITICAL_STOP * abs(rho - two_sigma0))
+    assert abs(sol.mass - rho) <= tol
+    u = sol.u_values
+    inner = u[1:-1] if kind == "dirichlet" else u
+    assert np.min(inner) > 0.0
+    du = np.diff(u)
+    du = du[np.abs(du) > 1e-12 * np.max(u)]
+    assert np.count_nonzero(np.diff(np.sign(du))) <= 1

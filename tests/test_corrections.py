@@ -8,7 +8,8 @@ from normwave.corrections import (compute_m_frak, correction_profile,
                                   linearized_residual, oracle_c_prime,
                                   solve_linearized_radial, w_zero_locate)
 from normwave.errors import SingularOperator, ZeroCountMismatch
-from normwave.groundstate import RadialProfile
+from normwave.groundstate import (ProblemParams, RadialProfile, mass_moment,
+                                  solve_ground_state)
 
 W_CENTER = -(3.0 ** 0.25) * CATALAN / 4.0  # closed-form value of W(0)
 
@@ -132,3 +133,18 @@ def test_singular_operator_detected(gs5):
     with pytest.raises(SingularOperator):
         radial.solve_radial_linear(r, q - shift, 1, np.ones_like(r),
                                    robin_const=1.0)
+
+
+@pytest.mark.parametrize("dim, p", [(1, 2.0), (1, 3.0), (1, 5.0), (2, 3.0),
+                                    (3, 2.0), (4, 2.0), (2, 2.0)])
+def test_m_frak_matches_scaling_identity(dim, p):
+    # L(2U/(p-1) + y.grad U) = -2U (Weinstein 1985) gives m_frak without W:
+    # m_frak = (1/2N) [(N+2)/4 - 1/(p-1)] ∫|y|^2 U^2, zero at (2, 2)
+    gs = solve_ground_state(ProblemParams(dim, p))
+    m_frak = correction_profile(gs).m_frak
+    factor = (dim + 2) / 4.0 - 1.0 / (p - 1.0)
+    expect = factor * mass_moment(gs, 1) / (2.0 * dim)
+    if factor == 0.0:
+        assert abs(m_frak) <= 1e-10
+    else:
+        assert m_frak == pytest.approx(expect, rel=1e-9)
