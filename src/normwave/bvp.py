@@ -24,8 +24,9 @@ below that of a second-order Richardson pair at eps/60 and eps/120.
 Real-line potentials are even polynomials, so those solves exploit evenness:
 the half-line [0, L] is discretized with a symmetric row at 0 and a decay
 row at L, removing the translational near-kernel of the whole-line problem.
-Endpoint concentration on an interval is realized by reflection onto the
-doubled interval.
+An interior solve starts from the bump at the centre of its domain.
+Endpoint concentration on a Neumann interval is realized by reflection onto
+the doubled interval, whose centre is the endpoint.
 """
 
 from __future__ import annotations
@@ -319,19 +320,18 @@ def _package(spec, params, eps, x, u, iters, residual) -> NormalizedSolution:
 
 
 def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
-                        init: str = "interior", xi: float = 0.0,
+                        init: str = "interior",
                         u0: Optional[np.ndarray] = None,
                         n_override: Optional[int] = None) -> NormalizedSolution:
     """Damped-Newton solve at fixed eps from u0 (on the solver grid) or,
-    without u0, from the ansatz that init selects: "interior" (bump at xi)
-    or "endpoint" (Neumann, bump at b, via reflection onto the doubled
-    interval). u0 with "endpoint", and a non-zero xi with u0 or "endpoint",
-    raise ValueError before any solve. n_override counts panels on spec's
-    interval, also for "endpoint". On the real line the profile is even
-    about 0, and a non-zero xi raises ValueError. So does an eps whose mass
-    scale eps^{-4/(p-1)} exceeds 1e300. Newton failing raises
-    NewtonDiverged; a profile that crosses zero, or falls onto the trivial
-    solution u = 0, raises NonPositive.
+    without u0, from the ansatz that init selects: "interior" (bump at the
+    centre of the interval, 0 on the real line) or "endpoint" (Neumann,
+    bump at b, the centre of the doubled interval it is reflected onto).
+    u0 with "endpoint" raises ValueError before any solve. n_override
+    counts panels on spec's interval, also for "endpoint". An eps whose
+    mass scale eps^{-4/(p-1)} exceeds 1e300 raises ValueError. Newton
+    failing raises NewtonDiverged; a profile that crosses zero, or falls
+    onto the trivial solution u = 0, raises NonPositive.
     """
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
@@ -340,13 +340,10 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     if -4.0 / (params.p - 1.0) * math.log(epsilon) > MAX_LOG_MASS_SCALE:
         raise ValueError(f"the mass scale eps^(-4/(p-1)) exceeds 1e300 at "
                          f"eps = {epsilon:.6g}, p = {params.p:.6g}")
-    _check_xi(spec, xi)
     if init not in ("interior", "endpoint"):
         raise ValueError(f"init must be 'interior' or 'endpoint' (got {init!r})")
     if u0 is not None and init == "endpoint":
         raise ValueError("u0 cannot be combined with init='endpoint'")
-    if xi != 0.0 and (u0 is not None or init == "endpoint"):
-        raise ValueError("xi must be 0 with u0 or init='endpoint'")
     p = params.p
 
     if init == "endpoint":
@@ -358,8 +355,7 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
         n2 = len(_grid(doubled, epsilon,
                        None if n_override is None else 2 * n_override)) - 1
         n2 += n2 % 4  # keep the restricted half on an even panel count
-        inner = solve_fixed_epsilon(doubled, params, epsilon, init="interior",
-                                    xi=spec.b, n_override=n2)
+        inner = solve_fixed_epsilon(doubled, params, epsilon, n_override=n2)
         keep = inner.nodes <= spec.b + 1e-14
         x, u = inner.nodes[keep], inner.u_values[keep]
         return _package(spec, params, epsilon, x, u, inner.newton_iterations,
@@ -376,11 +372,12 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
         even = spec.kind == "realline" or np.all(
             np.abs(guess - guess[::-1]) <= 1e-9 * scale)
     else:
-        guess = closed_form_soliton(p)[0]((x - xi) / epsilon)
+        centre = 0.5 * (x[0] + x[-1])  # 0.0 on (-1, 1) and the real line
+        guess = closed_form_soliton(p)[0]((x - centre) / epsilon)
         if spec.bc == DIRICHLET:
             guess[0] = 0.0
             guess[-1] = 0.0
-        even = abs(xi - 0.5 * (x[0] + x[-1])) < 1e-14
+        even = True
     if even:
         # symmetric profile: solve on the right half with a symmetry row at
         # the centre, which removes the exponentially weak translation mode
@@ -398,27 +395,19 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     return _package(spec, params, epsilon, x, u, iters, residual)
 
 
-def _check_xi(spec: DomainSpec, xi: float) -> None:
-    # the real-line solve works on the half-line x >= 0 (even potential)
-    if spec.kind == "realline" and xi != 0.0:
-        raise ValueError(f"xi must be 0 on the real line, where the profile "
-                         f"is even about 0 (got {xi:g})")
-
-
 def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
-                params: ProblemParams, eps: float,
-                xi: float) -> NormalizedSolution:
+                params: ProblemParams, eps: float) -> NormalizedSolution:
     """Solve at eps warm-started from prev's profile interpolated onto the
-    solver grid, or from the ansatz at xi when there is no prev."""
+    solver grid, or from the centred ansatz when there is no prev."""
     if prev is None:
-        return solve_fixed_epsilon(spec, params, eps, init="interior", xi=xi)
+        return solve_fixed_epsilon(spec, params, eps)
     guess = np.interp(_grid(spec, eps, None), prev.nodes, prev.u_values)
     return solve_fixed_epsilon(spec, params, eps, u0=guess)
 
 
 def trace_branch(spec: DomainSpec, params: ProblemParams,
-                 epsilon_list: Sequence[float],
-                 init_xi: float = 0.0) -> list[tuple[float, float, float]]:
+                 epsilon_list: Sequence[float]
+                 ) -> list[tuple[float, float, float]]:
     """Continuation with warm starts along a decreasing eps list."""
     eps_list = list(epsilon_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -427,7 +416,7 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
     prev = None
     for eps in eps_list:
         try:
-            sol = _solve_from(prev, spec, params, eps, init_xi)
+            sol = _solve_from(prev, spec, params, eps)
         except (NewtonDiverged, NonPositive) as exc:
             raise type(exc)(f"{exc} (at eps = {eps:.6g})") from exc
         out.append((eps, sol.mass, sol.residual_inf))
@@ -476,10 +465,9 @@ class MassEvaluator:
     WARM_RANGE of its eps; across a longer jump it starts from the ansatz.
     """
 
-    def __init__(self, spec, params, xi=0.0):
+    def __init__(self, spec, params):
         self.spec = spec
         self.params = params
-        self.xi = xi
         self.warm: Optional[NormalizedSolution] = None
         self.cache: dict[float, NormalizedSolution] = {}
 
@@ -493,7 +481,7 @@ class MassEvaluator:
                     WARM_RANGE[0] <= eps / warm.epsilon <= WARM_RANGE[1]):
                 warm = None
             self.warm = self.cache[eps] = _solve_from(
-                warm, self.spec, self.params, eps, self.xi)
+                warm, self.spec, self.params, eps)
         return self.cache[eps]
 
 
@@ -605,8 +593,8 @@ def _law_start(spec: DomainSpec, params: ProblemParams, rho: float,
 
 def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
                      eps_min: float = EPS_MIN,
-                     ground_state: Optional[GroundState] = None,
-                     xi: float = 0.0) -> NormalizedSolution:
+                     ground_state: Optional[GroundState] = None
+                     ) -> NormalizedSolution:
     """Solve the mass-prescribed problem by an outer root-find on eps.
 
     The first eps is the one at which the regime's leading-order law for
@@ -624,8 +612,8 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     threshold, and BracketFailed when no step brackets rho or when the
     root-find ends on a constant solution (u = 1 on a Neumann interval),
     which does not concentrate. A non-finite or non-positive rho, an eps_min
-    outside (0, EPS_START), dim != 1 or a non-zero xi on the real line
-    raises ValueError before the ground state is solved.
+    outside (0, EPS_START) or dim != 1 raises ValueError before the ground
+    state is solved.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
@@ -633,7 +621,6 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
         raise ValueError(f"eps_min must lie in (0, {EPS_START:g})")
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
-    _check_xi(spec, xi)
     gs = ground_state if ground_state is not None else solve_ground_state(params)
     two_sigma0 = 2.0 * gs.sigma0
     reason = _forbidden_side(spec, params, rho, two_sigma0)
@@ -643,7 +630,7 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     if params.regime is Regime.MASS_CRITICAL:
         tol = min(tol, CRITICAL_STOP * abs(rho - two_sigma0))
 
-    evaluate = MassEvaluator(spec, params, xi=xi)
+    evaluate = MassEvaluator(spec, params)
 
     def f(eps: float) -> float:
         return evaluate(eps) - rho

@@ -192,7 +192,7 @@ def _direct_solve(args) -> bvp.NormalizedSolution:
             raise ValueError(f"{', '.join(fixed_eps_only)} needs --epsilon, "
                              f"not --rho")
         return bvp.solve_normalized(
-            spec, params, args.rho, xi=args.xi,
+            spec, params, args.rho,
             eps_min=bvp.EPS_MIN if eps_min is None else eps_min)
     u0 = None
     if init_csv:
@@ -200,7 +200,7 @@ def _direct_solve(args) -> bvp.NormalizedSolution:
         u0 = np.atleast_2d(np.loadtxt(init_csv, delimiter=",",
                                       skiprows=1))[:, -1]
     return bvp.solve_fixed_epsilon(spec, params, args.epsilon, init=init,
-                                   xi=args.xi, u0=u0, n_override=args.grid_n)
+                                   u0=u0, n_override=args.grid_n)
 
 
 def cmd_solve(args) -> int:
@@ -218,7 +218,7 @@ def cmd_solve(args) -> int:
 def cmd_trace(args) -> int:
     params = gsmod.ProblemParams(args.n, args.p)
     spec = _domain_from_args(args)
-    rows = bvp.trace_branch(spec, params, _floats(args.eps_list), args.xi)
+    rows = bvp.trace_branch(spec, params, _floats(args.eps_list))
     eps, mass, res = zip(*rows)
     write_csv(_out(args, "trace_branch", "csv"),
               ["epsilon", "mass", "residual_inf"], [eps, mass, res])
@@ -295,8 +295,6 @@ def _add_domain(sp) -> None:
     sp.add_argument("--potential", default="",
                     help="even-polynomial coefficients a1,a2,... for "
                          "V = a1 x^2 + a2 x^4 + ... (real line only)")
-    sp.add_argument("--xi", type=float, default=0.0,
-                    help="concentration point of the initial ansatz")
 
 
 def _add_direct(sp) -> None:

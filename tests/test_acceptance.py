@@ -169,7 +169,7 @@ def test_criterion_08_endpoint_vs_interior_mass():
     sigma0 = TWO_SIGMA0_P5 / 2.0
     assert abs(half_mass / sigma0 - 1.0) <= 0.05
     doubled = DomainSpec("interval", -1.0, 3.0, "neumann")
-    full_mass = solve_fixed_epsilon(doubled, P5, 0.2, xi=1.0).mass
+    full_mass = solve_fixed_epsilon(doubled, P5, 0.2).mass
     assert abs(half_mass / (full_mass / 2.0) - 1.0) <= 1e-6
     budget.done(8, f"endpoint mass = {half_mass:.6f} vs sigma0 = "
                    f"{sigma0:.6f}; interior bump = {full_mass:.6f}")

@@ -137,7 +137,8 @@ def test_endpoint_concentration(gs5):
     # half of the interior bump on the doubled interval (up to the tiny
     # translation-mode defect of the doubled solve)
     doubled = DomainSpec("interval", -1, 3, "neumann")
-    inner = solve_fixed_epsilon(doubled, P5, 0.2, xi=1.0)
+    inner = solve_fixed_epsilon(doubled, P5, 0.2)
+    assert inner.concentration_point == pytest.approx(1.0, abs=1e-12)
     assert sol.mass == pytest.approx(inner.mass / 2.0, rel=1e-5)
 
 
@@ -145,6 +146,28 @@ def test_endpoint_requires_neumann():
     with pytest.raises(ValueError):
         solve_fixed_epsilon(DomainSpec("interval", -1, 1, "dirichlet"), P5,
                             0.2, init="endpoint")
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_interior_solves_start_at_the_centre(bc, a):
+    # the ansatz sat at 0 on every interval: on (0, 2) Dirichlet diverged
+    # and Neumann returned the endpoint half-bump, and on (1, 3) 0 is
+    # outside and every solve was NonPositive. Each solve is now the
+    # (-1, 1) one translated
+    spec = DomainSpec("interval", a, a + 2.0, bc)
+    centred = DomainSpec("interval", -1.0, 1.0, bc)
+    for solve in (lambda s: solve_fixed_epsilon(s, P3, 0.3),
+                  lambda s: solve_fixed_epsilon(s, P3, 0.1),
+                  lambda s: solve_normalized(s, P3, 20.0)):
+        sol, ref = solve(spec), solve(centred)
+        assert sol.concentration_point == pytest.approx(a + 1.0, abs=1e-12)
+        assert sol.mass == pytest.approx(ref.mass, rel=1e-11)
+    eps_list = [0.3, 0.25, 0.2, 0.15]
+    rows = trace_branch(spec, P3, eps_list)
+    ref_rows = trace_branch(centred, P3, eps_list)
+    for (_, mass, _), (_, ref_mass, _) in zip(rows, ref_rows):
+        assert mass == pytest.approx(ref_mass, rel=1e-11)
 
 
 def test_positivity_single_peak(gs5):
@@ -586,12 +609,10 @@ def test_grid_resolution_floor(monkeypatch, spec, eps, n, init):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(init="endpoint", u0=np.ones(401)),
      "u0 cannot be combined with init='endpoint'"),
-    (dict(u0=np.ones(401), xi=0.3), "xi must be 0 with u0 or init='endpoint'"),
-    (dict(init="endpoint", xi=0.5), "xi must be 0 with u0 or init='endpoint'"),
     (dict(init="custom", u0=np.ones(401)), "init must be"),
 ])
 def test_start_conflicts_are_refused(monkeypatch, kwargs, message):
-    # a given u0 is the start; init and xi only shape the ansatz
+    # a given u0 is the start; init only shapes the ansatz
     def no_newton(*args, **kwargs):
         raise AssertionError("Newton ran on a refused start")
 
@@ -610,22 +631,6 @@ def test_endpoint_grid_override_matches_interior():
         assert np.diff(sol.nodes) == pytest.approx(0.005, rel=1e-12)
 
 
-@pytest.mark.parametrize("call", [
-    lambda spec: solve_fixed_epsilon(spec, P5, 0.25, xi=0.5),
-    lambda spec: trace_branch(spec, P5, [0.35, 0.3], init_xi=0.5),
-    lambda spec: solve_normalized(spec, P5, 2.7, xi=0.5),
-])
-def test_realline_rejects_nonzero_xi(monkeypatch, call):
-    # the half-line solve can only return a profile even about 0
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before xi was checked")
-
-    monkeypatch.setattr(bvp, "solve_ground_state", no_solve)
-    monkeypatch.setattr(bvp, "solve_banded", no_solve)
-    with pytest.raises(ValueError, match="xi must be 0"):
-        call(DomainSpec("realline", potential=(1.0,)))
-
-
 SPECS = {"dirichlet": DomainSpec("interval", -1, 1, "dirichlet"),
          "neumann": DomainSpec("interval", -1, 1, "neumann"),
          "line": DomainSpec("realline")}
@@ -633,12 +638,16 @@ SPECS = {"dirichlet": DomainSpec("interval", -1, 1, "dirichlet"),
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(p=st.floats(1.0, 9.0, exclude_min=True), eps=st.floats(0.06, 0.5),
-       kind=st.sampled_from(sorted(SPECS)))
-def test_fixed_epsilon_contract(p, eps, kind):
+       kind=st.sampled_from(sorted(SPECS)), c=st.floats(-5.0, 5.0))
+def test_fixed_epsilon_contract(p, eps, kind, c):
     # a documented error, or a converged, positive, single-peaked profile
-    # whose mass is its own ∫v^2
+    # whose mass is its own ∫v^2; the intervals are (c - 1, c + 1), and
+    # there the peak sits at the centre c
+    spec = SPECS[kind]
+    if spec.kind == "interval":
+        spec = DomainSpec("interval", c - 1.0, c + 1.0, spec.bc)
     try:
-        sol = solve_fixed_epsilon(SPECS[kind], ProblemParams(1, p), eps)
+        sol = solve_fixed_epsilon(spec, ProblemParams(1, p), eps)
     except ValueError as exc:
         assert "mass scale" in str(exc)
         return
@@ -653,6 +662,10 @@ def test_fixed_epsilon_contract(p, eps, kind):
     assert np.count_nonzero(np.diff(np.sign(du))) <= 1
     assert sol.mass == pytest.approx(simpson(sol.v_values ** 2, x=sol.nodes),
                                      rel=1e-12)
+    if spec.kind == "interval":
+        mid = len(u) // 2
+        assert sol.nodes[mid] == pytest.approx(c, abs=1e-12)
+        assert u[mid] == np.max(u)
 
 
 NORMALIZED_SPECS = {**SPECS, "line_x2": LINE_X2}

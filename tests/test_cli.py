@@ -103,10 +103,6 @@ GROUND_P5 = ("ground-state", "--n", "1", "--p", "5")
     (*SOLVE_P5, "--domain", "interval", "--rho", "2.5"),
     (*SOLVE_P5, "--domain", "interval", "--bc", "dirichlet", "--epsilon",
      "0.2", "--grid-n", "3"),
-    (*SOLVE_P5, "--domain", "realline", "--potential", "1.0", "--epsilon",
-     "0.25", "--xi", "0.5"),
-    (*SOLVE_P5, "--domain", "realline", "--potential", "1.0", "--rho", "2.7",
-     "--xi", "0.5"),
     # each of these died with a traceback or exited 0
     (*GROUND_P5, "--spacing", "0"),
     (*GROUND_P5, "--r-max", "inf"),
@@ -193,12 +189,6 @@ START_CSV = "<start profile csv>"  # a real file, written by the test
                   "endpoint", "--init-csv", START_CSV),
                  "u0 cannot be combined with init='endpoint'",
                  id="endpoint-init-csv"),
-    pytest.param(("solve", *NEUMANN_P5, "--epsilon", "0.3", "--init",
-                  "endpoint", "--xi", "0.5"),
-                 "xi must be 0 with u0 or init='endpoint'", id="endpoint-xi"),
-    pytest.param(("solve", *NEUMANN_P5, "--epsilon", "0.3", "--init-csv",
-                  START_CSV, "--xi", "0.3"),
-                 "xi must be 0 with u0 or init='endpoint'", id="init-csv-xi"),
 ])
 def test_rho_or_epsilon_selection_is_usage_error(run_main, tmp_path_factory,
                                                  tmp_path, args, message):
@@ -216,18 +206,37 @@ def test_rho_or_epsilon_selection_is_usage_error(run_main, tmp_path_factory,
 
 @pytest.mark.parametrize("args, flag", [
     (("trace", "--n", "1", "--p", "5", "--domain", "interval", "--bc",
-      "dirichlet", "--eps-list", "0.3,0.25", "--grid-n", "7"), "--grid-n 7"),
-    (("mfg", *NEUMANN_P5, "--epsilon", "0.4", "--nu", "0.5"), "--nu 0.5"),
+      "dirichlet", "--eps-list", "0.3,0.25"), "--grid-n 7"),
+    (("mfg", *NEUMANN_P5, "--epsilon", "0.4"), "--nu 0.5"),
+    (("solve", *NEUMANN_P5, "--epsilon", "0.3"), "--xi 0.5"),
 ])
 def test_removed_flag_is_usage_error(capsys, tmp_path, args, flag):
-    # trace never read --grid-n; nu other than sqrt(2)/2 is no equilibrium
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*args, "--out-dir", str(tmp_path)])
-    assert exc.value.code == 1
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if "error:" in line] \
-        == [f"normwave: error: unrecognized arguments: {flag}"]
-    assert not list(tmp_path.iterdir())
+    # trace never read --grid-n; nu other than sqrt(2)/2 is no equilibrium;
+    # an interior solve starts at the centre of its domain. A stale config
+    # key is refused too, not silently accepted
+    name, value = flag.split()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name[2:]} = {value}\n")
+    out_dir = tmp_path / "out"
+    for extra in ((name, value), ("--config", str(cfg))):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, *extra, "--out-dir", str(out_dir)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] \
+            == [f"normwave: error: unrecognized arguments: {flag}"]
+        assert not out_dir.exists()
+
+
+def test_off_centre_interval_solve_is_the_centred_bump(run_main, tmp_path):
+    # the ansatz sat at 0, so this returned the endpoint half-bump: peak at
+    # 0.0, half the mass
+    out = run_main("solve", "--n", "1", "--p", "3", "--domain", "interval",
+                   "--bc", "neumann", "--a", "0", "--b", "2", "--epsilon",
+                   "0.3", "--out-dir", str(tmp_path))
+    assert out.returncode == 0
+    doc = json.loads((tmp_path / "solution_scalars.json").read_text())
+    assert doc["concentration_point"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_accuracy_is_not_an_option(capsys, tmp_path):
