@@ -665,7 +665,8 @@ def test_fixed_epsilon_contract(p, eps, kind, c):
     if spec.kind == "interval":
         mid = len(u) // 2
         assert sol.nodes[mid] == pytest.approx(c, abs=1e-12)
-        assert u[mid] == np.max(u)
+        # the peak, or a constant solution (flat to bvp.FLAT_RTOL)
+        assert np.max(u) - u[mid] <= bvp.FLAT_RTOL * np.max(u)
 
 
 NORMALIZED_SPECS = {**SPECS, "line_x2": LINE_X2}
