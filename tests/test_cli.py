@@ -103,6 +103,9 @@ GROUND_P5 = ("ground-state", "--n", "1", "--p", "5")
     (*SOLVE_P5, "--domain", "interval", "--rho", "2.5"),
     (*SOLVE_P5, "--domain", "interval", "--bc", "dirichlet", "--epsilon",
      "0.2", "--grid-n", "3"),
+    (*SOLVE_P5, "--domain", "realline", "--potential", "1.0", "--epsilon",
+     "0"),
+    (*SOLVE_P5, "--domain", "realline", "--potential", "1.0", "--rho", "0"),
     # each of these died with a traceback or exited 0
     (*GROUND_P5, "--spacing", "0"),
     (*GROUND_P5, "--r-max", "inf"),
