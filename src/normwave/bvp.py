@@ -319,6 +319,11 @@ def _package(spec, params, eps, x, u, iters, residual) -> NormalizedSolution:
         newton_iterations=iters)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon <= 0.5:
+        raise ValueError("epsilon must lie in (0, 0.5]")
+
+
 def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
                         init: str = "interior",
                         u0: Optional[np.ndarray] = None,
@@ -335,8 +340,7 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     """
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5]")
+    _check_epsilon(epsilon)
     if -4.0 / (params.p - 1.0) * math.log(epsilon) > MAX_LOG_MASS_SCALE:
         raise ValueError(f"the mass scale eps^(-4/(p-1)) exceeds 1e300 at "
                          f"eps = {epsilon:.6g}, p = {params.p:.6g}")
@@ -395,11 +399,17 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     return _package(spec, params, epsilon, x, u, iters, residual)
 
 
+WARM_RANGE = (0.8, 1.25)  # warm starts only within this factor of eps
+
+
 def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
                 params: ProblemParams, eps: float) -> NormalizedSolution:
     """Solve at eps warm-started from prev's profile interpolated onto the
-    solver grid, or from the centred ansatz when there is no prev."""
-    if prev is None:
+    solver grid, or from the centred ansatz when there is no prev or eps is
+    not within WARM_RANGE of prev's eps: across a longer jump the previous
+    bump is no better a guess than the ansatz, and can be worse."""
+    if prev is None or not (
+            WARM_RANGE[0] <= eps / prev.epsilon <= WARM_RANGE[1]):
         return solve_fixed_epsilon(spec, params, eps)
     guess = np.interp(_grid(spec, eps, None), prev.nodes, prev.u_values)
     return solve_fixed_epsilon(spec, params, eps, u0=guess)
@@ -408,8 +418,12 @@ def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
 def trace_branch(spec: DomainSpec, params: ProblemParams,
                  epsilon_list: Sequence[float]
                  ) -> list[tuple[float, float, float]]:
-    """Continuation with warm starts along a decreasing eps list."""
+    """Continuation along a decreasing eps list, each solve warm-started
+    from the previous one where _solve_from allows. Every eps is checked
+    before the first solve."""
     eps_list = list(epsilon_list)
+    for eps in eps_list:
+        _check_epsilon(eps)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
     out = []
@@ -435,7 +449,6 @@ MAX_BRACKET_STEPS = 16  # 0.5 * 0.82^12 is below EPS_MIN
 FLAT_RTOL = 1e-9
 # mass-critical stop: |mass - rho| at most this fraction of |rho - 2 sigma0|
 CRITICAL_STOP = 1e-3
-WARM_RANGE = (0.8, 1.25)  # warm starts only within this factor of eps
 # |Theta| ~ THETA_RATE_CONSTANT s e^{-2s}, s = d/eps, at p = 1 + 4/N on an
 # interval of half-width d, and mass - 2 sigma0 ~ -2 Theta (boundary_layer)
 THETA_RATE_CONSTANT = 4.0 * math.sqrt(3.0)
@@ -458,11 +471,8 @@ def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
 
 
 class MassEvaluator:
-    """mass(eps) of one warm-started solve on the default grid, kept with
-    its solution.
-
-    A solve starts from the previous solution only when eps is within
-    WARM_RANGE of its eps; across a longer jump it starts from the ansatz.
+    """mass(eps) of one solve on the default grid, kept with its solution;
+    each solve is warm-started from the previous one by _solve_from's rule.
     """
 
     def __init__(self, spec, params):
@@ -476,12 +486,8 @@ class MassEvaluator:
 
     def solution(self, eps: float) -> NormalizedSolution:
         if eps not in self.cache:
-            warm = self.warm
-            if warm is not None and not (
-                    WARM_RANGE[0] <= eps / warm.epsilon <= WARM_RANGE[1]):
-                warm = None
             self.warm = self.cache[eps] = _solve_from(
-                warm, self.spec, self.params, eps)
+                self.warm, self.spec, self.params, eps)
         return self.cache[eps]
 
 

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 MASS_CRITICAL_TOL = 1e-12  # |p - (1 + 4/N)| below this counts as critical
-RESIDUAL_GATE = 1e-8  # largest accepted N >= 2 ground-state ODE residual
+SIGMA0_RTOL = 1e-9  # largest accepted N >= 2 error estimate of sigma0, relative
 PURE_SCALING_RTOL = 1e-10  # solve_pure_scaling: rho = 2 sigma0 within this
 
 
@@ -141,6 +141,10 @@ class GroundState:
     u_exact: Optional[Callable] = field(default=None, repr=False)
     du_exact: Optional[Callable] = field(default=None, repr=False)
     d2u_exact: Optional[Callable] = field(default=None, repr=False)
+    # defect-correction estimates of the relative errors of sigma0 and
+    # frak_c (N >= 2); zero for the exact N = 1 profile
+    sigma0_rel_err: float = 0.0
+    frak_c_rel_err: float = 0.0
 
 
 def _cosh_power(y, q: float):
@@ -272,32 +276,65 @@ def solve_ground_state(params: ProblemParams, r_max: float = 40.0,
                        max_doublings: int = 60) -> GroundState:
     """Compute the radial ground state profile and its derived constants.
 
-    For N >= 2 the Newton-polished profile is accepted only if its
-    sixth-order ODE residual is at most RESIDUAL_GATE; otherwise
-    NoConvergence is raised.
+    For N >= 2 the Newton-polished profile carries defect-correction
+    estimates of the relative errors of sigma0 and frak_c, and it is
+    accepted only if the estimate for sigma0 is at most SIGMA0_RTOL;
+    otherwise NoConvergence is raised.
     """
     r = radial.uniform_grid(r_max, spacing)
     if params.dim == 1:
         u, du, d2u = closed_form_soliton(params.p)
         profile = RadialProfile(r, u(r), du(r), tail_rate=-1.0)
         gs = GroundState(params, profile, 0.0, 0.0, u, du, d2u)
+        gs.sigma0 = mass_sigma0(gs)
     else:
-        vals = _shooting_guess(params, r, max_doublings)
-        vals = radial.radial_newton(r, params.dim, params.p, vals)
-        dvals = radial.d1_six(vals, r[1] - r[0])
-        # one-sided zone: use the tail model derivative (poly x exp(-r))
-        tail_ld = -1.0 - (params.dim - 1) / (2.0 * r[-3:])
-        dvals[-3:] = tail_ld * vals[-3:]
-        profile = RadialProfile(r, vals, dvals, tail_rate=-1.0)
-        gs = GroundState(params, profile, 0.0, 0.0)
-        res = ode_residual_max(gs)
-        if not np.isfinite(res) or res > RESIDUAL_GATE:
-            raise NoConvergence(f"ground-state residual {res:.2e} above tolerance")
-    if np.any(np.diff(profile.values) >= 0):
+        gs = _polished_ground_state(params, r, max_doublings)
+    if np.any(np.diff(gs.profile.values) >= 0):
         raise NoConvergence("computed profile is not strictly decreasing")
-    gs.sigma0 = mass_sigma0(gs)
     gs.frak_c = decay_constant(gs)
     return gs
+
+
+def _polished_ground_state(params: ProblemParams, r: np.ndarray,
+                           max_doublings: int) -> GroundState:
+    """Shot guess and Newton polish on r, with sigma0 and the error
+    estimates; NoConvergence above SIGMA0_RTOL.
+
+    Defect correction: the sixth-order residual R6 of the grid solution is,
+    to leading order, that of the differential equation, so one solve with
+    Newton's last Jacobian, e = -J^{-1} R6, estimates the distance to the
+    exact U. ∫ U e is the first-order change of sigma0, and the plateau of
+    U + e that of frak_c.
+    """
+    vals = _shooting_guess(params, r, max_doublings)
+    vals, lu = radial.radial_newton(r, params.dim, params.p, vals)
+    dvals = radial.d1_six(vals, r[1] - r[0])
+    # one-sided zone: use the tail model derivative (poly x exp(-r))
+    tail_ld = -1.0 - (params.dim - 1) / (2.0 * r[-3:])
+    dvals[-3:] = tail_ld * vals[-3:]
+    gs = GroundState(params, RadialProfile(r, vals, dvals, tail_rate=-1.0),
+                     0.0, 0.0)
+    gs.sigma0 = mass_sigma0(gs)
+    res = _ode_residual(params, r, vals)
+    res[~((r <= radial.RESIDUAL_R_CAP) & np.isfinite(res))] = 0.0
+    e = -lu.solve(res)
+    gs.sigma0_rel_err = abs(float(radial.radial_quadrature(
+        r, vals * e, params.dim, tail_decay=2.0))) / gs.sigma0
+    if not gs.sigma0_rel_err <= SIGMA0_RTOL:
+        raise NoConvergence(f"ground-state sigma0 error estimate "
+                            f"{gs.sigma0_rel_err:.2e} above {SIGMA0_RTOL:.0e}")
+    plateau = float(np.median(_decay_plateau(r, vals, params.dim)))
+    corrected = float(np.median(_decay_plateau(r, vals + e, params.dim)))
+    gs.frak_c_rel_err = abs(corrected - plateau) / plateau
+    return gs
+
+
+def _ode_residual(params: ProblemParams, r: np.ndarray,
+                  vals: np.ndarray) -> np.ndarray:
+    """Sixth-order residual of -U'' - (N-1)/r U' + U - |U|^{p-1} U."""
+    return radial.radial_ode_residual(
+        r, vals, params.dim, coeff=np.ones_like(r),
+        rhs=np.abs(vals) ** (params.p - 1) * vals)
 
 
 def ode_residual_max(gs: GroundState) -> float:
@@ -305,18 +342,15 @@ def ode_residual_max(gs: GroundState) -> float:
 
     The closed-form branch substitutes the analytic second derivative; the
     shooting branch uses sixth-order differences of the sampled values, up
-    to radial.RESIDUAL_R_CAP.
+    to radial.RESIDUAL_R_CAP. A diagnostic only: its rounding part grows
+    as h^{-2}, so the N >= 2 gate is the error estimate of sigma0.
     """
     prof = gs.profile
     r = prof.nodes
     if gs.d2u_exact is not None:
         res = -gs.d2u_exact(r) + prof.values - np.abs(prof.values) ** gs.params.p
         return float(np.max(np.abs(res)))
-    res = radial.radial_ode_residual(
-        r, prof.values, gs.params.dim,
-        coeff=np.ones_like(r),
-        rhs=np.abs(prof.values) ** (gs.params.p - 1) * prof.values)
-    return radial.residual_max(r, res)
+    return radial.residual_max(r, _ode_residual(gs.params, r, prof.values))
 
 
 def mass_sigma0(gs: GroundState, rule: str = "simpson") -> float:
@@ -342,16 +376,10 @@ def decay_constant(gs: GroundState, spread_tol: float = 1e-3) -> float:
     plateau is divided by the first two correction terms of the expansion
     of K_nu (DLMF 10.40.2), 1 + a1/r + a2/r^2; both vanish for N = 1 and 3.
     """
-    prof = gs.profile
-    r = prof.nodes
-    window = r >= (2.0 / 3.0) * r[-1]
-    if r[-1] < 12.0 or np.count_nonzero(window) < 8:
+    r = gs.profile.nodes
+    if r[-1] < 12.0 or np.count_nonzero(r >= (2.0 / 3.0) * r[-1]) < 8:
         raise TailNotResolved("grid too short to resolve the decay plateau")
-    dim, rw = gs.params.dim, r[window]
-    a1 = (dim - 1) * (dim - 3) / 8.0
-    a2 = a1 * (dim - 5) * (dim + 1) / 16.0
-    g = prof.values[window] * rw ** ((dim - 1) / 2.0) * np.exp(rw) \
-        / (1.0 + a1 / rw + a2 / rw ** 2)
+    g = _decay_plateau(r, gs.profile.values, gs.params.dim)
     c = float(np.median(g))
     if c <= 0 or not np.isfinite(c):
         raise TailNotResolved("decay plateau is not positive")
@@ -360,6 +388,16 @@ def decay_constant(gs: GroundState, spread_tol: float = 1e-3) -> float:
         warnings.warn(f"decay plateau spread {spread:.2e} exceeds {spread_tol:.0e}",
                       stacklevel=2)
     return c
+
+
+def _decay_plateau(r: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
+    """r^{(N-1)/2} e^r U(r) / (1 + a1/r + a2/r^2) over the outer third of r."""
+    window = r >= (2.0 / 3.0) * r[-1]
+    rw = r[window]
+    a1 = (dim - 1) * (dim - 3) / 8.0
+    a2 = a1 * (dim - 5) * (dim + 1) / 16.0
+    return vals[window] * rw ** ((dim - 1) / 2.0) * np.exp(rw) \
+        / (1.0 + a1 / rw + a2 / rw ** 2)
 
 
 def scale_solution(gs: GroundState, lam: float):

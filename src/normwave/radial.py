@@ -12,9 +12,10 @@ with a fourth-order interior discretization, the symmetric limit
 -dim * w''(0) + q(0) w(0) at the origin, and a Robin far-field row
 w'(R) + robin_const * w(R) = 0 modelling exponential decay.
 
-scipy.sparse is imported by the functions that assemble or factorise L, on
-their first call, so that importing normwave (and every command that never
-solves a radial problem) does without it.
+L is held in LAPACK general band storage (KL = 4 sub-diagonals for the Robin
+row, KU = 2 super-diagonals) and factorised by LAPACK dgbtrf; scipy.linalg
+is imported on the first factorisation, so that importing normwave (and
+every command that never solves a radial problem) does without it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
 
 NEWTON_TOL = 1e-12  # radial_newton's residual stop
 COND_LIMIT = 1e14   # solve_radial_linear refuses a worse-conditioned operator
+KL, KU = 4, 2  # sub- and super-diagonals of L: the Robin row reaches back 4
 RESIDUAL_R_CAP = 35.0  # residual checks skip the last r, deep in the tail
 
 
@@ -58,32 +60,84 @@ def uniform_grid(r_max: float, spacing: float) -> np.ndarray:
     return np.linspace(0.0, r_max, n + 1)
 
 
-def splu(A):
-    """scipy.sparse.linalg.splu, imported on the first call."""
-    from scipy.sparse.linalg import splu as scipy_splu
-    return scipy_splu(A)
+class BandLU:
+    """LU factors of a band operator from LAPACK dgbtrf, solved by dgbtrs."""
+
+    def __init__(self, lu: np.ndarray, ipiv: np.ndarray):
+        self.lu = lu
+        self.ipiv = ipiv
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A^{-1} b, or A^{-T} b for trans="T"."""
+        from scipy.linalg.lapack import dgbtrs
+        x, _ = dgbtrs(self.lu, KL, KU, b, self.ipiv, trans={"N": 0, "T": 1}[trans])
+        return x
 
 
-def onenormest(A) -> float:
-    """scipy.sparse.linalg.onenormest, imported on the first call."""
-    from scipy.sparse.linalg import onenormest as scipy_onenormest
-    return scipy_onenormest(A)
+def splu(ab: np.ndarray) -> BandLU:
+    """Band LU of an operator in radial_operator's storage, by LAPACK dgbtrf;
+    scipy.linalg is imported on the first call.
+
+    The name is kept from the sparse LU it replaced, because the benchmark's
+    tracer (bench/tracing.py) counts factorisations under it. An exactly
+    zero pivot raises SingularOperator.
+    """
+    from scipy.linalg.lapack import dgbtrf
+    work = np.zeros((2 * KL + KU + 1, ab.shape[1]), order="F")
+    work[KL:] = ab  # dgbtrf needs KL more rows for the fill-in of pivoting
+    lu, ipiv, info = dgbtrf(work, KL, KU, overwrite_ab=1)
+    if info > 0:
+        raise SingularOperator("radial operator is exactly singular")
+    return BandLU(lu, ipiv)
+
+
+def onenormest(matvec, rmatvec, n: int) -> float:
+    """Hager-Higham lower estimate of ||B||_1 for an n x n operator B given
+    by x -> B x and x -> B^T x.
+
+    N. J. Higham, ACM TOMS 14 (1988) 381, Algorithm 4.1, step for step as
+    LAPACK dlacn2, the estimator dgbcon uses: at most five products with
+    B^T and six with B, the last on the alternating-sign vector.
+    """
+    itmax = 5
+    v = matvec(np.full(n, 1.0 / n))
+    est = float(np.sum(np.abs(v)))
+    if n == 1:
+        return est
+    sign = np.where(v >= 0.0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(rmatvec(sign))))
+    k = 2
+    while True:
+        e = np.zeros(n)
+        e[j] = 1.0
+        v = matvec(e)
+        est_old, est = est, float(np.sum(np.abs(v)))
+        new_sign = np.where(v >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_sign, sign) or est <= est_old:
+            break  # repeated sign vector, or cycling
+        sign = new_sign
+        z = rmatvec(sign)
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if z[j_last] == abs(z[j]) or k >= itmax:
+            break
+        k += 1
+    i = np.arange(n)
+    alt = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / (n - 1))
+    return max(est, 2.0 * float(np.sum(np.abs(matvec(alt)))) / (3 * n))
 
 
 def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
-                    robin_const: float | None = None) -> csc_matrix:
-    """Assemble L[q] as a sparse matrix (see module docstring for rows)."""
-    from scipy.sparse import csc_matrix
+                    robin_const: float | None = None) -> np.ndarray:
+    """Assemble L[q] in LAPACK general band storage (see module docstring
+    for its rows): ab[KU + i - j, j] = L[i, j], zero outside the matrix."""
     n = len(r) - 1
     h = r[1] - r[0]
     if robin_const is None:
         robin_const = 1.0 + (dim - 1) / (2.0 * r[-1])
-    rows, cols, vals = [], [], []
+    ab = np.zeros((KL + KU + 1, n + 1))
 
     def put(i, j, v):
-        rows.append(np.broadcast_to(i, np.shape(v)))
-        cols.append(np.broadcast_to(j, np.shape(v)))
-        vals.append(v)
+        ab[KU + i - j, j] = v
 
     # r = 0: radial Laplacian degenerates to dim * w''(0); fourth-order even stencil.
     put(0, np.arange(3), np.array([dim * 30.0 / (12 * h * h) + q[0],
@@ -118,34 +172,57 @@ def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
     cr = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / (12 * h)
     cr[0] += robin_const
     put(n, np.arange(n, n - 5, -1), cr)
-
-    return csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n + 1, n + 1))
+    return ab
 
 
-def _condition_estimate(A: csc_matrix, lu) -> float:
-    from scipy.sparse.linalg import LinearOperator
-    inv = LinearOperator(A.shape, matvec=lu.solve,
-                         rmatvec=lambda x: lu.solve(x, trans="T"))
-    return onenormest(A) * onenormest(inv)
+def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L x for L in radial_operator's band storage, one diagonal at a time."""
+    n = len(x)
+    y = np.zeros(n)
+    for d in range(KL + KU + 1):
+        off = KU - d  # column minus row
+        if off >= 0:
+            y[:n - off] += ab[d, off:] * x[off:]
+        else:
+            y[-off:] += ab[d, :n + off] * x[:n + off]
+    return y
 
 
 def solve_radial_linear(r: np.ndarray, q: np.ndarray, dim: int, rhs: np.ndarray,
                         robin_const: float | None = None) -> np.ndarray:
-    """Solve L[q] w = rhs with the decay boundary row (rhs forced to 0 there)."""
+    """Solve L[q] w = rhs with the decay boundary row (rhs forced to 0 there).
+
+    A non-finite q or rhs raises ValueError. The condition estimate is the
+    exact ||L||_1, a column sum over the band, times the Hager-Higham
+    estimate of ||L^{-1}||_1 from solves with the factors; above COND_LIMIT
+    it raises SingularOperator.
+    """
+    b = np.asarray(rhs, dtype=float).copy()
+    if not (np.isfinite(q).all() and np.isfinite(b).all()):
+        raise ValueError("q and rhs must be finite")
     A = radial_operator(r, q, dim, robin_const)
     lu = splu(A)
-    if _condition_estimate(A, lu) > COND_LIMIT:
+    inv_norm = onenormest(lu.solve, lambda x: lu.solve(x, trans="T"),
+                          A.shape[1])
+    if float(np.max(np.sum(np.abs(A), axis=0))) * inv_norm > COND_LIMIT:
         raise SingularOperator(
             f"radial operator condition estimate exceeds {COND_LIMIT:.1e}")
-    b = np.asarray(rhs, dtype=float).copy()
     b[-1] = 0.0
     return lu.solve(b)
 
 
+def _jacobian(base: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
+    """L[1 - p|u|^{p-1}] from L[1]: only the diagonal of the interior rows
+    changes; the Robin row carries no potential."""
+    shift = p * np.abs(u) ** (p - 1)
+    shift[-1] = 0.0
+    J = base.copy()
+    J[KU] -= shift
+    return J
+
+
 def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
-                  max_iter: int = 60) -> np.ndarray:
+                  max_iter: int = 60) -> tuple[np.ndarray, BandLU]:
     """Newton polish for -u'' - (dim-1)/r u' + u = |u|^{p-1} u with decay tail.
 
     Stops when the residual is below NEWTON_TOL, or when a Newton step is at
@@ -154,23 +231,25 @@ def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
     NEWTON_TOL, while the step keeps shrinking (Deuflhard's step-norm
     test). Raises NoConvergence after max_iter steps.
 
-    The operator L[1] is assembled once; the Jacobian L[1 - p|u|^{p-1}]
-    differs from it only on the diagonal of the interior rows.
+    Returns u and the LU factors of the last Jacobian, which is within one
+    rounding-level step of the Jacobian at u. The operator L[1] is assembled
+    once; each Jacobian differs from it only on the diagonal.
     """
-    from scipy.sparse import diags
     base = radial_operator(r, np.ones_like(r), dim)
     u = u0.copy()
+    lu = None
     for _ in range(max_iter):
-        F = base @ u
+        F = band_matvec(base, u)
         F[:-1] -= np.abs(u[:-1]) ** (p - 1) * u[:-1]
         if np.max(np.abs(F[:-1])) < NEWTON_TOL and abs(F[-1]) < NEWTON_TOL:
-            return u
-        shift = p * np.abs(u) ** (p - 1)
-        shift[-1] = 0.0  # the Robin row carries no potential
-        du = splu(base - diags(shift)).solve(-F)
+            if lu is None:  # u0 already solves the grid problem
+                lu = splu(_jacobian(base, u, p))
+            return u, lu
+        lu = splu(_jacobian(base, u, p))
+        du = lu.solve(-F)
         u = u + du
         if np.max(np.abs(du)) <= 1e-10 * max(1.0, np.max(np.abs(u))):
-            return u
+            return u, lu
     raise NoConvergence(f"radial Newton did not converge in {max_iter} steps")
 
 

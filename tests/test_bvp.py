@@ -241,6 +241,30 @@ def test_trace_branch_requires_decreasing():
                      [0.2, 0.25])
 
 
+@pytest.mark.parametrize("eps_list", [[0.3, np.nan], [np.nan], [np.inf, 0.3],
+                                      [0.3, -0.2], [0.3, 0.0], [0.6, 0.3]])
+def test_trace_branch_refuses_bad_epsilon_before_solving(monkeypatch,
+                                                         eps_list):
+    # [0.3, nan] solved 0.3, then failed in the grid sizing with "cannot
+    # convert float NaN to integer"; [0.3, -0.2] solved 0.3 first
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the eps list was checked")
+
+    monkeypatch.setattr(bvp, "solve_fixed_epsilon", no_solve)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 0.5\]"):
+        trace_branch(DomainSpec("interval", -1, 1, "neumann"), P5, eps_list)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_trace_branch_warm_starts_only_within_warm_range(bc):
+    # 0.2 -> 0.1 is a jump by 0.5: warm-started from the eps = 0.2 bump,
+    # Newton diverged (Dirichlet) or left a profile that is not
+    # single-peaked (Neumann), where eps = 0.1 alone solves from the ansatz
+    spec = DomainSpec("interval", -1, 1, bc)
+    rows = trace_branch(spec, P3, [0.3, 0.2, 0.1])
+    assert rows[-1][1] == solve_fixed_epsilon(spec, P3, 0.1).mass
+
+
 def test_solve_normalized_exact_scaling():
     sol = solve_normalized(DomainSpec("realline"), P3, 8.0)
     assert abs(sol.lambda_ / 4.0 - 1.0) < 1e-6

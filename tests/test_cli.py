@@ -126,6 +126,17 @@ def test_invalid_input_is_usage_error(run_main, tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
+def test_trace_nonfinite_epsilon_is_usage_error(run_main, tmp_path):
+    # exited 1 with "cannot convert float NaN to integer" from the grid
+    # sizing, after solving eps = 0.3
+    out = run_main("trace", "--n", "1", "--p", "5", "--domain", "interval",
+                   "--bc", "neumann", "--eps-list", "0.3,nan",
+                   "--out-dir", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr == "normwave: error: epsilon must lie in (0, 0.5]\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args", [
     ("ground-state", "--n", "2", "--p", "nan"),
     ("ground-state", "--n", "1", "--p", "inf"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import CATALAN
+from conftest import CATALAN, band_matrix
 from normwave import radial
 from normwave.corrections import (compute_m_frak, correction_profile,
                                   linearized_residual, oracle_c_prime,
@@ -124,7 +124,7 @@ def test_singular_operator_detected(gs5):
     from scipy.sparse.linalg import eigs
     r = radial.uniform_grid(20.0, 1 / 50)
     q = 1.0 - 5.0 * np.abs(gs5.u_exact(r)) ** 4
-    A = radial.radial_operator(r, q, 1, robin_const=1.0)
+    A = band_matrix(radial.radial_operator(r, q, 1, robin_const=1.0))
     B = identity(A.shape[0], format="csc").tolil()
     B[-1, -1] = 0.0
     mu = eigs(A, k=1, M=B.tocsc(), sigma=0.0, v0=np.ones(A.shape[0]),

@@ -165,10 +165,41 @@ def test_shooting_dim3():
 
 def test_shooting_dim5_mass_critical():
     # the critical mass 2*sigma0 at p = 1 + 4/N for N = 5, where U(0) = 19.13
-    # puts the sixth-order residual near the 1e-8 gate
+    # puts the sixth-order residual at its rounding floor, near 1e-8; the
+    # error estimate of sigma0 is far below its gate
     gs = solve_ground_state(ProblemParams(5, 1.8))
-    assert ode_residual_max(gs) <= 1e-8
+    assert gs.sigma0_rel_err <= 1e-10
     assert gs.sigma0 == pytest.approx(1481.9294824940841, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim, p, spacing", [(3, 4.0, 1.0 / 300.0),
+                                             (3, 4.0, 1.0 / 600.0),
+                                             (3, 3.0, 1.0 / 300.0)])
+def test_sigma0_estimate_rejects_truncation(dim, p, spacing):
+    # sigma0 errors of 2.8e-7, 1.8e-8 and 2.0e-9 relative
+    with pytest.raises(NoConvergence, match="sigma0 error estimate"):
+        solve_ground_state(ProblemParams(dim, p), spacing=spacing)
+
+
+@pytest.mark.parametrize("dim, p", [(3, 3.0), (2, 5.0), (4, 2.5)])
+def test_truncation_bound_pairs_pass_with_estimate(dim, p):
+    # their sixth-order residuals (4e-8 to 6e-7) failed the old 1e-8 gate at
+    # the default spacing, where sigma0 is good to about 3e-10
+    gs = solve_ground_state(ProblemParams(dim, p))
+    assert 0.0 < gs.sigma0_rel_err <= groundstate.SIGMA0_RTOL
+    assert 0.0 < gs.frak_c_rel_err < 1e-8
+    assert ode_residual_max(gs) > 1e-8
+
+
+@pytest.mark.parametrize("dim, p, spacing", [(3, 3.0, 1.0 / 300.0),
+                                             (3, 4.0, 1.0 / 600.0)])
+def test_sigma0_estimate_matches_richardson(monkeypatch, dim, p, spacing):
+    # the fourth-order two-grid error (sigma0(h/2) - sigma0(h)) * 16/15
+    monkeypatch.setattr(groundstate, "SIGMA0_RTOL", np.inf)
+    coarse = solve_ground_state(ProblemParams(dim, p), spacing=spacing)
+    fine = solve_ground_state(ProblemParams(dim, p), spacing=spacing / 2.0)
+    richardson = abs(fine.sigma0 - coarse.sigma0) * 16.0 / 15.0 / coarse.sigma0
+    assert coarse.sigma0_rel_err == pytest.approx(richardson, rel=0.25)
 
 
 def test_shooting_budget_error():

@@ -134,9 +134,11 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
     # scipy.integrate, .optimize, .interpolate and .special each cost about
     # 0.2 s per run, scipy.sparse about 40 ms; importing the CLI needs none of
     # them, and neither do a fixed-eps solve, the boundary-layer sweep (the
-    # Theta quadrature) or the interior critical-mass report. Importing the
-    # CLI, the N = 1 ground state and the sweep load no scipy at all: the 1D
-    # solver imports LAPACK's dgtsv on its first solve
+    # Theta quadrature), the interior critical-mass report, or the radial
+    # solves of the N = 1 correction and the potential critical-mass report
+    # (LAPACK band LU). Importing the CLI, the N = 1 ground state and the
+    # sweep load no scipy at all: the 1D solver imports LAPACK's dgtsv on
+    # its first solve
     code = (
         "import sys\n"
         "import normwave.cli\n"
@@ -150,7 +152,9 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
         " ['boundary-layer', '--sweep', '0.3,0.2,0.15'],"
         " ['solve', '--n', '1', '--p', '5', '--bc', 'dirichlet',"
         " '--epsilon', '0.3'],"
-        " ['verify', '--theorem', 'interior_critical_mass']):\n"
+        " ['verify', '--theorem', 'interior_critical_mass'],"
+        " ['correction', '--n', '1', '--p', '5'],"
+        " ['verify', '--theorem', 'potential_critical_mass']):\n"
         "    rc = normwave.cli.main(argv + ['--out-dir', sys.argv[1]])\n"
         "    print(rc, *loaded())\n")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
@@ -158,4 +162,5 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["False []", "0 False []",
                                        "0 False []", "0 True []",
+                                       "0 True []", "0 True []",
                                        "0 True []"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy.sparse import diags, lil_matrix
+from scipy.sparse import lil_matrix
 
+from conftest import band_matrix
 from normwave import groundstate, radial
 from normwave.errors import NoConvergence
 from normwave.groundstate import (GroundState, ProblemParams, RadialProfile,
@@ -44,8 +45,11 @@ def test_operator_matches_lil_reference(dim):
     r = radial.uniform_grid(12.0, 0.1)
     q = np.random.default_rng(dim).normal(size=len(r))
     A = radial.radial_operator(r, q, dim)
-    assert A.format == "csc"
-    assert np.array_equal(A.toarray(), lil_reference(r, q, dim))
+    ref = lil_reference(r, q, dim)
+    assert A.shape == (radial.KL + radial.KU + 1, len(r))
+    assert np.array_equal(band_matrix(A).toarray(), ref)
+    # nothing stored outside the matrix
+    assert np.count_nonzero(A) == np.count_nonzero(ref)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
@@ -55,10 +59,56 @@ def test_operator_is_base_plus_diagonal(dim):
     q = np.random.default_rng(10 + dim).normal(size=len(r))
     shift = q - 1.0
     shift[-1] = 0.0
-    expect = radial.radial_operator(r, np.ones_like(r), dim) + diags(shift)
-    A = radial.radial_operator(r, q, dim).toarray()
+    expect = band_matrix(radial.radial_operator(r, np.ones_like(r), dim)) \
+        .toarray() + np.diag(shift)
+    A = band_matrix(radial.radial_operator(r, q, dim)).toarray()
     scale = np.max(np.abs(A))
-    assert np.max(np.abs(A - expect.toarray())) <= 4 * np.finfo(float).eps * scale
+    assert np.max(np.abs(A - expect)) <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_band_products_and_solves_match_dense(dim):
+    r = radial.uniform_grid(12.0, 0.1)
+    q = 1.0 + np.random.default_rng(20 + dim).uniform(size=len(r))
+    ab = radial.radial_operator(r, q, dim)
+    A = band_matrix(ab).toarray()
+    x = np.random.default_rng(30 + dim).normal(size=len(r))
+    assert np.allclose(radial.band_matvec(ab, x), A @ x, rtol=0.0,
+                       atol=1e-13 * np.max(np.abs(A)) * np.max(np.abs(x)))
+    lu = radial.splu(ab)
+    assert np.allclose(A @ lu.solve(x), x, rtol=0.0, atol=1e-9)
+    assert np.allclose(A.T @ lu.solve(x, trans="T"), x, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_onenormest_matches_dense_inverse(dim):
+    # Hager-Higham gives a lower bound on ||A^{-1}||_1 that is, for these
+    # operators, the exact norm; on a 1/50 grid the inverse fits in memory
+    r = radial.uniform_grid(20.0, 1.0 / 50.0)
+    ab = radial.radial_operator(r, np.ones_like(r), dim)
+    A = band_matrix(ab).toarray()
+    exact = np.max(np.sum(np.abs(np.linalg.inv(A)), axis=0))
+    lu = radial.splu(ab)
+    est = radial.onenormest(lu.solve, lambda x: lu.solve(x, trans="T"),
+                            len(r))
+    assert est == pytest.approx(exact, rel=1e-10)
+    # for A itself it is only a lower bound, so the condition check takes
+    # ||A||_1 from the column sums of the band
+    norm = np.max(np.sum(np.abs(ab), axis=0))
+    assert norm == pytest.approx(np.max(np.sum(np.abs(A), axis=0)), rel=1e-15)
+    assert radial.onenormest(lambda x: A @ x, lambda x: A.T @ x, len(r)) \
+        <= norm * (1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("where", ["q", "rhs"])
+def test_linear_solve_rejects_nonfinite_input(where):
+    # a NaN in q failed in the sparse LU with RuntimeError "Factor is exactly
+    # singular", and a NaN in rhs returned an all-NaN solution
+    r = radial.uniform_grid(12.0, 0.1)
+    q, rhs = np.ones_like(r), np.ones_like(r)
+    {"q": q, "rhs": rhs}[where][5] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        radial.solve_radial_linear(r, q, 2, rhs)
 
 
 def test_newton_raises_at_iteration_cap():
@@ -99,7 +149,7 @@ def test_newton_from_perturbed_shot(gs2d):
     # lands on the same sigma0 and frak_c
     params, r = gs2d.params, gs2d.profile.nodes
     u0 = _shooting_guess(params, r) * (1.0 + 1e-3 * np.exp(-r * r))
-    u = radial.radial_newton(r, params.dim, params.p, u0)
+    u, _ = radial.radial_newton(r, params.dim, params.p, u0)
     gs = GroundState(params, RadialProfile(r, u, gs2d.profile.dvalues), 0.0, 0.0)
     assert mass_sigma0(gs) == pytest.approx(gs2d.sigma0, rel=1e-10)
     assert decay_constant(gs) == pytest.approx(gs2d.frak_c, rel=1e-10)
