@@ -1,15 +1,17 @@
-"""Composite Simpson, Brent's root-finder and a cubic Hermite evaluator.
+"""Composite and cumulative Simpson, Brent's root-finder and a cubic
+Hermite evaluator.
 
 Each follows scipy's arithmetic operation for operation, so results are
-bit-identical to ``scipy.integrate.simpson`` (1-D, nodes given),
+bit-identical to ``scipy.integrate.simpson`` and
+``scipy.integrate.cumulative_simpson`` (1-D, nodes given),
 ``scipy.optimize.brentq`` and ``scipy.interpolate.CubicHermiteSpline``.
 They live here so that importing normwave loads only numpy: importing
 scipy.integrate, scipy.optimize or scipy.interpolate takes about as long as
-numpy and scipy.linalg together, and a command-line run pays for every import
-anew. (scipy.linalg is imported on first use, by the 1D Newton solve and by
-the radial solver's band LU; no module loads scipy.sparse, and the Theta
-quadrature is Gauss-Legendre in boundary_layer.py.) The bit-equality holds
-against numpy 2.4.6 and scipy 1.17.1, the versions CI pins.
+numpy and scipy's LAPACK wrappers together, and a command-line run pays for
+every import anew. (The 1D Newton solve and the radial band LU call LAPACK
+in numpy's own OpenBLAS, see _lapack.py, and the Theta quadrature is
+Gauss-Legendre in boundary_layer.py.) The bit-equality holds against
+numpy 2.4.6 and scipy 1.17.1, the versions CI pins.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["simpson", "brentq", "CubicHermite"]
+__all__ = ["simpson", "cumulative_simpson", "brentq", "CubicHermite"]
 
 
 def simpson(y, x) -> np.float64:
@@ -51,6 +53,45 @@ def simpson(y, x) -> np.float64:
         eta = h1 ** 3 / (6 * h0 * (h0 + h1))
         result += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
     return result
+
+
+def _simpson_first_panels(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """∫ y over the first panel of each three-node window, from the
+    quadratic through the window (Cartwright's eq. 8)."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      - x21x21_x31x32 * y[2:])
+
+
+def cumulative_simpson(y, x) -> np.ndarray:
+    """∫_{x_0}^{x_i} y dx for i = 1 .. n-1 over the nodes x (at least
+    three, strictly increasing).
+
+    Each panel's integral comes from the quadratic through it and one
+    neighbour, taken alternately from the left and the right window; the
+    last panel always from the left one. The running sum of the panels is
+    the result, one element shorter than y, as scipy returns it.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = len(y)
+    if n < 3 or len(x) != n:
+        raise ValueError("cumulative_simpson needs at least three nodes and "
+                         "one y per node")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("Input x must be strictly increasing.")
+    forward = _simpson_first_panels(y, dx)
+    backward = _simpson_first_panels(y[::-1], dx[::-1])[::-1]
+    panels = np.empty(n - 1)
+    panels[:-1:2] = forward[::2]
+    panels[1::2] = backward[::2]
+    panels[-1] = backward[-1]
+    return np.cumsum(panels)
 
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12,

@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _lapack
 from ._numerics import brentq, simpson
 from .errors import (BracketFailed, NewtonDiverged, NonPositive,
                      NoSolutionInRegime)
@@ -225,14 +226,12 @@ def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system held in (1, 1) banded storage with LAPACK
-    dgtsv, the routine scipy.linalg.solve_banded((1, 1), ...) calls, without
-    scipy's wrapper; scipy.linalg is imported on the first call. ab and rhs
-    are overwritten. Non-finite input raises ValueError, a singular pivot
+    dgtsv, from numpy's bundled OpenBLAS (normwave._lapack). ab and rhs are
+    overwritten. Non-finite input raises ValueError, a singular pivot
     LinAlgError."""
-    from scipy.linalg.lapack import dgtsv
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+    x, info = _lapack.gtsv(ab, rhs)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -467,6 +466,11 @@ def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
     if spec.kind == "realline" and not spec.potential:
         return ("critical scaling on the line with V = 0 is solvable "
                 "only at rho = 2*sigma0")
+    # on the line, 2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2 (_law_start)
+    k = _potential_order(spec)
+    if k is not None and spec.potential[k - 1] > 0.0 and rho >= two_sigma0:
+        return (f"critical masses on the line with a_{k} > 0 lie strictly "
+                f"below 2*sigma0 = {two_sigma0:.12g}")
     return None
 
 

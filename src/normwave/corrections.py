@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import radial
-from ._numerics import CubicHermite, brentq
+from ._numerics import CubicHermite, brentq, cumulative_simpson
 from .errors import ZeroCountMismatch
 from .groundstate import GroundState, ProblemParams, RadialProfile
 
@@ -120,11 +120,7 @@ def _fine_grid(gs: GroundState) -> np.ndarray:
 
 
 def _cumulative(f: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """∫_{s_0}^{s_i} f at every node, by scipy's cumulative Simpson.
-
-    Only the N = 1 oracle needs scipy.integrate, so it is imported here.
-    """
-    from scipy.integrate import cumulative_simpson
+    """∫_{s_0}^{s_i} f at every node, by cumulative Simpson."""
     return np.concatenate([[0.0], cumulative_simpson(f, x=s)])
 
 

@@ -13,9 +13,9 @@ with a fourth-order interior discretization, the symmetric limit
 w'(R) + robin_const * w(R) = 0 modelling exponential decay.
 
 L is held in LAPACK general band storage (KL = 4 sub-diagonals for the Robin
-row, KU = 2 super-diagonals) and factorised by LAPACK dgbtrf; scipy.linalg
-is imported on the first factorisation, so that importing normwave (and
-every command that never solves a radial problem) does without it.
+row, KU = 2 super-diagonals) and factorised by LAPACK dgbtrf, called in
+numpy's bundled OpenBLAS (normwave._lapack), so that no radial solve loads
+scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from . import _lapack
 from .errors import NoConvergence, SingularOperator
 
 __all__ = [
@@ -61,31 +62,30 @@ def uniform_grid(r_max: float, spacing: float) -> np.ndarray:
 
 
 class BandLU:
-    """LU factors of a band operator from LAPACK dgbtrf, solved by dgbtrs."""
+    """LU factors of a band operator from LAPACK dgbtrf, solved by dgbtrs;
+    ipiv holds LAPACK's 1-based pivots."""
 
     def __init__(self, lu: np.ndarray, ipiv: np.ndarray):
         self.lu = lu
         self.ipiv = ipiv
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """A^{-1} b, or A^{-T} b for trans="T"."""
-        from scipy.linalg.lapack import dgbtrs
-        x, _ = dgbtrs(self.lu, KL, KU, b, self.ipiv, trans={"N": 0, "T": 1}[trans])
+        """A^{-1} b, or A^{-T} b for trans="T"; b is left as it is."""
+        x, _ = _lapack.gbtrs(self.lu, KL, KU, self.ipiv,
+                             np.array(b, dtype=float), trans)
         return x
 
 
 def splu(ab: np.ndarray) -> BandLU:
-    """Band LU of an operator in radial_operator's storage, by LAPACK dgbtrf;
-    scipy.linalg is imported on the first call.
+    """Band LU of an operator in radial_operator's storage, by LAPACK dgbtrf.
 
     The name is kept from the sparse LU it replaced, because the benchmark's
     tracer (bench/tracing.py) counts factorisations under it. An exactly
     zero pivot raises SingularOperator.
     """
-    from scipy.linalg.lapack import dgbtrf
     work = np.zeros((2 * KL + KU + 1, ab.shape[1]), order="F")
     work[KL:] = ab  # dgbtrf needs KL more rows for the fill-in of pivoting
-    lu, ipiv, info = dgbtrf(work, KL, KU, overwrite_ab=1)
+    lu, ipiv, info = _lapack.gbtrf(work, KL, KU)
     if info > 0:
         raise SingularOperator("radial operator is exactly singular")
     return BandLU(lu, ipiv)

@@ -309,6 +309,25 @@ def test_solve_normalized_forbidden_sides(gs5):
                          ground_state=gs5)
 
 
+@pytest.mark.parametrize("potential", [(1.0,), (0.0, 1.0)])
+def test_potential_line_refuses_mass_at_or_above_two_sigma0(monkeypatch, gs5,
+                                                            potential):
+    # with a_k > 0 the law 2 sigma0 - mass = k a_k eps^{2k+2} ∫y^{2k}U^2
+    # puts every mass below 2 sigma0, and the masses over [EPS_MIN,
+    # EPS_START] bear it out. rho = 2 sigma0 + 1e-3 on V = x^2 once walked
+    # 13 solves down to eps_min before it raised BracketFailed
+    spec = DomainSpec("realline", potential=potential)
+    two_sigma0 = 2.0 * gs5.sigma0
+    ev = MassEvaluator(spec, P5)
+    masses = [ev(eps) for eps in np.geomspace(bvp.EPS_MIN, bvp.EPS_START, 5)]
+    assert max(masses) < two_sigma0
+    misses = _count_misses(monkeypatch)
+    for rho in (two_sigma0, two_sigma0 + 1e-3, 2.0 * two_sigma0):
+        with pytest.raises(NoSolutionInRegime, match="strictly below"):
+            solve_normalized(spec, P5, rho, ground_state=gs5)
+    assert misses == []
+
+
 @pytest.mark.parametrize("rho", [np.inf, np.nan])
 def test_solve_normalized_rejects_nonfinite_mass(rho):
     with pytest.raises(ValueError):

@@ -4,11 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import simpson as scipy_simpson
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq as scipy_brentq
 
-from normwave._numerics import CubicHermite, brentq, simpson
+from normwave._numerics import CubicHermite, brentq, cumulative_simpson, simpson
 
 
 def _grids(rng):
@@ -130,15 +131,31 @@ def test_hermite_bit_equal_to_scipy():
             assert float(ours(v)) == float(ref(v))
 
 
+def test_cumulative_simpson_bit_equal_to_scipy():
+    rng = np.random.default_rng(6)
+    count = 0
+    for x in _grids(rng):
+        for y in (np.exp(-x ** 2) * np.cos(3 * x), rng.normal(size=len(x))):
+            assert np.array_equal(cumulative_simpson(y, x=x),
+                                  scipy_cumulative_simpson(y, x=x))
+            count += 1
+    assert count == 54
+
+
+@pytest.mark.parametrize("y, x", [([1.0, 2.0], [0.0, 1.0]),
+                                  ([1.0, 2.0, 3.0], [0.0, 1.0, 1.0])])
+def test_cumulative_simpson_refuses_short_or_unordered_nodes(y, x):
+    with pytest.raises(ValueError):
+        cumulative_simpson(y, x=x)
+
+
 def test_startup_leaves_out_heavy_scipy(tmp_path):
-    # scipy.integrate, .optimize, .interpolate and .special each cost about
-    # 0.2 s per run, scipy.sparse about 40 ms; importing the CLI needs none of
-    # them, and neither do a fixed-eps solve, the boundary-layer sweep (the
-    # Theta quadrature), the interior critical-mass report, or the radial
-    # solves of the N = 1 correction and the potential critical-mass report
-    # (LAPACK band LU). Importing the CLI, the N = 1 ground state and the
-    # sweep load no scipy at all: the 1D solver imports LAPACK's dgtsv on
-    # its first solve
+    # importing scipy's LAPACK wrappers costs about twice numpy's own import,
+    # scipy.integrate, .optimize, .interpolate and .special more. No N = 1
+    # command needs any of them: the 1D solver and the radial band LU call
+    # LAPACK in numpy's OpenBLAS, and quadratures, root-finds and
+    # interpolants are in-house. The commands share one interpreter, so a
+    # row reads False only if no command up to it loaded scipy
     code = (
         "import sys\n"
         "import normwave.cli\n"
@@ -148,19 +165,20 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
         "    return 'scipy' in sys.modules, sorted(m for m in heavy"
         " if m in sys.modules)\n"
         "print(*loaded())\n"
-        "for argv in (['ground-state', '--n', '1', '--p', '5'],"
-        " ['boundary-layer', '--sweep', '0.3,0.2,0.15'],"
-        " ['solve', '--n', '1', '--p', '5', '--bc', 'dirichlet',"
-        " '--epsilon', '0.3'],"
-        " ['verify', '--theorem', 'interior_critical_mass'],"
-        " ['correction', '--n', '1', '--p', '5'],"
-        " ['verify', '--theorem', 'potential_critical_mass']):\n"
-        "    rc = normwave.cli.main(argv + ['--out-dir', sys.argv[1]])\n"
+        "for line in ('ground-state --n 1 --p 5',"
+        " 'boundary-layer --sweep 0.3,0.2,0.15',"
+        " 'solve --n 1 --p 5 --bc dirichlet --epsilon 0.3',"
+        " 'trace --n 1 --p 5 --domain interval --bc dirichlet"
+        " --eps-list 0.3,0.25,0.2,0.15',"
+        " 'mfg --n 1 --p 5 --domain interval --bc neumann --epsilon 0.4',"
+        " 'verify --theorem interior_critical_mass',"
+        " 'verify --theorem interior_scaling',"
+        " 'correction --n 1 --p 5',"
+        " 'correction --n 1 --p 5 --oracle',"
+        " 'verify --theorem potential_critical_mass'):\n"
+        "    rc = normwave.cli.main(line.split() + ['--out-dir', sys.argv[1]])\n"
         "    print(rc, *loaded())\n")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["False []", "0 False []",
-                                       "0 False []", "0 True []",
-                                       "0 True []", "0 True []",
-                                       "0 True []"]
+    assert out.stdout.splitlines() == ["False []"] + ["0 False []"] * 10
