@@ -468,9 +468,14 @@ def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
                 "only at rho = 2*sigma0")
     # on the line, 2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2 (_law_start)
     k = _potential_order(spec)
-    if k is not None and spec.potential[k - 1] > 0.0 and rho >= two_sigma0:
+    if k is None:
+        return None
+    if spec.potential[k - 1] > 0.0 and rho >= two_sigma0:
         return (f"critical masses on the line with a_{k} > 0 lie strictly "
                 f"below 2*sigma0 = {two_sigma0:.12g}")
+    if spec.potential[k - 1] < 0.0 and rho <= two_sigma0:
+        return (f"critical masses on the line with a_{k} < 0 lie strictly "
+                f"above 2*sigma0 = {two_sigma0:.12g}")
     return None
 
 

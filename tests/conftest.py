@@ -11,6 +11,11 @@ CATALAN = 0.9159655941772190
 # analytic masses of the explicit N=1 states
 TWO_SIGMA0_P5 = np.sqrt(3.0) * np.pi / 2.0
 TWO_SIGMA0_P3 = 4.0
+# pins of the N = 2, p = 3 ground state at the default grid, relative 1e-10:
+# sigma0 of the full 60-step Newton polish from a shot bisected to 1e-13,
+# and frak_c, the plateau with the K_nu tail terms divided out
+SIGMA0_DIM2_P3 = 5.850448262226631
+FRAK_C_DIM2_P3 = 3.518054298900576
 
 
 def band_matrix(ab):

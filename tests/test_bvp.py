@@ -328,6 +328,29 @@ def test_potential_line_refuses_mass_at_or_above_two_sigma0(monkeypatch, gs5,
     assert misses == []
 
 
+def test_negative_potential_line_refuses_mass_at_or_below_two_sigma0(
+        monkeypatch, gs5):
+    # with a_k < 0 the same law puts every mass above 2 sigma0. On V = -x^2,
+    # rho = 2 sigma0 - 1e-3 once solved at eps = 0.5 and raised NonPositive
+    spec = DomainSpec("realline", potential=(-1.0,))
+    two_sigma0 = 2.0 * gs5.sigma0
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the side was refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(bvp, "solve_fixed_epsilon", no_solve)
+        for rho in (two_sigma0, two_sigma0 - 1e-3, 0.5 * two_sigma0):
+            with pytest.raises(NoSolutionInRegime, match="strictly above"):
+                solve_normalized(spec, P5, rho, ground_state=gs5)
+    misses = _count_misses(monkeypatch)
+    rho = two_sigma0 + 1e-4
+    sol = solve_normalized(spec, P5, rho, ground_state=gs5)
+    assert abs(sol.mass - rho) <= bvp.MASS_RTOL * rho
+    assert sol.epsilon == pytest.approx(0.0879, rel=1e-3)
+    assert len(misses) == 1
+
+
 @pytest.mark.parametrize("rho", [np.inf, np.nan])
 def test_solve_normalized_rejects_nonfinite_mass(rho):
     with pytest.raises(ValueError):

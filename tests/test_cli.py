@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import TWO_SIGMA0_P5
+from conftest import FRAK_C_DIM2_P3, SIGMA0_DIM2_P3, TWO_SIGMA0_P5
 from normwave import cli, mfg
 from normwave import groundstate as gsmod
 
@@ -44,6 +44,21 @@ def test_ground_state_p3(run_main, tmp_path):
     assert out.returncode == 0
     doc = json.loads((tmp_path / "ground_state_scalars.json").read_text())
     assert doc["sigma0"] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_ground_state_dim2_pins_and_rerun(run_main, tmp_path):
+    # the shooting and Newton path: the pins of the library test, and the
+    # same bytes from a second, fresh process
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_main("ground-state", "--n", "2", "--p", "3",
+                    "--out-dir", str(a)).returncode == 0
+    doc = json.loads((a / "ground_state_scalars.json").read_text())
+    assert doc["sigma0"] == pytest.approx(SIGMA0_DIM2_P3, rel=1e-10)
+    assert doc["frak_c"] == pytest.approx(FRAK_C_DIM2_P3, rel=1e-10)
+    assert run_cli("ground-state", "--n", "2", "--p", "3",
+                   "--out-dir", str(b)).returncode == 0
+    for name in ("ground_state_profile.csv", "ground_state_scalars.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_missing_required_flag_is_usage_error(tmp_path):

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import TWO_SIGMA0_P3, TWO_SIGMA0_P5
+from conftest import (FRAK_C_DIM2_P3, SIGMA0_DIM2_P3, TWO_SIGMA0_P3,
+                      TWO_SIGMA0_P5)
 from normwave import groundstate
 from normwave.errors import (MassCriticalInfeasible, NoConvergence,
                              TailNotResolved)
@@ -149,12 +150,48 @@ def test_shooting_dim2_variational_identities(gs2d):
     assert pohozaev == pytest.approx(0.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("dim, p", [(2, 3.0), (5, 1.8), (3, 1.05), (4, 2.95),
+                                    (4, 1.2875), (5, 7.0 / 3.0 - 0.05)])
+def test_sign_shots_bisect_as_at_shot_rtol(monkeypatch, dim, p):
+    # the bisection reads only the sign of a shot, so its loose tolerance
+    # must take every decision the tight one takes: the same U(0) to the
+    # bit. At rtol 1e-3 the last four pairs bisect to another U(0)
+    s, _ = groundstate._shoot_ground_state(p, dim)
+    monkeypatch.setattr(groundstate, "SIGN_RTOL", groundstate.SHOT_RTOL)
+    assert groundstate._shoot_ground_state(p, dim)[0] == s
+
+
+@pytest.mark.parametrize("dim, p", [(2, 3.0), (5, 1.8)])
+def test_shot_rhs_on_floats_matches_numpy_scalars(monkeypatch, dim, p):
+    # the shots' right-hand side works on Python floats; its earlier form,
+    # the same operations on numpy scalars, must give every shot, sign-only
+    # and dense, the same steps and values to the bit
+    def reference(t, y):
+        u, v = y
+        return [v, u - np.abs(u) ** (p - 1) * u - (dim - 1) * v / t]
+
+    real_solve_ivp = groundstate.solve_ivp
+
+    def both(fun, *args, **kwargs):
+        sol = real_solve_ivp(fun, *args, **kwargs)
+        ref = real_solve_ivp(reference, *args, **kwargs)
+        assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
+        for a, b in zip(sol.t_events, ref.t_events):
+            assert np.array_equal(a, b)
+        if kwargs["dense_output"]:
+            mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+            assert np.array_equal(sol.sol(mid), ref.sol(mid))
+        return sol
+
+    monkeypatch.setattr(groundstate, "solve_ivp", both)
+    groundstate._shoot_ground_state(p, dim)
+
+
 def test_shooting_dim2_constants(gs2d):
-    # sigma0 of the full 60-step Newton polish from a shot bisected to 1e-13;
-    # a polish stopped at its rounding floor from a looser shot must not move
-    # it. frak_c is the plateau with the K_nu tail terms divided out.
-    assert gs2d.sigma0 == pytest.approx(5.850448262226631, rel=1e-10)
-    assert gs2d.frak_c == pytest.approx(3.518054298900576, rel=1e-10)
+    # a polish stopped at its rounding floor from a looser shot must not
+    # move the pins
+    assert gs2d.sigma0 == pytest.approx(SIGMA0_DIM2_P3, rel=1e-10)
+    assert gs2d.frak_c == pytest.approx(FRAK_C_DIM2_P3, rel=1e-10)
 
 
 def test_shooting_dim3():
