@@ -466,16 +466,17 @@ def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
     if spec.kind == "realline" and not spec.potential:
         return ("critical scaling on the line with V = 0 is solvable "
                 "only at rho = 2*sigma0")
-    # on the line, 2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2 (_law_start)
-    k = _potential_order(spec)
-    if k is None:
-        return None
-    if spec.potential[k - 1] > 0.0 and rho >= two_sigma0:
-        return (f"critical masses on the line with a_{k} > 0 lie strictly "
-                f"below 2*sigma0 = {two_sigma0:.12g}")
-    if spec.potential[k - 1] < 0.0 and rho <= two_sigma0:
-        return (f"critical masses on the line with a_{k} < 0 lie strictly "
-                f"above 2*sigma0 = {two_sigma0:.12g}")
+    # on the line, 2 sigma0 - mass = sum of k a_k eps^{2k+2} ∫|y|^{2k} U^2
+    # to leading order (_law_start). Coefficients of one sign put every mass
+    # on one side of 2 sigma0; mixed signs can cross it (V = -x^2 + 5x^4
+    # near eps = 0.2), so those are left to the root-find
+    signs = {c > 0.0 for c in spec.potential if c != 0.0}
+    if signs == {True} and rho >= two_sigma0:
+        return (f"critical masses on the line with every a_k >= 0 lie "
+                f"strictly below 2*sigma0 = {two_sigma0:.12g}")
+    if signs == {False} and rho <= two_sigma0:
+        return (f"critical masses on the line with every a_k <= 0 lie "
+                f"strictly above 2*sigma0 = {two_sigma0:.12g}")
     return None
 
 
@@ -585,8 +586,9 @@ def _law_start(spec: DomainSpec, params: ProblemParams, rho: float,
     p = 1 + 4/N, |mass - 2 sigma0| = 2 THETA_RATE_CONSTANT s e^{-2s},
     s = d/eps, on an interval (anchored at s = 1), and
     2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2 on the line (anchored
-    at eps = 1). Where the law cannot reach rho (V = 0, or a law offset of
-    the other sign than rho - 2 sigma0) the start is EPS_START.
+    at eps = 1). Where the law cannot reach rho (V = 0, or on the line a
+    V of mixed signs whose leading law lies on the other side of 2 sigma0
+    than rho) the start is EPS_START.
     """
     two_sigma0 = 2.0 * gs.sigma0
     if params.regime is not Regime.MASS_CRITICAL:

@@ -351,6 +351,26 @@ def test_negative_potential_line_refuses_mass_at_or_below_two_sigma0(
     assert len(misses) == 1
 
 
+@pytest.mark.parametrize("delta, eps", [(-1e-2, 0.2777), (-1e-3, 0.2100),
+                                        (1e-4, 0.09540)])
+def test_mixed_sign_potential_line_is_not_refused(gs5, delta, eps):
+    # on V = -x^2 + 5x^4 the law's offset mass - 2 sigma0 = eps^4 M1 -
+    # 10 eps^6 M2 changes sign near eps = 0.2, so masses on both sides of
+    # 2 sigma0 exist. A rule on the first coefficient alone refused every
+    # rho <= 2 sigma0 here before any solve
+    spec = DomainSpec("realline", potential=(-1.0, 5.0))
+    two_sigma0 = 2.0 * gs5.sigma0
+    for potential in ((-1.0, 5.0), (1.0, -5.0)):
+        for rho in (two_sigma0 - 1e-3, two_sigma0, two_sigma0 + 1e-3):
+            assert bvp._forbidden_side(DomainSpec("realline",
+                                                  potential=potential),
+                                       P5, rho, two_sigma0) is None
+    rho = two_sigma0 + delta
+    sol = solve_normalized(spec, P5, rho, ground_state=gs5)
+    assert abs(sol.mass - rho) <= bvp.MASS_RTOL * rho
+    assert sol.epsilon == pytest.approx(eps, rel=1e-3)
+
+
 @pytest.mark.parametrize("rho", [np.inf, np.nan])
 def test_solve_normalized_rejects_nonfinite_mass(rho):
     with pytest.raises(ValueError):
