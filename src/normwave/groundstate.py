@@ -185,20 +185,72 @@ def closed_form_soliton(p: float):
 # basin. A bisection shot gives only its sign, which is settled long before
 # its rtol matters: on 45 pairs (N, p), N = 2 to 6, DOP853 classified all
 # 669 bisection shots at rtol 1e-6, 1e-5 and 1e-4 as at 3e-9, and at 1e-3 it
-# misclassified shots of 4 pairs. The last shot is sampled for the spliced
-# profile, so it runs at SHOT_RTOL.
+# misclassified shots of 4 pairs. The sign shots run in-house (_sign_shot):
+# scipy's DOP853 on Python floats, at a fifth to a third of the cost of
+# solve_ivp on this 2-vector. It takes scipy's sign on all 669 of those
+# shots and on 3,600 more at random U(0) within 2e-3 and 1e-5 of each
+# pair's root. The last shot is sampled for the spliced profile, so it runs
+# at SHOT_RTOL, and on scipy's solve_ivp: the float port's sums differ from
+# np.dot's in the last bit, and a guess changed at that level moves Newton's
+# result at its rounding floor, enough to flip the sigma0 gate at p = 1.05
+# and to move m_frak at (2, 2) by 1e-10. So every output stays scipy's.
 SHOT_START = 2e-2    # shots start here from the regular series at r = 0
 SHOT_STOP = 15.0
 SHOT_RTOL = 3e-9     # the dense shot that builds the guess
 SIGN_RTOL = 1e-6     # the sign-only bisection shots
+SHOT_ATOL = 1e-13
 BRACKET_RTOL = 5e-4
+
+# The DOP853 tableau of scipy.integrate (scipy/integrate/_ivp/
+# dop853_coefficients.py; SciPy, BSD 3-Clause License, Copyright (c)
+# 2001-2002 Enthought, Inc. and 2003- SciPy Developers) as Python floats:
+# the nodes C and rows A of stages 1 to 11, the weights B of the
+# eighth-order solution, and the error weights E3 and E5 over the 12
+# stages and the derivative at the new point.
+_DOP853_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+             0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+             0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+_DOP853_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)
+_DOP853_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+             1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+             -0.1521609496625161, 0.20136540080403034, 0.04471061572777259)
+_DOP853_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+              1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+              -0.1521609496625161, 0.20136540080403034, 0.02265179219836082,
+              0.0)
+_DOP853_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+              -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+              0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+              0.0)
 
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call.
 
-    Only N >= 2 shooting integrates an ODE, so a run that never shoots
-    does not pay for importing scipy.integrate.
+    Only the dense N >= 2 shot calls it, so a run that never shoots does
+    not pay for importing scipy.integrate.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
@@ -211,53 +263,140 @@ def _series(p: float, dim: int, s: float, r):
     return s + a2 * r ** 2 + a4 * r ** 4, 2.0 * a2 * r + 4.0 * a4 * r ** 3
 
 
-def _classify_shot(p: float, dim: int, s: float, dense_output: bool = False):
-    """Integrate from the origin; -1 = crossed zero, +1 = turned upward.
-
-    A shot with dense output runs at SHOT_RTOL, a sign-only one at
-    SIGN_RTOL. The right-hand side works on Python floats, which cost less
-    than numpy scalars and round the same operations to the same bits.
-    """
+def _shot_rhs(p: float, dim: int):
+    """U'' = U - |U|^{p-1} U - (N-1) U'/r on Python floats, which cost less
+    than numpy scalars and round the same operations to the same bits."""
     q, c = p - 1.0, dim - 1.0
+    return lambda t, u, v: u - abs(u) ** q * u - c * v / t
+
+
+def _weighted_sums(w, ku, kv):
+    """(sum w_i ku_i, sum w_i kv_i), added left to right: unlike math.fsum,
+    an inf or nan stage gives inf or nan, as in scipy's np.dot."""
+    su = sv = 0.0
+    for wi, x, y in zip(w, ku, kv):
+        su += wi * x
+        sv += wi * y
+    return su, sv
+
+
+def _sign_shot(p: float, dim: int, s: float) -> int:
+    """-1 if the shot from U(0) = s crosses zero, +1 if it turns upward,
+    0 if it reaches SHOT_STOP (or its step falls below 10 ulp of r).
+
+    scipy's solve_ivp(method="DOP853") at SIGN_RTOL with the terminal events
+    U = 0 (downward) and U' = 0 (upward), on Python floats (Hairer, Norsett
+    and Wanner, Solving ODEs I, 1993, II.10): scipy's initial step, step
+    controller, E5/E3 error norm and event test. A step on which both events
+    fire raises NoConvergence rather than ordering them on the dense output.
+    """
+    accel, rtol, atol = _shot_rhs(p, dim), SIGN_RTOL, SHOT_ATOL
+    sq = lambda x, y: x * x + y * y
+    rms = lambda x, y: math.sqrt(sq(x, y)) / 2.0 ** 0.5
+    t = SHOT_START
+    u, v = _series(p, dim, s, t)
+    a = accel(t, u, v)
+    # scipy's select_initial_step for an error estimator of order 7
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = rms(u / su, v / sv), rms(v / su, a / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, SHOT_STOP - t)
+    u1, v1 = u + h0 * v, v + h0 * a
+    d2 = rms((v1 - v) / su, (accel(t + h0, u1, v1) - a) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, SHOT_STOP - t)
+    while t < SHOT_STOP:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return 0
+            t_new = min(t + h_abs, SHOT_STOP)
+            h = h_abs = t_new - t
+            ku, kv = [v], [a]
+            for c, row in zip(_DOP853_C, _DOP853_A):
+                du, dv = _weighted_sums(row, ku, kv)
+                us, vs = u + du * h, v + dv * h
+                ku.append(vs)
+                kv.append(accel(t + c * h, us, vs))
+            du, dv = _weighted_sums(_DOP853_B, ku, kv)
+            u_new, v_new = u + h * du, v + h * dv
+            a_new = accel(t + h, u_new, v_new)
+            ku.append(v_new)
+            kv.append(a_new)
+            su = atol + max(abs(u), abs(u_new)) * rtol
+            sv = atol + max(abs(v), abs(v_new)) * rtol
+            e5u, e5v = _weighted_sums(_DOP853_E5, ku, kv)
+            e3u, e3v = _weighted_sums(_DOP853_E3, ku, kv)
+            e5, e3 = sq(e5u / su, e5v / sv), sq(e3u / su, e3v / sv)
+            err = 0.0 if e5 == 0 and e3 == 0 else (
+                h * e5 / math.sqrt((e5 + 0.01 * e3) * 2))
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        crossed, turned = u >= 0.0 >= u_new, v <= 0.0 <= v_new
+        if crossed and turned:
+            raise NoConvergence(f"shot from U(0) = {s!r} crossed zero and "
+                                f"turned upward in one step")
+        if crossed or turned:
+            return -1 if crossed else 1
+        t, u, v, a = t_new, u_new, v_new, a_new
+    return 0
+
+
+def _dense_shot(p: float, dim: int, s: float):
+    """scipy's DOP853 shot from U(0) = s at SHOT_RTOL with dense output,
+    ended by the first zero crossing or upward turn."""
+    accel = _shot_rhs(p, dim)
 
     def rhs(t, y):
         u, v = y.tolist()
-        return [v, u - abs(u) ** q * u - c * v / t]
+        return [v, accel(t, u, v)]
 
     cross = lambda t, y: y[0]
     cross.terminal, cross.direction = True, -1
     turn = lambda t, y: y[1]
     turn.terminal, turn.direction = True, 1
-    sol = solve_ivp(rhs, (SHOT_START, SHOT_STOP),
-                    list(_series(p, dim, s, SHOT_START)), method="DOP853",
-                    rtol=SHOT_RTOL if dense_output else SIGN_RTOL,
-                    atol=1e-13, events=[cross, turn],
-                    dense_output=dense_output)
-    if sol.t_events[0].size:
-        return -1, sol
-    if sol.t_events[1].size:
-        return 1, sol
-    return 0, sol
+    return solve_ivp(rhs, (SHOT_START, SHOT_STOP),
+                     list(_series(p, dim, s, SHOT_START)), method="DOP853",
+                     rtol=SHOT_RTOL, atol=SHOT_ATOL, events=[cross, turn],
+                     dense_output=True)
 
 
 def _shoot_ground_state(p: float, dim: int, max_doublings: int = 60):
-    """Bisect U(0) to BRACKET_RTOL; return its midpoint and that shot."""
+    """Bisect U(0) to BRACKET_RTOL; return its midpoint and its dense shot.
+
+    A shot whose |U|^p overflows raises NoConvergence naming its U(0).
+    """
+    def shot(kind, s):
+        try:
+            return kind(p, dim, s)
+        except OverflowError:
+            raise NoConvergence(f"shot from U(0) = {s!r} overflowed the "
+                                f"float range") from None
+
     lo, hi = 1.0 + 1e-9, 2.0
     doublings = 0
-    while _classify_shot(p, dim, hi)[0] != -1:
+    while shot(_sign_shot, hi) != -1:
         lo, hi = hi, 2.0 * hi
         doublings += 1
         if doublings > max_doublings:
             raise NoConvergence("shooting bisection failed to bracket U(0)")
     while hi - lo > BRACKET_RTOL * hi:
         mid = 0.5 * (lo + hi)
-        if _classify_shot(p, dim, mid)[0] == -1:
+        if shot(_sign_shot, mid) == -1:
             hi = mid
         else:
             lo = mid
     s = 0.5 * (lo + hi)
-    _, sol = _classify_shot(p, dim, s, dense_output=True)
-    return s, sol
+    return s, shot(_dense_shot, s)
 
 
 def _shooting_guess(params: ProblemParams, r: np.ndarray,

@@ -90,6 +90,15 @@ def test_solve_forbidden_side_exits_2(tmp_path):
     assert "NoSolutionInRegime" in out.stderr
 
 
+def test_ground_state_overflowing_shot_exits_2(tmp_path):
+    # died with a traceback from an OverflowError in the shot
+    out = run_cli("ground-state", "--n", "2", "--p", "20",
+                  "--out-dir", str(tmp_path))
+    assert out.returncode == 2
+    assert out.stderr.startswith("NoConvergence: shot from U(0) = ")
+    assert len(out.stderr.splitlines()) == 1
+
+
 def test_solve_infinite_mass_exits_nonzero(tmp_path):
     out = run_cli("solve", "--domain", "realline", "--p", "3", "--n", "1",
                   "--rho", "inf", "--out-dir", str(tmp_path))

@@ -150,8 +150,12 @@ def test_shooting_dim2_variational_identities(gs2d):
     assert pohozaev == pytest.approx(0.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("dim, p", [(2, 3.0), (5, 1.8), (3, 1.05), (4, 2.95),
-                                    (4, 1.2875), (5, 7.0 / 3.0 - 0.05)])
+# N = 2 to 5, p from 1.05 to 0.05 below the Sobolev bound
+SIGN_SHOT_PAIRS = [(2, 3.0), (5, 1.8), (3, 1.05), (4, 2.95), (4, 1.2875),
+                   (5, 7.0 / 3.0 - 0.05)]
+
+
+@pytest.mark.parametrize("dim, p", SIGN_SHOT_PAIRS)
 def test_sign_shots_bisect_as_at_shot_rtol(monkeypatch, dim, p):
     # the bisection reads only the sign of a shot, so its loose tolerance
     # must take every decision the tight one takes: the same U(0) to the
@@ -161,11 +165,46 @@ def test_sign_shots_bisect_as_at_shot_rtol(monkeypatch, dim, p):
     assert groundstate._shoot_ground_state(p, dim)[0] == s
 
 
+@pytest.mark.parametrize("dim, p", SIGN_SHOT_PAIRS)
+def test_sign_shots_match_scipy_dop853(monkeypatch, dim, p):
+    # the in-house DOP853 of the sign shots must take scipy's sign on every
+    # bisection shot; scipy's solve_ivp, at the same tolerances and events,
+    # is the reference
+    q, c = p - 1.0, dim - 1.0
+
+    def rhs(t, y):
+        u, v = y.tolist()
+        return [v, u - abs(u) ** q * u - c * v / t]
+
+    cross = lambda t, y: y[0]
+    cross.terminal, cross.direction = True, -1
+    turn = lambda t, y: y[1]
+    turn.terminal, turn.direction = True, 1
+    real_sign_shot, shots = groundstate._sign_shot, []
+
+    def both(p_, dim_, s):
+        sign = real_sign_shot(p_, dim_, s)
+        sol = groundstate.solve_ivp(
+            rhs, (groundstate.SHOT_START, groundstate.SHOT_STOP),
+            list(groundstate._series(p, dim, s, groundstate.SHOT_START)),
+            method="DOP853", rtol=groundstate.SIGN_RTOL, atol=1e-13,
+            events=[cross, turn])
+        ref = -1 if sol.t_events[0].size else int(sol.t_events[1].size > 0)
+        shots.append((s, sign, ref))
+        return sign
+
+    monkeypatch.setattr(groundstate, "_sign_shot", both)
+    groundstate._shoot_ground_state(p, dim)
+    assert len(shots) >= 12
+    assert [sign for _, sign, _ in shots] == [ref for _, _, ref in shots]
+
+
 @pytest.mark.parametrize("dim, p", [(2, 3.0), (5, 1.8)])
 def test_shot_rhs_on_floats_matches_numpy_scalars(monkeypatch, dim, p):
-    # the shots' right-hand side works on Python floats; its earlier form,
-    # the same operations on numpy scalars, must give every shot, sign-only
-    # and dense, the same steps and values to the bit
+    # the dense shot's right-hand side works on Python floats; its earlier
+    # form, the same operations on numpy scalars, must give it the same
+    # steps and values to the bit. The sign shots no longer call solve_ivp,
+    # so only the dense shot is seen here
     def reference(t, y):
         u, v = y
         return [v, u - np.abs(u) ** (p - 1) * u - (dim - 1) * v / t]
@@ -178,9 +217,8 @@ def test_shot_rhs_on_floats_matches_numpy_scalars(monkeypatch, dim, p):
         assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
         for a, b in zip(sol.t_events, ref.t_events):
             assert np.array_equal(a, b)
-        if kwargs["dense_output"]:
-            mid = 0.5 * (sol.t[1:] + sol.t[:-1])
-            assert np.array_equal(sol.sol(mid), ref.sol(mid))
+        mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+        assert np.array_equal(sol.sol(mid), ref.sol(mid))
         return sol
 
     monkeypatch.setattr(groundstate, "solve_ivp", both)
@@ -242,6 +280,14 @@ def test_sigma0_estimate_matches_richardson(monkeypatch, dim, p, spacing):
 def test_shooting_budget_error():
     with pytest.raises(NoConvergence):
         solve_ground_state(ProblemParams(2, 3.0), max_doublings=0)
+
+
+@pytest.mark.parametrize("p", [20.0, 30.0, 50.0, 100.0])
+def test_overflowing_shot_raises_no_convergence(p):
+    # |u|^{p-1} u on Python floats raised a bare OverflowError out of the
+    # shot's right-hand side
+    with pytest.raises(NoConvergence, match=r"shot from U\(0\) = .* overflow"):
+        solve_ground_state(ProblemParams(2, p))
 
 
 def test_scale_identity(gs3):

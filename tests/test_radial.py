@@ -133,19 +133,25 @@ def test_ground_state_factorisation_count(monkeypatch):
 
 def test_ground_state_shot_count(monkeypatch):
     # the shots only bracket U(0) to BRACKET_RTOL = 5e-4 for Newton: about
-    # 14 of them. All but the last give a sign only and run at SIGN_RTOL;
-    # the last is sampled for the guess and runs at SHOT_RTOL
+    # 14 of them. All but the last give a sign only and run in-house at
+    # SIGN_RTOL; the last is sampled for the guess and runs on scipy's
+    # solve_ivp at SHOT_RTOL
+    real_sign_shot, signs = groundstate._sign_shot, []
     real_solve_ivp, calls = groundstate.solve_ivp, []
+
+    def counting_sign_shot(*args):
+        signs.append(args)
+        return real_sign_shot(*args)
 
     def counting_solve_ivp(*args, **kwargs):
         calls.append((kwargs["rtol"], kwargs["dense_output"]))
         return real_solve_ivp(*args, **kwargs)
 
+    monkeypatch.setattr(groundstate, "_sign_shot", counting_sign_shot)
     monkeypatch.setattr(groundstate, "solve_ivp", counting_solve_ivp)
     solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
-    assert 1 <= len(calls) <= 20
-    assert calls[:-1] == [(groundstate.SIGN_RTOL, False)] * (len(calls) - 1)
-    assert calls[-1] == (groundstate.SHOT_RTOL, True)
+    assert 1 <= len(signs) <= 19
+    assert calls == [(groundstate.SHOT_RTOL, True)]
 
 
 def test_newton_from_perturbed_shot(gs2d):
