@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import radial
+from ._numerics import CubicHermite
 from .errors import MassCriticalInfeasible, NoConvergence, TailNotResolved
 
 __all__ = [
@@ -185,21 +186,16 @@ def closed_form_soliton(p: float):
 # basin. A bisection shot gives only its sign, which is settled long before
 # its rtol matters: on 45 pairs (N, p), N = 2 to 6, DOP853 classified all
 # 669 bisection shots at rtol 1e-6, 1e-5 and 1e-4 as at 3e-9, and at 1e-3 it
-# misclassified shots of 4 pairs. The sign shots run in-house (_sign_shot):
-# scipy's DOP853 on Python floats, at a fifth to a third of the cost of
-# solve_ivp on this 2-vector. It takes scipy's sign on all 669 of those
-# shots and on 3,600 more at random U(0) within 2e-3 and 1e-5 of each
-# pair's root. The last shot is sampled for the spliced profile, so it runs
-# at SHOT_RTOL, and on scipy's solve_ivp: the float port's sums differ from
-# np.dot's in the last bit, and a guess changed at that level moves Newton's
-# result at its rounding floor, enough to flip the sigma0 gate at p = 1.05
-# and to move m_frak at (2, 2) by 1e-10. So every output stays scipy's.
+# misclassified shots of 4 pairs. The last shot, from the bracket's midpoint,
+# records its steps for the guess: at 1e-6 its cubic Hermite samples are
+# within 5e-4 U(0) of a shot at 3e-9, and Newton's result moves only at
+# its rounding floor.
 SHOT_START = 2e-2    # shots start here from the regular series at r = 0
 SHOT_STOP = 15.0
-SHOT_RTOL = 3e-9     # the dense shot that builds the guess
-SIGN_RTOL = 1e-6     # the sign-only bisection shots
+SHOT_RTOL = 1e-6
 SHOT_ATOL = 1e-13
 BRACKET_RTOL = 5e-4
+MAX_DOUBLINGS = 60   # of the upper end of the U(0) bracket, from 2
 
 # The DOP853 tableau of scipy.integrate (scipy/integrate/_ivp/
 # dop853_coefficients.py; SciPy, BSD 3-Clause License, Copyright (c)
@@ -246,16 +242,6 @@ _DOP853_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
               0.0)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call.
-
-    Only the dense N >= 2 shot calls it, so a run that never shoots does
-    not pay for importing scipy.integrate.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
-
-
 def _series(p: float, dim: int, s: float, r):
     """U = s + a2 r^2 + a4 r^4 and U' of the regular solution with U(0) = s."""
     a2 = (s - s ** p) / (2.0 * dim)
@@ -280,22 +266,26 @@ def _weighted_sums(w, ku, kv):
     return su, sv
 
 
-def _sign_shot(p: float, dim: int, s: float) -> int:
+def solve_ivp(p: float, dim: int, s: float, path: list | None = None) -> int:
     """-1 if the shot from U(0) = s crosses zero, +1 if it turns upward,
-    0 if it reaches SHOT_STOP (or its step falls below 10 ulp of r).
+    0 if it reaches SHOT_STOP (or its step falls below 10 ulp of r). A list
+    passed as path receives (r, U, U') at the start and every accepted step.
 
-    scipy's solve_ivp(method="DOP853") at SIGN_RTOL with the terminal events
+    scipy's solve_ivp(method="DOP853") at SHOT_RTOL with the terminal events
     U = 0 (downward) and U' = 0 (upward), on Python floats (Hairer, Norsett
     and Wanner, Solving ODEs I, 1993, II.10): scipy's initial step, step
     controller, E5/E3 error norm and event test. A step on which both events
     fire raises NoConvergence rather than ordering them on the dense output.
+    The name is kept for bench/tracing.py, which counts the shots through it.
     """
-    accel, rtol, atol = _shot_rhs(p, dim), SIGN_RTOL, SHOT_ATOL
+    accel, rtol, atol = _shot_rhs(p, dim), SHOT_RTOL, SHOT_ATOL
     sq = lambda x, y: x * x + y * y
     rms = lambda x, y: math.sqrt(sq(x, y)) / 2.0 ** 0.5
     t = SHOT_START
     u, v = _series(p, dim, s, t)
     a = accel(t, u, v)
+    if path is not None:
+        path.append((t, u, v))
     # scipy's select_initial_step for an error estimator of order 7
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
     d0, d1 = rms(u / su, v / sv), rms(v / su, a / sv)
@@ -341,6 +331,8 @@ def _sign_shot(p: float, dim: int, s: float) -> int:
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             rejected = True
+        if path is not None:
+            path.append((t_new, u_new, v_new))
         crossed, turned = u >= 0.0 >= u_new, v <= 0.0 <= v_new
         if crossed and turned:
             raise NoConvergence(f"shot from U(0) = {s!r} crossed zero and "
@@ -351,86 +343,71 @@ def _sign_shot(p: float, dim: int, s: float) -> int:
     return 0
 
 
-def _dense_shot(p: float, dim: int, s: float):
-    """scipy's DOP853 shot from U(0) = s at SHOT_RTOL with dense output,
-    ended by the first zero crossing or upward turn."""
-    accel = _shot_rhs(p, dim)
-
-    def rhs(t, y):
-        u, v = y.tolist()
-        return [v, accel(t, u, v)]
-
-    cross = lambda t, y: y[0]
-    cross.terminal, cross.direction = True, -1
-    turn = lambda t, y: y[1]
-    turn.terminal, turn.direction = True, 1
-    return solve_ivp(rhs, (SHOT_START, SHOT_STOP),
-                     list(_series(p, dim, s, SHOT_START)), method="DOP853",
-                     rtol=SHOT_RTOL, atol=SHOT_ATOL, events=[cross, turn],
-                     dense_output=True)
-
-
-def _shoot_ground_state(p: float, dim: int, max_doublings: int = 60):
-    """Bisect U(0) to BRACKET_RTOL; return its midpoint and its dense shot.
+def _shoot_ground_state(p: float, dim: int):
+    """Bisect U(0) to BRACKET_RTOL; return its midpoint and the path of the
+    shot from there.
 
     A shot whose |U|^p overflows raises NoConvergence naming its U(0).
     """
-    def shot(kind, s):
+    def shot(s, path=None):
         try:
-            return kind(p, dim, s)
+            return solve_ivp(p, dim, s, path)
         except OverflowError:
             raise NoConvergence(f"shot from U(0) = {s!r} overflowed the "
                                 f"float range") from None
 
     lo, hi = 1.0 + 1e-9, 2.0
     doublings = 0
-    while shot(_sign_shot, hi) != -1:
+    while shot(hi) != -1:
         lo, hi = hi, 2.0 * hi
         doublings += 1
-        if doublings > max_doublings:
+        if doublings > MAX_DOUBLINGS:
             raise NoConvergence("shooting bisection failed to bracket U(0)")
     while hi - lo > BRACKET_RTOL * hi:
         mid = 0.5 * (lo + hi)
-        if shot(_sign_shot, mid) == -1:
+        if shot(mid) == -1:
             hi = mid
         else:
             lo = mid
-    s = 0.5 * (lo + hi)
-    return s, shot(_dense_shot, s)
+    s, path = 0.5 * (lo + hi), []
+    shot(s, path)
+    return s, path
 
 
-def _shooting_guess(params: ProblemParams, r: np.ndarray,
-                    max_doublings: int = 60) -> np.ndarray:
+def _shooting_guess(params: ProblemParams, r: np.ndarray) -> np.ndarray:
     """Shot profile spliced onto the decay tail c r^{-(N-1)/2} e^{-r}.
 
-    The shot leaves U at its end event, where its error, which grows like
-    e^{2r} relative to U, has reached the size of U; one unit of r earlier
-    it is down to about e^{-2} of U.
+    The shot's error grows like e^{2r} relative to U and reaches the size of
+    U at the end event, in the shot's last step; the tail is spliced on one
+    unit of r before the last point reached. Between its steps the shot is
+    the cubic Hermite interpolant of U and U'.
     """
     p, dim = params.p, params.dim
-    s, ivp = _shoot_ground_state(p, dim, max_doublings=max_doublings)
-    r_splice = min(12.0, ivp.t[-1] - 1.0)
+    s, path = _shoot_ground_state(p, dim)
+    t, u, v = np.array(path).T
+    shot_u = CubicHermite(t, u, v)
+    r_splice = min(12.0, t[-1] - 1.0)
     vals = np.empty_like(r)
     core = r < SHOT_START
     shot = (r >= SHOT_START) & (r <= r_splice)
     tail = r > r_splice
     vals[core] = _series(p, dim, s, r[core])[0]
-    vals[shot] = ivp.sol(r[shot])[0]
-    u_sp = float(ivp.sol(r_splice)[0])
+    vals[shot] = shot_u(r[shot])
+    u_sp = float(shot_u(r_splice))
     c_sp = u_sp * r_splice ** ((dim - 1) / 2.0) * np.exp(r_splice)
     vals[tail] = c_sp * r[tail] ** (-(dim - 1) / 2.0) * np.exp(-r[tail])
     return vals
 
 
 def solve_ground_state(params: ProblemParams, r_max: float = 40.0,
-                       spacing: float = 1.0 / 600.0,
-                       max_doublings: int = 60) -> GroundState:
+                       spacing: float = 1.0 / 600.0) -> GroundState:
     """Compute the radial ground state profile and its derived constants.
 
     For N >= 2 the Newton-polished profile carries defect-correction
     estimates of the relative errors of sigma0 and frak_c, and it is
     accepted only if the estimate for sigma0 is at most SIGMA0_RTOL;
-    otherwise NoConvergence is raised.
+    otherwise NoConvergence is raised. A decay plateau that r_max does not
+    resolve raises TailNotResolved (decay_constant).
     """
     r = radial.uniform_grid(r_max, spacing)
     if params.dim == 1:
@@ -439,15 +416,15 @@ def solve_ground_state(params: ProblemParams, r_max: float = 40.0,
         gs = GroundState(params, profile, 0.0, 0.0, u, du, d2u)
         gs.sigma0 = mass_sigma0(gs)
     else:
-        gs = _polished_ground_state(params, r, max_doublings)
+        gs = _polished_ground_state(params, r)
     if np.any(np.diff(gs.profile.values) >= 0):
         raise NoConvergence("computed profile is not strictly decreasing")
     gs.frak_c = decay_constant(gs)
     return gs
 
 
-def _polished_ground_state(params: ProblemParams, r: np.ndarray,
-                           max_doublings: int) -> GroundState:
+def _polished_ground_state(params: ProblemParams,
+                           r: np.ndarray) -> GroundState:
     """Shot guess and Newton polish on r, with sigma0 and the error
     estimates; NoConvergence above SIGMA0_RTOL.
 
@@ -457,7 +434,7 @@ def _polished_ground_state(params: ProblemParams, r: np.ndarray,
     exact U. ∫ U e is the first-order change of sigma0, and the plateau of
     U + e that of frak_c.
     """
-    vals = _shooting_guess(params, r, max_doublings)
+    vals = _shooting_guess(params, r)
     vals, lu = radial.radial_newton(r, params.dim, params.p, vals)
     dvals = radial.d1_six(vals, r[1] - r[0])
     # one-sided zone: use the tail model derivative (poly x exp(-r))
@@ -527,6 +504,8 @@ def decay_constant(gs: GroundState, spread_tol: float = 1e-3) -> float:
     In the tail U is a multiple of r^{-(N-2)/2} K_nu(r), nu = (N-2)/2, so the
     plateau is divided by the first two correction terms of the expansion
     of K_nu (DLMF 10.40.2), 1 + a1/r + a2/r^2; both vanish for N = 1 and 3.
+    A spread of the plateau above spread_tol of its median warns, and one
+    above 1, no plateau at all, raises TailNotResolved.
     """
     r = gs.profile.nodes
     if r[-1] < 12.0 or np.count_nonzero(r >= (2.0 / 3.0) * r[-1]) < 8:
@@ -536,6 +515,9 @@ def decay_constant(gs: GroundState, spread_tol: float = 1e-3) -> float:
     if c <= 0 or not np.isfinite(c):
         raise TailNotResolved("decay plateau is not positive")
     spread = float((np.max(g) - np.min(g)) / c)
+    if spread > 1.0:  # no plateau at all: the tail is not resolved
+        raise TailNotResolved(f"decay plateau spread {spread:.2e} at r_max = "
+                              f"{r[-1]:g}: no plateau")
     if spread > spread_tol:
         warnings.warn(f"decay plateau spread {spread:.2e} exceeds {spread_tol:.0e}",
                       stacklevel=2)

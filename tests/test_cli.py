@@ -99,6 +99,16 @@ def test_ground_state_overflowing_shot_exits_2(tmp_path):
     assert len(out.stderr.splitlines()) == 1
 
 
+def test_ground_state_without_decay_plateau_exits_2(tmp_path):
+    # wrote frak_c = 1.41e10 and exited 0 after a warning of spread 5.5
+    out = run_cli("ground-state", "--n", "2", "--p", "1.05",
+                  "--out-dir", str(tmp_path))
+    assert out.returncode == 2
+    assert out.stderr.startswith("TailNotResolved: decay plateau spread ")
+    assert "r_max = 40" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
 def test_solve_infinite_mass_exits_nonzero(tmp_path):
     out = run_cli("solve", "--domain", "realline", "--p", "3", "--n", "1",
                   "--rho", "inf", "--out-dir", str(tmp_path))

@@ -7,7 +7,7 @@ from conftest import (FRAK_C_DIM2_P3, SIGMA0_DIM2_P3, TWO_SIGMA0_P3,
                       TWO_SIGMA0_P5)
 from normwave import groundstate
 from normwave.errors import (MassCriticalInfeasible, NoConvergence,
-                             TailNotResolved)
+                             SolverError, TailNotResolved)
 from normwave.groundstate import (ANY_LAMBDA, ProblemParams, Regime,
                                   closed_form_soliton, decay_constant,
                                   mass_sigma0, ode_residual_max,
@@ -122,6 +122,15 @@ def test_decay_plateau_flat_for_dim2(gs2d):
     assert far.frak_c == pytest.approx(gs2d.frak_c, rel=1e-5)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_unresolved_decay_plateau_is_refused(dim):
+    # at p = 1.05 the state is so wide that r_max = 40 shows no plateau
+    # (spread 5.5 to 6.2 of the median), and frak_c came out as 1e10 to 1e14
+    # with only a warning; whichever gate refuses it, no result is returned
+    with pytest.raises(SolverError):
+        solve_ground_state(ProblemParams(dim, 1.05))
+
+
 def test_decay_short_grid_raises(gs3):
     from normwave.groundstate import GroundState, RadialProfile
     keep = gs3.profile.nodes <= 6.0
@@ -158,18 +167,17 @@ SIGN_SHOT_PAIRS = [(2, 3.0), (5, 1.8), (3, 1.05), (4, 2.95), (4, 1.2875),
 @pytest.mark.parametrize("dim, p", SIGN_SHOT_PAIRS)
 def test_sign_shots_bisect_as_at_shot_rtol(monkeypatch, dim, p):
     # the bisection reads only the sign of a shot, so its loose tolerance
-    # must take every decision the tight one takes: the same U(0) to the
-    # bit. At rtol 1e-3 the last four pairs bisect to another U(0)
+    # must take every decision a tight one takes: the same U(0) to the bit.
+    # At rtol 1e-3 the last four pairs bisect to another U(0)
     s, _ = groundstate._shoot_ground_state(p, dim)
-    monkeypatch.setattr(groundstate, "SIGN_RTOL", groundstate.SHOT_RTOL)
+    monkeypatch.setattr(groundstate, "SHOT_RTOL", 3e-9)
     assert groundstate._shoot_ground_state(p, dim)[0] == s
 
 
-@pytest.mark.parametrize("dim, p", SIGN_SHOT_PAIRS)
-def test_sign_shots_match_scipy_dop853(monkeypatch, dim, p):
-    # the in-house DOP853 of the sign shots must take scipy's sign on every
-    # bisection shot; scipy's solve_ivp, at the same tolerances and events,
-    # is the reference
+def scipy_shot(p, dim, s, rtol, dense_output=False):
+    """scipy's DOP853 shot from U(0) = s with the terminal events U = 0
+    (downward) and U' = 0 (upward): the reference for the in-house shots."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
     q, c = p - 1.0, dim - 1.0
 
     def rhs(t, y):
@@ -180,49 +188,44 @@ def test_sign_shots_match_scipy_dop853(monkeypatch, dim, p):
     cross.terminal, cross.direction = True, -1
     turn = lambda t, y: y[1]
     turn.terminal, turn.direction = True, 1
-    real_sign_shot, shots = groundstate._sign_shot, []
+    return scipy_solve_ivp(
+        rhs, (groundstate.SHOT_START, groundstate.SHOT_STOP),
+        list(groundstate._series(p, dim, s, groundstate.SHOT_START)),
+        method="DOP853", rtol=rtol, atol=1e-13, events=[cross, turn],
+        dense_output=dense_output)
 
-    def both(p_, dim_, s):
-        sign = real_sign_shot(p_, dim_, s)
-        sol = groundstate.solve_ivp(
-            rhs, (groundstate.SHOT_START, groundstate.SHOT_STOP),
-            list(groundstate._series(p, dim, s, groundstate.SHOT_START)),
-            method="DOP853", rtol=groundstate.SIGN_RTOL, atol=1e-13,
-            events=[cross, turn])
+
+@pytest.mark.parametrize("dim, p", SIGN_SHOT_PAIRS)
+def test_sign_shots_match_scipy_dop853(monkeypatch, dim, p):
+    # the in-house DOP853 must take scipy's sign on every shot; scipy's
+    # solve_ivp, at the same tolerances and events, is the reference
+    real_shot, shots = groundstate.solve_ivp, []
+
+    def both(p_, dim_, s, path=None):
+        sign = real_shot(p_, dim_, s, path)
+        sol = scipy_shot(p, dim, s, groundstate.SHOT_RTOL)
         ref = -1 if sol.t_events[0].size else int(sol.t_events[1].size > 0)
         shots.append((s, sign, ref))
         return sign
 
-    monkeypatch.setattr(groundstate, "_sign_shot", both)
+    monkeypatch.setattr(groundstate, "solve_ivp", both)
     groundstate._shoot_ground_state(p, dim)
     assert len(shots) >= 12
     assert [sign for _, sign, _ in shots] == [ref for _, _, ref in shots]
 
 
-@pytest.mark.parametrize("dim, p", [(2, 3.0), (5, 1.8)])
-def test_shot_rhs_on_floats_matches_numpy_scalars(monkeypatch, dim, p):
-    # the dense shot's right-hand side works on Python floats; its earlier
-    # form, the same operations on numpy scalars, must give it the same
-    # steps and values to the bit. The sign shots no longer call solve_ivp,
-    # so only the dense shot is seen here
-    def reference(t, y):
-        u, v = y
-        return [v, u - np.abs(u) ** (p - 1) * u - (dim - 1) * v / t]
-
-    real_solve_ivp = groundstate.solve_ivp
-
-    def both(fun, *args, **kwargs):
-        sol = real_solve_ivp(fun, *args, **kwargs)
-        ref = real_solve_ivp(reference, *args, **kwargs)
-        assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
-        for a, b in zip(sol.t_events, ref.t_events):
-            assert np.array_equal(a, b)
-        mid = 0.5 * (sol.t[1:] + sol.t[:-1])
-        assert np.array_equal(sol.sol(mid), ref.sol(mid))
-        return sol
-
-    monkeypatch.setattr(groundstate, "solve_ivp", both)
-    groundstate._shoot_ground_state(p, dim)
+@pytest.mark.parametrize("dim, p", [(2, 3.0), (5, 1.8), (6, 1.5)])
+def test_shooting_guess_follows_scipy_dense_shot(dim, p):
+    # the guess samples the recorded steps of a shot at rtol 1e-6 by cubic
+    # Hermite; up to the splice it stays within 1e-3 U(0) of scipy's DOP853
+    # dense output at 3e-9 from the same U(0) (1.7e-4, 6.7e-5 and 4.7e-5)
+    s, path = groundstate._shoot_ground_state(p, dim)
+    sol = scipy_shot(p, dim, s, 3e-9, dense_output=True)
+    r = groundstate.radial.uniform_grid(40.0, 1.0 / 600.0)
+    guess = groundstate._shooting_guess(ProblemParams(dim, p), r)
+    shot = (r >= groundstate.SHOT_START) & (r <= min(12.0, path[-1][0] - 1.0))
+    assert np.count_nonzero(shot) > 1000
+    assert np.max(np.abs(guess[shot] - sol.sol(r[shot])[0])) <= 1e-3 * s
 
 
 def test_shooting_dim2_constants(gs2d):
@@ -277,9 +280,10 @@ def test_sigma0_estimate_matches_richardson(monkeypatch, dim, p, spacing):
     assert coarse.sigma0_rel_err == pytest.approx(richardson, rel=0.25)
 
 
-def test_shooting_budget_error():
+def test_shooting_budget_error(monkeypatch):
+    monkeypatch.setattr(groundstate, "MAX_DOUBLINGS", 0)
     with pytest.raises(NoConvergence):
-        solve_ground_state(ProblemParams(2, 3.0), max_doublings=0)
+        solve_ground_state(ProblemParams(2, 3.0))
 
 
 @pytest.mark.parametrize("p", [20.0, 30.0, 50.0, 100.0])

@@ -151,10 +151,10 @@ def test_cumulative_simpson_refuses_short_or_unordered_nodes(y, x):
 
 def test_startup_leaves_out_heavy_scipy(tmp_path):
     # importing scipy's LAPACK wrappers costs about twice numpy's own import,
-    # scipy.integrate, .optimize, .interpolate and .special more. No N = 1
-    # command needs any of them: the 1D solver and the radial band LU call
-    # LAPACK in numpy's OpenBLAS, and quadratures, root-finds and
-    # interpolants are in-house. The commands share one interpreter, so a
+    # scipy.integrate, .optimize, .interpolate and .special more. No command
+    # needs any of them: the 1D solver and the radial band LU call LAPACK in
+    # numpy's OpenBLAS, and quadratures, root-finds, interpolants and the
+    # N >= 2 shots are in-house. The commands share one interpreter, so a
     # row reads False only if no command up to it loaded scipy
     code = (
         "import sys\n"
@@ -175,10 +175,12 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
         " 'verify --theorem interior_scaling',"
         " 'correction --n 1 --p 5',"
         " 'correction --n 1 --p 5 --oracle',"
-        " 'verify --theorem potential_critical_mass'):\n"
+        " 'verify --theorem potential_critical_mass',"
+        " 'ground-state --n 2 --p 3',"
+        " 'correction --n 2 --p 3'):\n"
         "    rc = normwave.cli.main(line.split() + ['--out-dir', sys.argv[1]])\n"
         "    print(rc, *loaded())\n")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["False []"] + ["0 False []"] * 10
+    assert out.stdout.splitlines() == ["False []"] + ["0 False []"] * 12
