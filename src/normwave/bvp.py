@@ -446,38 +446,12 @@ TRACE_RATIO = 0.82  # step down where the law cannot say
 MAX_BRACKET_STEPS = 16  # 0.5 * 0.82^12 is below EPS_MIN
 # a returned profile with max - min below this fraction of max is constant
 FLAT_RTOL = 1e-9
-# mass-critical stop: |mass - rho| at most this fraction of |rho - 2 sigma0|
+# stop also at |mass - rho| <= CRITICAL_STOP * |rho - origin|, which binds
+# only at p = 1 + 4/N, where the law's origin is 2 sigma0, not 0
 CRITICAL_STOP = 1e-3
 # |Theta| ~ THETA_RATE_CONSTANT s e^{-2s}, s = d/eps, at p = 1 + 4/N on an
 # interval of half-width d, and mass - 2 sigma0 ~ -2 Theta (boundary_layer)
 THETA_RATE_CONSTANT = 4.0 * math.sqrt(3.0)
-
-
-def _forbidden_side(spec: DomainSpec, params: ProblemParams, rho: float,
-                    two_sigma0: float) -> Optional[str]:
-    if params.regime is not Regime.MASS_CRITICAL:
-        return None
-    if spec.kind == "interval" and spec.bc == DIRICHLET and rho >= two_sigma0:
-        return (f"Dirichlet critical masses lie strictly below "
-                f"2*sigma0 = {two_sigma0:.12g}")
-    if spec.kind == "interval" and spec.bc == NEUMANN and rho <= two_sigma0:
-        return (f"Neumann critical masses lie strictly above "
-                f"2*sigma0 = {two_sigma0:.12g}")
-    if spec.kind == "realline" and not spec.potential:
-        return ("critical scaling on the line with V = 0 is solvable "
-                "only at rho = 2*sigma0")
-    # on the line, 2 sigma0 - mass = sum of k a_k eps^{2k+2} ∫|y|^{2k} U^2
-    # to leading order (_law_start). Coefficients of one sign put every mass
-    # on one side of 2 sigma0; mixed signs can cross it (V = -x^2 + 5x^4
-    # near eps = 0.2), so those are left to the root-find
-    signs = {c > 0.0 for c in spec.potential if c != 0.0}
-    if signs == {True} and rho >= two_sigma0:
-        return (f"critical masses on the line with every a_k >= 0 lie "
-                f"strictly below 2*sigma0 = {two_sigma0:.12g}")
-    if signs == {False} and rho <= two_sigma0:
-        return (f"critical masses on the line with every a_k <= 0 lie "
-                f"strictly above 2*sigma0 = {two_sigma0:.12g}")
-    return None
 
 
 class MassEvaluator:
@@ -501,111 +475,119 @@ class MassEvaluator:
         return self.cache[eps]
 
 
-def _potential_order(spec: DomainSpec) -> Optional[int]:
-    """k of the first non-zero coefficient a_k of V, or None for V = 0."""
-    return next((k for k, c in enumerate(spec.potential, start=1)
-                 if c != 0.0), None)
+@dataclass(frozen=True)
+class _MassLaw:
+    """The regime's leading-order law for the mass, met with the target rho:
+    a straight line of the given slope in coordinates(eps, mass) through
+    the anchor (eps, mass) it takes as eps -> 0.
 
+    Off p = 1 + 4/N, mass = 2 sigma0 eps^{N - 4/(p-1)} (origin 0, anchored
+    at eps = 1). At p = 1 + 4/N the origin is 2 sigma0, and on an interval
+    of half-width d, |mass - 2 sigma0| = 2 THETA_RATE_CONSTANT s e^{-2s},
+    s = d/eps (the mass depends on eps/d only; anchored at s = 1); on the
+    line 2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2, a_k the first
+    non-zero coefficient of V (anchored at eps = 1). V = 0 on the line has
+    no law: slope and anchor are None.
 
-def _law_slope(spec: DomainSpec, params: ProblemParams) -> Optional[float]:
-    """Slope of the regime's leading-order mass law, a straight line in the
-    coordinates of _law_coordinates; None where there is no law (V = 0 on
-    the line at p = 1 + 4/N).
-
-    Off p = 1 + 4/N mass ∝ eps^{N - 4/(p-1)}. At p = 1 + 4/N the offset
-    mass - 2 sigma0 is ∝ s e^{-2s}, s = d/eps, on an interval of half-width
-    d (the mass depends on eps/d only) and ∝ eps^{2k+2} on the line, a_k the
-    first non-zero coefficient of V.
+    side is the sign of mass - origin for every mass: 0.0 where no mass
+    but the origin is solvable (V = 0 on the line), None where masses lie
+    on both sides (a V of mixed signs: -x^2 + 5x^4 crosses 2 sigma0 near
+    eps = 0.2). refusal names the masses by the label masses.
     """
-    if params.regime is not Regime.MASS_CRITICAL:
-        return params.dim - 4.0 / (params.p - 1.0)
-    if spec.kind == "interval":
-        return -2.0
-    k = _potential_order(spec)
-    return None if k is None else 2.0 * k + 2.0
+
+    rho: float
+    slope: Optional[float]
+    origin: float
+    d: Optional[float]  # half-width d of s = d/eps; None: log eps coordinates
+    anchor: Optional[tuple[float, float]]
+    side: Optional[float]
+    masses: str = "masses"
+
+    def coordinates(self, eps: float, mass: float) -> tuple[float, float]:
+        """(log eps, log|mass - origin|), or (s, log|mass - origin| - log s)
+        on an interval at p = 1 + 4/N."""
+        y = math.log(abs(mass - self.origin))
+        if self.d is None:
+            return math.log(eps), y
+        s = self.d / eps
+        return s, y - math.log(s)
+
+    def step(self, eps: float, mass: float,
+             slope: Optional[float]) -> Optional[float]:
+        """The eps at which the straight line of the given slope through
+        (eps, mass), in coordinates, reaches rho; None without a slope, or
+        when mass and rho lie on opposite sides of the origin."""
+        ratio = (self.rho - self.origin) / (mass - self.origin)
+        if slope is None or not ratio > 0.0:
+            return None
+        if self.d is None:
+            return eps * ratio ** (1.0 / slope)
+        # log ratio - log(s'/s) = slope (s' - s) in s' = d/eps'; the
+        # fixed-point map contracts by 1/(|slope| s')
+        s = self.d / eps
+        c = math.log(ratio) + slope * s + math.log(s)
+        for _ in range(60):
+            s = max((c - math.log(s)) / slope, 1.0)
+        return self.d / s
+
+    def start(self) -> float:
+        """The eps at which the law reaches rho from its anchor; EPS_START
+        where it cannot (no law, or on the line a V of mixed signs whose
+        leading law lies on the other side of 2 sigma0 than rho)."""
+        step = None if self.anchor is None else self.step(*self.anchor,
+                                                           self.slope)
+        return EPS_START if step is None else step
+
+    def secant_slope(self, behind: Optional[tuple[float, float]],
+                     point: tuple[float, float]) -> Optional[float]:
+        """Slope of the next step from point = (eps, mass): the secant
+        through behind and point in coordinates, where it is within a
+        factor 2 of the law's slope, else the law's slope."""
+        if behind is None or self.slope is None:
+            return self.slope
+        (x0, y0), (x1, y1) = (self.coordinates(*q) for q in (behind, point))
+        secant = (y1 - y0) / (x1 - x0)
+        return secant if 0.5 <= secant / self.slope <= 2.0 else self.slope
+
+    def refusal(self) -> Optional[str]:
+        """Why no mass is rho, when rho is not on the law's side of the
+        origin; None when it is, or when masses lie on both sides."""
+        if self.side is None or (self.rho - self.origin) * self.side > 0.0:
+            return None
+        if self.side == 0.0:
+            return ("critical scaling on the line with V = 0 is solvable "
+                    "only at rho = 2*sigma0")
+        return (f"{self.masses} lie strictly "
+                f"{'above' if self.side > 0.0 else 'below'} "
+                f"2*sigma0 = {self.origin:.12g}")
 
 
-def _law_coordinates(spec: DomainSpec, params: ProblemParams, eps: float,
-                     mass: float, two_sigma0: float) -> tuple[float, float]:
-    """(x, y) in which the regime's law is a straight line:
-    (log eps, log mass) off p = 1 + 4/N; at p = 1 + 4/N
-    (log eps, log|mass - 2 sigma0|) on the line and
-    (s, log|mass - 2 sigma0| - log s), s = d/eps, on an interval."""
-    if params.regime is not Regime.MASS_CRITICAL:
-        return math.log(eps), math.log(mass)
-    y = math.log(abs(mass - two_sigma0))
-    if spec.kind == "realline":
-        return math.log(eps), y
-    s = 0.5 * (spec.b - spec.a) / eps
-    return s, y - math.log(s)
-
-
-def _law_step(spec: DomainSpec, params: ProblemParams, eps: float,
-              mass: float, rho: float, two_sigma0: float,
-              slope: Optional[float]) -> Optional[float]:
-    """The eps at which the straight line of the given slope through
-    (eps, mass), in the coordinates of _law_coordinates, reaches rho; None
-    without a slope, or when mass and rho lie on opposite sides of
-    2 sigma0 at p = 1 + 4/N."""
-    critical = params.regime is Regime.MASS_CRITICAL
-    origin = two_sigma0 if critical else 0.0
-    ratio = (rho - origin) / (mass - origin)
-    if slope is None or not ratio > 0.0:
-        return None
-    if not critical or spec.kind == "realline":
-        return eps * ratio ** (1.0 / slope)
-    # log ratio - log(s'/s) = slope (s' - s) in s' = d/eps'; the fixed-point
-    # map contracts by 1/(|slope| s')
-    d = 0.5 * (spec.b - spec.a)
-    s = d / eps
-    c = math.log(ratio) + slope * s + math.log(s)
-    for _ in range(60):
-        s = max((c - math.log(s)) / slope, 1.0)
-    return d / s
-
-
-def _step_slope(spec: DomainSpec, params: ProblemParams, two_sigma0: float,
-                behind: Optional[tuple[float, float]],
-                point: tuple[float, float]) -> Optional[float]:
-    """Slope of the next step from point = (eps, mass): the secant through
-    behind and point in the law's coordinates, where it is within a factor
-    2 of the law's slope, else the law's slope."""
-    law = _law_slope(spec, params)
-    if behind is None or law is None:
-        return law
-    (x0, y0), (x1, y1) = (_law_coordinates(spec, params, eps, mass, two_sigma0)
-                          for eps, mass in (behind, point))
-    secant = (y1 - y0) / (x1 - x0)
-    return secant if 0.5 <= secant / law <= 2.0 else law
-
-
-def _law_start(spec: DomainSpec, params: ProblemParams, rho: float,
-               gs: GroundState) -> float:
-    """The eps at which the regime's law reaches rho, stepped from its
-    eps -> 0 anchor: mass = 2 sigma0 eps^{N - 4/(p-1)} off p = 1 + 4/N; at
-    p = 1 + 4/N, |mass - 2 sigma0| = 2 THETA_RATE_CONSTANT s e^{-2s},
-    s = d/eps, on an interval (anchored at s = 1), and
-    2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2 on the line (anchored
-    at eps = 1). Where the law cannot reach rho (V = 0, or on the line a
-    V of mixed signs whose leading law lies on the other side of 2 sigma0
-    than rho) the start is EPS_START.
-    """
+def _mass_law(spec: DomainSpec, params: ProblemParams, rho: float,
+              gs: GroundState) -> _MassLaw:
+    """The _MassLaw of spec's regime for the target mass rho."""
     two_sigma0 = 2.0 * gs.sigma0
     if params.regime is not Regime.MASS_CRITICAL:
-        anchor, mass = 1.0, two_sigma0
-    elif spec.kind == "interval":
+        return _MassLaw(rho, params.dim - 4.0 / (params.p - 1.0), 0.0, None,
+                        (1.0, two_sigma0), 1.0)
+    if spec.kind == "interval":
+        d = 0.5 * (spec.b - spec.a)
+        side = -1.0 if spec.bc == DIRICHLET else 1.0
         offset = 2.0 * THETA_RATE_CONSTANT * math.exp(-2.0)
-        anchor = 0.5 * (spec.b - spec.a)
-        mass = two_sigma0 + math.copysign(offset, rho - two_sigma0)
-    else:
-        k = _potential_order(spec)
-        if k is None:
-            return EPS_START
-        anchor = 1.0
-        mass = two_sigma0 - k * spec.potential[k - 1] * mass_moment(gs, k)
-    step = _law_step(spec, params, anchor, mass, rho, two_sigma0,
-                     _law_slope(spec, params))
-    return EPS_START if step is None else step
+        return _MassLaw(rho, -2.0, two_sigma0, d,
+                        (d, two_sigma0 + side * offset), side,
+                        f"{spec.bc.capitalize()} critical masses")
+    terms = [(k, c) for k, c in enumerate(spec.potential, start=1) if c != 0.0]
+    if not terms:
+        return _MassLaw(rho, None, two_sigma0, None, None, 0.0)
+    k, a_k = terms[0]
+    # coefficients of one sign put every mass on the side the leading law
+    # gives; mixed signs can cross 2 sigma0
+    one_sign = all((c > 0.0) == (a_k > 0.0) for _, c in terms)
+    return _MassLaw(rho, 2.0 * k + 2.0, two_sigma0, None,
+                    (1.0, two_sigma0 - k * a_k * mass_moment(gs, k)),
+                    -math.copysign(1.0, a_k) if one_sign else None,
+                    f"critical masses on the line with every a_k "
+                    f"{'>=' if a_k > 0.0 else '<='} 0")
 
 
 def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
@@ -615,18 +597,17 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     """Solve the mass-prescribed problem by an outer root-find on eps.
 
     The first eps is the one at which the regime's leading-order law for
-    the mass, from its eps -> 0 anchor, gives rho (_law_start; EPS_START
+    the mass, from its eps -> 0 anchor, gives rho (_MassLaw.start; EPS_START
     where the law cannot reach rho). From the mass there, at most 16
     further steps bracket rho: along the law's slope, then along the
     secant through the last two masses in the law's coordinates where it
     is within a factor 2 of the law's (eps -> 0.82 eps where the law is
     silent). Brent on log(eps) then runs over the bracket. Every
     eps is clipped to [eps_min, EPS_START]. The first evaluated eps whose mass
-    is within tol of rho is returned: tol = MASS_RTOL * rho, and in the
-    mass-critical regime at most 1e-3 * |rho - 2 sigma0|, so that the
-    returned eps also resolves a small distance to 2 sigma0. Raises
-    NoSolutionInRegime when rho sits on the forbidden side of the critical
-    threshold, and BracketFailed when no step brackets rho or when the
+    is within tol of rho is returned: tol = MASS_RTOL * rho, and at most
+    1e-3 * |rho - 2 sigma0| at p = 1 + 4/N, so that the returned eps also
+    resolves a small distance to 2 sigma0. Raises NoSolutionInRegime when
+    the law puts no mass at rho (_MassLaw.refusal), and BracketFailed when no step brackets rho or when the
     root-find ends on a constant solution (u = 1 on a Neumann interval),
     which does not concentrate. A non-finite or non-positive rho, an eps_min
     outside (0, EPS_START) or dim != 1 raises ValueError before the ground
@@ -639,13 +620,11 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
     gs = ground_state if ground_state is not None else solve_ground_state(params)
-    two_sigma0 = 2.0 * gs.sigma0
-    reason = _forbidden_side(spec, params, rho, two_sigma0)
+    law = _mass_law(spec, params, rho, gs)
+    reason = law.refusal()
     if reason is not None:
         raise NoSolutionInRegime(reason)
-    tol = MASS_RTOL * rho
-    if params.regime is Regime.MASS_CRITICAL:
-        tol = min(tol, CRITICAL_STOP * abs(rho - two_sigma0))
+    tol = min(MASS_RTOL * rho, CRITICAL_STOP * abs(rho - law.origin))
 
     evaluate = MassEvaluator(spec, params)
 
@@ -657,14 +636,13 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
 
     unbracketed = (f"mass {rho:.12g} not bracketed for eps in "
                    f"[{eps_min}, {EPS_START}]")
-    eps_a = clip(_law_start(spec, params, rho, gs))
+    eps_a = clip(law.start())
     f_a = f(eps_a)
     behind = None  # the point before eps_a, on the same side of rho
     steps = 0
     while abs(f_a) > tol:
         point = (eps_a, f_a + rho)
-        step = _law_step(spec, params, *point, rho, two_sigma0,
-                         _step_slope(spec, params, two_sigma0, behind, point))
+        step = law.step(*point, law.secant_slope(behind, point))
         eps_b = clip(eps_a * TRACE_RATIO if step is None else step)
         if eps_b == eps_a or steps == MAX_BRACKET_STEPS:
             raise BracketFailed(unbracketed)

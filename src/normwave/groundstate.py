@@ -49,6 +49,7 @@ __all__ = [
 MASS_CRITICAL_TOL = 1e-12  # |p - (1 + 4/N)| below this counts as critical
 SIGMA0_RTOL = 1e-9  # largest accepted N >= 2 error estimate of sigma0, relative
 PURE_SCALING_RTOL = 1e-10  # solve_pure_scaling: rho = 2 sigma0 within this
+DECAY_SPREAD_TOL = 1e-3  # decay_constant warns above this plateau spread
 
 
 class Regime(str, Enum):
@@ -498,14 +499,14 @@ def mass_moment(gs: GroundState, k: int) -> float:
                                     gs.params.dim, tail_decay=2.0)
 
 
-def decay_constant(gs: GroundState, spread_tol: float = 1e-3) -> float:
+def decay_constant(gs: GroundState) -> float:
     """Plateau of r^{(N-1)/2} e^r U(r) over the outer third of the grid.
 
     In the tail U is a multiple of r^{-(N-2)/2} K_nu(r), nu = (N-2)/2, so the
     plateau is divided by the first two correction terms of the expansion
     of K_nu (DLMF 10.40.2), 1 + a1/r + a2/r^2; both vanish for N = 1 and 3.
-    A spread of the plateau above spread_tol of its median warns, and one
-    above 1, no plateau at all, raises TailNotResolved.
+    A spread of the plateau above DECAY_SPREAD_TOL of its median warns, and
+    one above 1, no plateau at all, raises TailNotResolved.
     """
     r = gs.profile.nodes
     if r[-1] < 12.0 or np.count_nonzero(r >= (2.0 / 3.0) * r[-1]) < 8:
@@ -518,9 +519,9 @@ def decay_constant(gs: GroundState, spread_tol: float = 1e-3) -> float:
     if spread > 1.0:  # no plateau at all: the tail is not resolved
         raise TailNotResolved(f"decay plateau spread {spread:.2e} at r_max = "
                               f"{r[-1]:g}: no plateau")
-    if spread > spread_tol:
-        warnings.warn(f"decay plateau spread {spread:.2e} exceeds {spread_tol:.0e}",
-                      stacklevel=2)
+    if spread > DECAY_SPREAD_TOL:
+        warnings.warn(f"decay plateau spread {spread:.2e} exceeds "
+                      f"{DECAY_SPREAD_TOL:.0e}", stacklevel=2)
     return c
 
 

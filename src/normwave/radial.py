@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 NEWTON_TOL = 1e-12  # radial_newton's residual stop
+NEWTON_MAX_ITER = 60  # radial_newton's step cap, then NoConvergence
 COND_LIMIT = 1e14   # solve_radial_linear refuses a worse-conditioned operator
 KL, KU = 4, 2  # sub- and super-diagonals of L: the Robin row reaches back 4
 RESIDUAL_R_CAP = 35.0  # residual checks skip the last r, deep in the tail
@@ -221,15 +222,15 @@ def _jacobian(base: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
     return J
 
 
-def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
-                  max_iter: int = 60) -> tuple[np.ndarray, BandLU]:
+def radial_newton(r: np.ndarray, dim: int, p: float,
+                  u0: np.ndarray) -> tuple[np.ndarray, BandLU]:
     """Newton polish for -u'' - (dim-1)/r u' + u = |u|^{p-1} u with decay tail.
 
     Stops when the residual is below NEWTON_TOL, or when a Newton step is at
     rounding level, ||du||_inf <= 1e-10 * max(1, ||u||_inf): the residual
     of the fourth-order system bottoms out near 1e-9 on fine grids, above
     NEWTON_TOL, while the step keeps shrinking (Deuflhard's step-norm
-    test). Raises NoConvergence after max_iter steps.
+    test). Raises NoConvergence after NEWTON_MAX_ITER steps.
 
     Returns u and the LU factors of the last Jacobian, which is within one
     rounding-level step of the Jacobian at u. The operator L[1] is assembled
@@ -238,7 +239,7 @@ def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
     base = radial_operator(r, np.ones_like(r), dim)
     u = u0.copy()
     lu = None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         F = band_matvec(base, u)
         F[:-1] -= np.abs(u[:-1]) ** (p - 1) * u[:-1]
         if np.max(np.abs(F[:-1])) < NEWTON_TOL and abs(F[-1]) < NEWTON_TOL:
@@ -250,7 +251,8 @@ def radial_newton(r: np.ndarray, dim: int, p: float, u0: np.ndarray,
         u = u + du
         if np.max(np.abs(du)) <= 1e-10 * max(1.0, np.max(np.abs(u))):
             return u, lu
-    raise NoConvergence(f"radial Newton did not converge in {max_iter} steps")
+    raise NoConvergence(f"radial Newton did not converge in {NEWTON_MAX_ITER} "
+                        f"steps")
 
 
 # -- high-order difference stencils (independent residual checks) ------------

@@ -351,6 +351,23 @@ def test_negative_potential_line_refuses_mass_at_or_below_two_sigma0(
     assert len(misses) == 1
 
 
+@pytest.mark.parametrize("potential", [(0.0,), (0.0, 0.0)])
+@pytest.mark.parametrize("delta", [-1e-3, 1e-3])
+def test_all_zero_potential_line_is_refused_as_v_zero(monkeypatch, gs5,
+                                                      potential, delta):
+    # an all-zero V is V = 0. V = (0.0,), which --potential 0 gives, once
+    # walked 13 mass solves at rho = 2 sigma0 + 1e-3 and then raised
+    # BracketFailed, where V = () is refused before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before V = 0 was refused")
+
+    monkeypatch.setattr(bvp, "solve_fixed_epsilon", no_solve)
+    with pytest.raises(NoSolutionInRegime,
+                       match=r"V = 0 is solvable only at rho = 2\*sigma0"):
+        solve_normalized(DomainSpec("realline", potential=potential), P5,
+                         TWO_SIGMA0_P5 + delta, ground_state=gs5)
+
+
 @pytest.mark.parametrize("delta, eps", [(-1e-2, 0.2777), (-1e-3, 0.2100),
                                         (1e-4, 0.09540)])
 def test_mixed_sign_potential_line_is_not_refused(gs5, delta, eps):
@@ -362,9 +379,8 @@ def test_mixed_sign_potential_line_is_not_refused(gs5, delta, eps):
     two_sigma0 = 2.0 * gs5.sigma0
     for potential in ((-1.0, 5.0), (1.0, -5.0)):
         for rho in (two_sigma0 - 1e-3, two_sigma0, two_sigma0 + 1e-3):
-            assert bvp._forbidden_side(DomainSpec("realline",
-                                                  potential=potential),
-                                       P5, rho, two_sigma0) is None
+            assert bvp._mass_law(DomainSpec("realline", potential=potential),
+                                 P5, rho, gs5).refusal() is None
     rho = two_sigma0 + delta
     sol = solve_normalized(spec, P5, rho, ground_state=gs5)
     assert abs(sol.mass - rho) <= bvp.MASS_RTOL * rho
@@ -464,8 +480,8 @@ def test_law_start_is_interior_prediction(p, rho):
     from normwave.asymptotics import INTERIOR, predict_epsilon_noncritical
     params = ProblemParams(1, p)
     gs = solve_ground_state(params)
-    start = bvp._law_start(DomainSpec("interval", -1, 1, "neumann"), params,
-                           rho, gs)
+    start = bvp._mass_law(DomainSpec("interval", -1, 1, "neumann"), params,
+                          rho, gs).start()
     expect, _ = predict_epsilon_noncritical(params, rho, INTERIOR, gs.sigma0)
     assert start == pytest.approx(expect, rel=1e-14)
 
@@ -481,7 +497,7 @@ def test_potential_law_start_is_near_root(gs5, potential, delta):
     spec = DomainSpec("realline", potential=potential)
     rho = TWO_SIGMA0_P5 - delta
     sol = solve_normalized(spec, P5, rho, ground_state=gs5)
-    assert bvp._law_start(spec, P5, rho, gs5) \
+    assert bvp._mass_law(spec, P5, rho, gs5).start() \
         == pytest.approx(sol.epsilon, rel=2e-2)
 
 
@@ -489,8 +505,33 @@ def test_potential_law_start_is_near_root(gs5, potential, delta):
 def test_potential_law_start_without_law(gs5, potential):
     # V = 0 has no law; V = -x^2 puts the mass above 2 sigma0, not at rho
     spec = DomainSpec("realline", potential=potential)
-    assert bvp._law_start(spec, P5, TWO_SIGMA0_P5 - 1e-3, gs5) \
+    assert bvp._mass_law(spec, P5, TWO_SIGMA0_P5 - 1e-3, gs5).start() \
         == bvp.EPS_START
+
+
+@pytest.mark.parametrize("spec, p, rho", [
+    *((DomainSpec("interval", -1, 1, "neumann"), p, rho)
+      for p, rho in ((2.0, 1000.0), (3.0, 20.0), (7.0, 1.2))),
+    *((DomainSpec("interval", -d, d, bc), 5.0, TWO_SIGMA0_P5 + offset)
+      for d in (0.5, 1.0, 2.0)
+      for bc, offset in (("dirichlet", -1e-3), ("neumann", 1e-3))),
+    (LINE_X2, 5.0, TWO_SIGMA0_P5 - 1e-3),
+    (LINE_X4, 5.0, TWO_SIGMA0_P5 - 1e-3),
+])
+def test_mass_law_start_lies_on_the_law(spec, p, rho):
+    # the anchor and (start, rho) lie on one line of the law's slope in its
+    # coordinates, and the law refuses a mass exactly when it is not on the
+    # law's side of the origin (0 off p = 1 + 4/N, where every rho > 0 is)
+    params = ProblemParams(1, p)
+    gs = solve_ground_state(params)
+    law = bvp._mass_law(spec, params, rho, gs)
+    (x0, y0), (x1, y1) = (law.coordinates(*law.anchor),
+                          law.coordinates(law.start(), rho))
+    assert (y1 - y0) / (x1 - x0) == pytest.approx(law.slope, rel=1e-12)
+    origin = law.origin
+    for target in (rho, origin, 2.0 * origin - rho) if origin else (rho,):
+        refusal = bvp._mass_law(spec, params, target, gs).refusal()
+        assert (refusal is None) == ((target - origin) * law.side > 0.0)
 
 
 @pytest.mark.parametrize("d", [0.5, 1.0, 2.0])

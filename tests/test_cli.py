@@ -90,6 +90,18 @@ def test_solve_forbidden_side_exits_2(tmp_path):
     assert "NoSolutionInRegime" in out.stderr
 
 
+def test_solve_all_zero_potential_exits_2(tmp_path):
+    # --potential 0 is V = 0: it once walked 13 mass solves and raised
+    # BracketFailed
+    out = run_cli("solve", "--n", "1", "--p", "5", "--domain", "realline",
+                  "--potential", "0", "--rho", "2.7",
+                  "--out-dir", str(tmp_path))
+    assert out.returncode == 2
+    assert out.stderr.startswith(
+        "NoSolutionInRegime: critical scaling on the line with V = 0 is "
+        "solvable only at rho = 2*sigma0")
+
+
 def test_ground_state_overflowing_shot_exits_2(tmp_path):
     # died with a traceback from an OverflowError in the shot
     out = run_cli("ground-state", "--n", "2", "--p", "20",

@@ -111,13 +111,14 @@ def test_decay_plateau_spread_p3(gs3):
         decay_constant(gs3)
 
 
-def test_decay_plateau_flat_for_dim2(gs2d):
+def test_decay_plateau_flat_for_dim2(monkeypatch, gs2d):
     # with the K_nu tail terms divided out the N = 2 plateau is flat to 1e-4
     # at R = 40, and the constant does not move when the grid grows to R = 60
     import warnings
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), monkeypatch.context() as m:
         warnings.simplefilter("error")
-        assert decay_constant(gs2d, spread_tol=1e-4) == gs2d.frak_c
+        m.setattr(groundstate, "DECAY_SPREAD_TOL", 1e-4)
+        assert decay_constant(gs2d) == gs2d.frak_c
     far = solve_ground_state(ProblemParams(2, 3.0), r_max=60.0)
     assert far.frak_c == pytest.approx(gs2d.frak_c, rel=1e-5)
 

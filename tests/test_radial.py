@@ -111,12 +111,13 @@ def test_linear_solve_rejects_nonfinite_input(where):
         radial.solve_radial_linear(r, q, 2, rhs)
 
 
-def test_newton_raises_at_iteration_cap():
+def test_newton_raises_at_iteration_cap(monkeypatch):
     params = ProblemParams(2, 3.0)
     r = radial.uniform_grid(40.0, 1.0 / 300.0)
     u0 = _shooting_guess(params, r)
-    with pytest.raises(NoConvergence):
-        radial.radial_newton(r, params.dim, params.p, u0, max_iter=1)
+    monkeypatch.setattr(radial, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="in 1 steps"):
+        radial.radial_newton(r, params.dim, params.p, u0)
 
 
 def test_ground_state_factorisation_count(monkeypatch):
