@@ -161,9 +161,10 @@ def _grid(spec: DomainSpec, eps: float, n_override: Optional[int]) -> np.ndarray
     return np.concatenate([-half[::-1], half[1:]])
 
 
-def _rows(u, a, b, d, p, h, eps, left, right):
+def _rows(u, power, a, b, d, h, eps, left, right):
     """Numerov rows -a δ²u + (g₋ + 10 g + g₊)/12, g = b u - d |u|^{p-1} u,
-    δ²u the second difference; fourth order in h.
+    δ²u the second difference, power the array |u|^{p-1}; fourth order
+    in h.
 
     Boundary row kinds: DIRICHLET value rows u; NEUMANN rows with the ghost
     u_{-1} = u_1; DECAY rows with the ghost u_{-1} = u_1 - 2h u_0/eps, i.e.
@@ -171,10 +172,16 @@ def _rows(u, a, b, d, p, h, eps, left, right):
     ghosts take g_{-1} = g_1; at a truncation, e^-40 of the peak, the
     mirror costs nothing.
     """
-    g = b * u - d * np.abs(u) ** (p - 1) * u
+    g = b * u - d * power * u
     r = np.empty_like(u)
-    r[1:-1] = -a * (u[:-2] - 2 * u[1:-1] + u[2:]) \
-        + (g[:-2] + 10.0 * g[1:-1] + g[2:]) / 12.0
+    lap = u[:-2] - 2 * u[1:-1]
+    lap += u[2:]
+    lap *= -a
+    gsum = 10.0 * g[1:-1]
+    gsum += g[:-2]
+    gsum += g[2:]
+    gsum /= 12.0
+    np.add(lap, gsum, out=r[1:-1])
     for side, i, j in ((left, 0, 1), (right, -1, -2)):
         if side == DIRICHLET:
             r[i] = u[i]
@@ -185,15 +192,21 @@ def _rows(u, a, b, d, p, h, eps, left, right):
     return r
 
 
-def _rows_jacobian(u, a, b, d, p, h, eps, left, right):
-    """Jacobian of _rows in (1, 1) banded storage: ab[0, 1:] the upper,
-    ab[1] the main and ab[2, :-1] the lower diagonal. Every off-diagonal
-    entry in column j is -a + g'_j/12 (twice that at a ghost row)."""
-    dg = b - d * p * np.abs(u) ** (p - 1)
-    ab = np.zeros((3, len(u)))
-    ab[0, 1:] = -a + dg[1:] / 12.0
-    ab[1, :] = 2.0 * a + 10.0 * dg / 12.0
-    ab[2, :-1] = -a + dg[:-1] / 12.0
+def _rows_jacobian(power, a, b, d, p, h, eps, left, right):
+    """Jacobian of _rows at the iterate whose |u|^{p-1} is power, in
+    (1, 1) banded storage: ab[0, 1:] the upper, ab[1] the main and
+    ab[2, :-1] the lower diagonal (ab[0, 0] = ab[2, -1] = 0). Every
+    off-diagonal entry in column j is -a + g'_j/12 (twice that at a ghost
+    row)."""
+    dg = b - d * p * power
+    dg12 = dg / 12.0
+    ab = np.empty((3, len(dg)))
+    np.subtract(dg12[1:], a, out=ab[0, 1:])
+    np.multiply(10.0, dg, out=ab[1])
+    ab[1] /= 12.0
+    ab[1] += 2.0 * a
+    np.subtract(dg12[:-1], a, out=ab[2, :-1])
+    ab[0, 0] = ab[2, -1] = 0.0
     for side, i, off in ((left, 0, (0, 1)), (right, -1, (2, -2))):
         if side == DIRICHLET:
             ab[1, i] = 1.0
@@ -218,8 +231,8 @@ def assemble_residual(spec: DomainSpec, params: ProblemParams, epsilon: float,
     h = x[1] - x[0]
     lin = epsilon ** 2 * spec.V(x) + 1.0
     side = spec.bc or DECAY
-    return _rows(u, epsilon ** 2 / h ** 2, lin, 1.0, params.p, h, epsilon,
-                 side, side)
+    return _rows(u, np.abs(u) ** (params.p - 1), epsilon ** 2 / h ** 2, lin,
+                 1.0, h, epsilon, side, side)
 
 
 # -- damped Newton on the row-scaled system --------------------------------------
@@ -242,69 +255,89 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
             ) -> tuple[np.ndarray, int, float]:
     """Damped Newton on _rows scaled by h^2/eps^2, so the tolerance is
     meaningful in units of u. Returns u, the iteration count and max |F(u)|
-    divided by h^2/eps^2: the unscaled residual of assemble_residual."""
+    divided by h^2/eps^2: the unscaled residual of assemble_residual.
+
+    Each iterate's |u|^{p-1} is formed once: with its rows, and kept for
+    its Jacobian once the iterate is accepted. The step t d is accepted
+    when max |F(u + t d)| <= (1 - t/4) max |F(u)|, t halved from 1."""
     h = x[1] - x[0]
     s = h * h / (eps * eps)
     w = s * (eps * eps * Vx + 1.0)
-    u = u0.copy()
 
     def F(u):
-        return _rows(u, 1.0, w, s, p, h, eps, left, right)
+        """F(u), |u| and |u|^{p-1}."""
+        au = np.abs(u)
+        power = au ** (p - 1)
+        return _rows(u, power, 1.0, w, s, h, eps, left, right), au, power
 
-    def jacobian(u):
-        return _rows_jacobian(u, 1.0, w, s, p, h, eps, left, right)
+    def direction(power, r):
+        return solve_banded(
+            _rows_jacobian(power, 1.0, w, s, p, h, eps, left, right), -r)
 
     converged = False
-    r = F(u)
+    u = u0.copy()
+    r, au, power = F(u)
+    scale = max(1.0, au.max())  # max(1, max |u|) at the iterate u
     for it in range(NEWTON_MAX_ITER):
-        rn = np.max(np.abs(r))
-        if not np.isfinite(rn):
+        rn = np.abs(r).max()
+        if not math.isfinite(rn):
             raise NewtonDiverged("residual is not finite")
-        if converged or rn < 1e-15 * max(1.0, np.max(np.abs(u))):
+        if converged or rn < 1e-15 * scale:
             return u, it, rn / s
-        if rn < NEWTON_TOL * max(1.0, np.max(np.abs(u))):
+        if rn < NEWTON_TOL * scale:
             converged = True  # one full polish step to the rounding floor
-            u = u + solve_banded(jacobian(u), -r)
-            r = F(u)
+            u = u + direction(power, r)
+            r, au, power = F(u)
+            scale = max(1.0, au.max())
             continue
-        d = solve_banded(jacobian(u), -r)
+        d = direction(power, r)
         t = 1.0
         for _ in range(NEWTON_MAX_BACKTRACK):
-            rt = F(u + t * d)
-            if np.all(np.isfinite(rt)) and np.max(np.abs(rt)) <= rn * (1 - 0.25 * t):
+            step = d if t == 1.0 else t * d
+            trial = u + step
+            rt, au, trial_power = F(trial)
+            # rn is finite, so a non-finite rt fails the test
+            if np.abs(rt).max() <= rn * (1 - 0.25 * t):
                 break
             t *= 0.5
         else:
-            if rn < 1e-9 * max(1.0, np.max(np.abs(u))):
+            if rn < 1e-9 * scale:
                 return u, it, rn / s  # stagnated at the rounding floor
             raise NewtonDiverged("backtracking budget exhausted")
-        u = u + t * d
-        r = rt  # the residual at the accepted step, F(u)
-        if np.max(np.abs(t * d)) < 1e-15 * max(1.0, np.max(np.abs(u))):
-            rn = np.max(np.abs(r))
-            if rn < 1e-9 * max(1.0, np.max(np.abs(u))):
+        u, r, power = trial, rt, trial_power
+        scale = max(1.0, au.max())
+        if np.abs(step).max() < 1e-15 * scale:
+            rn = np.abs(r).max()
+            if rn < 1e-9 * scale:
                 return u, it, rn / s
             raise NewtonDiverged("step collapsed before convergence")
     raise NewtonDiverged(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
-def _single_peak(u: np.ndarray) -> bool:
-    du = np.diff(u)
-    signs = np.sign(du[np.abs(du) > 1e-12 * np.max(np.abs(u))])
-    return np.count_nonzero(np.diff(signs)) <= 1
+def _single_peak(u: np.ndarray, umax_abs: float) -> bool:
+    """Whether the differences of u change sign at most once, ignoring
+    those below 1e-12 of umax_abs = max |u|."""
+    du = u[1:] - u[:-1]
+    signs = np.sign(du[np.abs(du) > 1e-12 * umax_abs])
+    return np.count_nonzero(signs[1:] - signs[:-1]) <= 1
 
 
 def _package(spec, params, eps, x, u, iters, residual) -> NormalizedSolution:
-    interior = u[1:-1] if (spec.kind == "interval" and spec.bc == DIRICHLET) else u
+    peak = u.argmax()
+    umax, umin = u[peak], u.min()
+    interior_min = (u[1:-1].min()
+                    if (spec.kind == "interval" and spec.bc == DIRICHLET)
+                    else umin)
+    umax_abs = float(max(umax, -umin))
     # tolerate rounding dust in the truncation tail, catch real crossings
-    floor = 1e-12 * float(np.max(np.abs(u)))
-    if np.max(u) <= 0 or np.min(interior) < -floor:
+    floor = 1e-12 * umax_abs
+    if umax <= 0 or interior_min < -floor:
         raise NonPositive("solution is not positive at interior nodes")
     # at the peak of a positive solution u'' <= 0 and V = 0, so u^{p-1} >= 1
-    if np.max(u) < 0.5:
+    if umax < 0.5:
         raise NonPositive(f"Newton fell onto the trivial solution u = 0 "
-                          f"(max u = {np.max(u):.3g})")
-    if not _single_peak(u):
+                          f"(max u = {umax:.3g})")
+    if not _single_peak(u, umax_abs):
         raise NewtonDiverged("converged profile is not single-peaked")
     p = params.p
     v = eps ** (-2.0 / (p - 1.0)) * u
@@ -314,7 +347,7 @@ def _package(spec, params, eps, x, u, iters, residual) -> NormalizedSolution:
         spec=spec, params=params, lambda_=eps ** -2.0, epsilon=eps,
         nodes=x, v_values=v, u_values=u, mass=mass,
         residual_inf=float(residual),
-        concentration_point=float(x[np.argmax(u)]),
+        concentration_point=float(x[peak]),
         newton_iterations=iters)
 
 
@@ -371,9 +404,9 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
         if len(u0) != n + 1:
             raise ValueError(f"u0 must hold the {n + 1} solver grid values")
         guess = np.asarray(u0, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(guess))))
-        even = spec.kind == "realline" or np.all(
-            np.abs(guess - guess[::-1]) <= 1e-9 * scale)
+        scale = max(1.0, float(np.abs(guess).max()))
+        even = spec.kind == "realline" or bool(
+            (np.abs(guess - guess[::-1]) <= 1e-9 * scale).all())
     else:
         centre = 0.5 * (x[0] + x[-1])  # 0.0 on (-1, 1) and the real line
         guess = closed_form_soliton(p)[0]((x - centre) / epsilon)
@@ -449,6 +482,10 @@ FLAT_RTOL = 1e-9
 # stop also at |mass - rho| <= CRITICAL_STOP * |rho - origin|, which binds
 # only at p = 1 + 4/N, where the law's origin is 2 sigma0, not 0
 CRITICAL_STOP = 1e-3
+# but never below STOP_FLOOR * MASS_RTOL * rho: at rho = 2 sigma0 the
+# critical stop is 0, and the floor (1.4e-10 there at p = 5) lies below
+# the mass error of one solve
+STOP_FLOOR = 1e-3
 # |Theta| ~ THETA_RATE_CONSTANT s e^{-2s}, s = d/eps, at p = 1 + 4/N on an
 # interval of half-width d, and mass - 2 sigma0 ~ -2 Theta (boundary_layer)
 THETA_RATE_CONSTANT = 4.0 * math.sqrt(3.0)
@@ -606,12 +643,17 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     eps is clipped to [eps_min, EPS_START]. The first evaluated eps whose mass
     is within tol of rho is returned: tol = MASS_RTOL * rho, and at most
     1e-3 * |rho - 2 sigma0| at p = 1 + 4/N, so that the returned eps also
-    resolves a small distance to 2 sigma0. Raises NoSolutionInRegime when
-    the law puts no mass at rho (_MassLaw.refusal), and BracketFailed when no step brackets rho or when the
-    root-find ends on a constant solution (u = 1 on a Neumann interval),
-    which does not concentrate. A non-finite or non-positive rho, an eps_min
-    outside (0, EPS_START) or dim != 1 raises ValueError before the ground
-    state is solved.
+    resolves a small distance to 2 sigma0, but never below STOP_FLOOR *
+    MASS_RTOL * rho. Raises NoSolutionInRegime when the law puts no mass at
+    rho (_MassLaw.refusal), and BracketFailed when no step brackets rho or
+    when the root-find ends on a constant solution (u = 1 on a Neumann
+    interval), which does not concentrate. A solve inside the walk that
+    fails raises its own error, NonPositive or NewtonDiverged (as
+    solve_fixed_epsilon documents), and the walk stops there: on the line
+    with V = x^2 - 5x^4 at p = 5 and rho near 2 sigma0 the first solve
+    raises NonPositive. A
+    non-finite or non-positive rho, an eps_min outside (0, EPS_START) or
+    dim != 1 raises ValueError before the ground state is solved.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("rho must be positive and finite")
@@ -624,7 +666,8 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     reason = law.refusal()
     if reason is not None:
         raise NoSolutionInRegime(reason)
-    tol = min(MASS_RTOL * rho, CRITICAL_STOP * abs(rho - law.origin))
+    tol = max(STOP_FLOOR * MASS_RTOL * rho,
+              min(MASS_RTOL * rho, CRITICAL_STOP * abs(rho - law.origin)))
 
     evaluate = MassEvaluator(spec, params)
 
@@ -663,7 +706,8 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
         eps_a, f_a = eps_b, f_b
     sol = evaluate.solution(eps_a)
     u = sol.u_values
-    if np.max(u) - np.min(u) <= FLAT_RTOL * np.max(u):
+    umax = u.max()
+    if umax - u.min() <= FLAT_RTOL * umax:
         raise BracketFailed(
             f"the root-find for mass {rho:.12g} ended on the constant "
             f"solution u = {np.mean(u):.6g} at eps = {eps_a:.6g}, which "

@@ -387,6 +387,29 @@ def test_mixed_sign_potential_line_is_not_refused(gs5, delta, eps):
     assert sol.epsilon == pytest.approx(eps, rel=1e-3)
 
 
+def test_stop_tolerance_is_floored_at_two_sigma0(monkeypatch, gs5):
+    # at rho = 2 sigma0 exactly, CRITICAL_STOP * |rho - 2 sigma0| is 0, and
+    # with no floor under it Brent ran to its xtol on log eps: 28 solves
+    misses = _count_misses(monkeypatch)
+    rho = 2.0 * gs5.sigma0
+    sol = solve_normalized(DomainSpec("realline", potential=(-1.0, 5.0)), P5,
+                           rho, ground_state=gs5)
+    assert len(misses) <= 14
+    assert abs(sol.mass - rho) <= bvp.STOP_FLOOR * bvp.MASS_RTOL * rho
+
+
+def test_failed_solve_inside_the_walk_raises_its_error(monkeypatch, gs5):
+    # V = x^2 - 5x^4 falls to -inf, and the first solve of the walk, at
+    # the law's start, returns a profile that crosses zero. The root-find
+    # does not step away from it: the solve's NonPositive is raised
+    misses = _count_misses(monkeypatch)
+    with pytest.raises(NonPositive,
+                       match="solution is not positive at interior nodes"):
+        solve_normalized(DomainSpec("realline", potential=(1.0, -5.0)), P5,
+                         2.0 * gs5.sigma0 - 1e-3, ground_state=gs5)
+    assert len(misses) == 1
+
+
 @pytest.mark.parametrize("rho", [np.inf, np.nan])
 def test_solve_normalized_rejects_nonfinite_mass(rho):
     with pytest.raises(ValueError):
@@ -756,6 +779,156 @@ def test_endpoint_grid_override_matches_interior():
         sol = solve_fixed_epsilon(spec, P5, 0.2, init=init, n_override=400)
         assert len(sol.nodes) == 401
         assert np.diff(sol.nodes) == pytest.approx(0.005, rel=1e-12)
+
+
+# -- the damped Newton against a plain reference loop --------------------------
+
+def _reference_rows(u, b, d, p, h, eps, left, right):
+    g = b * u - d * np.abs(u) ** (p - 1) * u
+    r = np.empty_like(u)
+    r[1:-1] = -1.0 * (u[:-2] - 2 * u[1:-1] + u[2:]) \
+        + (g[:-2] + 10.0 * g[1:-1] + g[2:]) / 12.0
+    for side, i, j in ((left, 0, 1), (right, -1, -2)):
+        if side == "dirichlet":
+            r[i] = u[i]
+        else:
+            ghost = 2 * h * u[i] / eps if side == "decay" else 0.0
+            r[i] = -1.0 * (2 * u[j] - 2 * u[i] - ghost) \
+                + (2.0 * g[j] + 10.0 * g[i]) / 12.0
+    return r
+
+
+def _reference_jacobian(u, b, d, p, h, eps, left, right):
+    dg = b - d * p * np.abs(u) ** (p - 1)
+    ab = np.zeros((3, len(u)))
+    ab[0, 1:] = -1.0 + dg[1:] / 12.0
+    ab[1, :] = 2.0 * 1.0 + 10.0 * dg / 12.0
+    ab[2, :-1] = -1.0 + dg[:-1] / 12.0
+    for side, i, off in ((left, 0, (0, 1)), (right, -1, (2, -2))):
+        if side == "dirichlet":
+            ab[1, i] = 1.0
+            ab[off] = 0.0
+        else:
+            ab[off] *= 2.0
+            if side == "decay":
+                ab[1, i] += 2.0 * 1.0 * h / eps
+    return ab
+
+
+def _reference_newton(x, u0, eps, p, Vx, left, right):
+    """The damped Newton of bvp._newton written plainly: every |u|^{p-1},
+    max |u| and u + t d formed where it is used. Returns u, the iteration
+    count, the unscaled residual and the number of halvings of t."""
+    h = x[1] - x[0]
+    s = h * h / (eps * eps)
+    w = s * (eps * eps * Vx + 1.0)
+
+    def F(u):
+        return _reference_rows(u, w, s, p, h, eps, left, right)
+
+    def step(u, r):
+        return bvp.solve_banded(
+            _reference_jacobian(u, w, s, p, h, eps, left, right), -r)
+
+    u = u0.copy()
+    halvings = 0
+    converged = False
+    r = F(u)
+    for it in range(bvp.NEWTON_MAX_ITER):
+        rn = np.max(np.abs(r))
+        if not np.isfinite(rn):
+            raise NewtonDiverged("residual is not finite")
+        if converged or rn < 1e-15 * max(1.0, np.max(np.abs(u))):
+            return u, it, rn / s, halvings
+        if rn < bvp.NEWTON_TOL * max(1.0, np.max(np.abs(u))):
+            converged = True
+            u = u + step(u, r)
+            r = F(u)
+            continue
+        d = step(u, r)
+        t = 1.0
+        for _ in range(bvp.NEWTON_MAX_BACKTRACK):
+            rt = F(u + t * d)
+            if (np.all(np.isfinite(rt))
+                    and np.max(np.abs(rt)) <= rn * (1 - 0.25 * t)):
+                break
+            t *= 0.5
+            halvings += 1
+        else:
+            if rn < 1e-9 * max(1.0, np.max(np.abs(u))):
+                return u, it, rn / s, halvings
+            raise NewtonDiverged("backtracking budget exhausted")
+        u = u + t * d
+        r = rt
+        if np.max(np.abs(t * d)) < 1e-15 * max(1.0, np.max(np.abs(u))):
+            rn = np.max(np.abs(r))
+            if rn < 1e-9 * max(1.0, np.max(np.abs(u))):
+                return u, it, rn / s, halvings
+            raise NewtonDiverged("step collapsed before convergence")
+    raise NewtonDiverged(f"no convergence in {bvp.NEWTON_MAX_ITER} iterations")
+
+
+def _newton_case(kind, p, eps, start):
+    """_newton's arguments as solve_fixed_epsilon passes them: the right
+    half with a symmetry row, or the whole grid for "shifted". start is a
+    factor of the centred ansatz, "warm" (the eps = 1.1 eps solution
+    interpolated) or "shifted" (the ansatz moved off the centre)."""
+    spec = NEWTON_SPECS[kind]
+    x = bvp._grid(spec, eps, None)
+    side = spec.bc or "decay"
+    if start == "warm":
+        prev = solve_fixed_epsilon(spec, ProblemParams(1, p), 1.1 * eps)
+        guess = np.interp(x, prev.nodes, prev.u_values)
+    else:
+        shift = 0.2 if start == "shifted" else 0.0
+        factor = 1.0 if isinstance(start, str) else start
+        guess = factor * closed_form_soliton(p)[0]((x - shift) / eps)
+    if spec.bc == "dirichlet":
+        guess[0] = guess[-1] = 0.0
+    if start == "shifted":
+        return x, guess, eps, p, spec.V(x), side, side
+    half = len(x) // 2
+    return (x[half:], guess[half:], eps, p, spec.V(x[half:]), "neumann",
+            side)
+
+
+NEWTON_SPECS = {"dirichlet": DomainSpec("interval", -1, 1, "dirichlet"),
+                "neumann": DomainSpec("interval", -1, 1, "neumann"),
+                "line_x2": LINE_X2}
+
+
+@pytest.mark.parametrize("kind, p, eps, start, backtracks", [
+    ("dirichlet", 2.0, 0.1, 0.6, True),
+    ("dirichlet", 5.0, 0.3, 1.0, False),
+    ("dirichlet", 3.0, 0.3, "shifted", None),
+    ("neumann", 3.0, 0.3, 0.6, True),
+    ("neumann", 7.0, 0.1, 1.0, False),
+    ("line_x2", 2.0, 0.5, 1.0, False),
+    ("line_x2", 5.0, 0.3, 1.0, False),
+    ("line_x2", 7.0, 0.2, "warm", None),
+])
+def test_newton_matches_reference_loop(kind, p, eps, start, backtracks):
+    # bvp._newton forms each |u|^{p-1}, max |u| and trial once; the
+    # arithmetic is the reference's, so u, the count and the residual are
+    # the same bits
+    args = _newton_case(kind, p, eps, start)
+    u, iters, residual = bvp._newton(*args)
+    ref_u, ref_iters, ref_residual, halvings = _reference_newton(*args)
+    assert u.tobytes() == ref_u.tobytes()
+    assert (iters, residual) == (ref_iters, ref_residual)
+    assert residual <= 1e-9
+    if backtracks is not None:
+        assert (halvings > 0) == backtracks
+
+
+def test_newton_failure_matches_reference_loop():
+    # from 0.6 of the ansatz at p = 2, eps = 0.5 every step backtracks,
+    # until a step's 40 halvings all fail
+    args = _newton_case("dirichlet", 2.0, 0.5, 0.6)
+    for newton in (bvp._newton, _reference_newton):
+        with pytest.raises(NewtonDiverged,
+                           match="backtracking budget exhausted"):
+            newton(*args)
 
 
 SPECS = {"dirichlet": DomainSpec("interval", -1, 1, "dirichlet"),
