@@ -9,8 +9,10 @@ scipy.linalg.lapack costs about twice numpy's own import.
 
 The wheel layout is not numpy API, and conda or distribution builds link
 other libraries. Where the library or one of the three symbols is missing,
-the routines come from scipy.linalg.lapack instead. The choice is made once,
-at the first call, from what ``_locate`` finds; ``backend()`` names it.
+the routines come from scipy.linalg.lapack instead (the ``fallback`` extra);
+with neither, the first call raises ImportError naming both. The choice is
+made once, at the first call, from what ``_locate`` finds; ``backend()``
+names it.
 
 Each routine works in place on writable float64 arrays and returns LAPACK's
 info, except that info < 0 (an illegal argument) raises ValueError. Pivots
@@ -109,13 +111,15 @@ class _OpenBLAS:
 
     def gbtrs(self, lu, kl, ku, ipiv, b, trans):
         ldab, n = lu.shape
-        if b.shape != (n,) or ipiv.shape != (n,):
-            raise ValueError("gbtrs needs b and ipiv of shape (n,)")
+        if b.ndim not in (1, 2) or b.shape[0] != n or ipiv.shape != (n,):
+            raise ValueError("gbtrs needs ipiv of shape (n,) and b of shape "
+                             "(n,) or (n, nrhs)")
         # N (also LDB), KL, KU, NRHS, LDAB, INFO
-        ints = _INTS(n, kl, ku, 1, ldab)
+        ints = _INTS(n, kl, ku, 1 if b.ndim == 1 else b.shape[1], ldab)
         i = addressof(ints)
         self._gbtrs(trans.encode(), i, i + 8, i + 16, i + 24, _address(lu.T),
-                    i + 32, _address(ipiv, _INT), _address(b), i, i + 40, 1)
+                    i + 32, _address(ipiv, _INT), _address(b.T), i, i + 40,
+                    1)
         return b, _checked(ints[5], "dgbtrs")
 
 
@@ -148,7 +152,17 @@ class _SciPy:
 @functools.cache
 def _routines() -> _OpenBLAS | _SciPy:
     lib = _locate()
-    return _SciPy() if lib is None else _OpenBLAS(lib)
+    if lib is not None:
+        return _OpenBLAS(lib)
+    try:
+        return _SciPy()
+    except ImportError:
+        raise ImportError(
+            "normwave found no LAPACK: neither numpy's bundled OpenBLAS "
+            "(libscipy_openblas64_ with dgtsv, dgbtrf and dgbtrs, in "
+            "numpy.libs beside numpy) nor scipy.linalg. Install numpy from "
+            "a PyPI wheel (verified: numpy 2.4.6 on Linux), or scipy with "
+            "pip install 'normwave[fallback]'") from None
 
 
 def backend() -> str:
@@ -175,5 +189,6 @@ def gbtrf(ab: np.ndarray, kl: int, ku: int
 def gbtrs(lu: np.ndarray, kl: int, ku: int, ipiv: np.ndarray, b: np.ndarray,
           trans: str = "N") -> tuple[np.ndarray, int]:
     """dgbtrs with gbtrf's factors: A^{-1} b, or A^{-T} b for trans="T",
-    written over b. Returns (x, info); x is b's memory."""
+    written over b, of shape (n,) or a Fortran-ordered (n, nrhs). Returns
+    (x, info); x is b's memory."""
     return _routines().gbtrs(lu, kl, ku, ipiv, b, trans)

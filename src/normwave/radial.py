@@ -15,7 +15,9 @@ w'(R) + robin_const * w(R) = 0 modelling exponential decay.
 L is held in LAPACK general band storage (KL = 4 sub-diagonals for the Robin
 row, KU = 2 super-diagonals) and factorised by LAPACK dgbtrf, called in
 numpy's bundled OpenBLAS (normwave._lapack), so that no radial solve loads
-scipy.
+scipy. The band is assembled straight into the Fortran-ordered array that
+dgbtrf factorises in place, and a radial Newton solve reuses one such array
+for every step.
 """
 
 from __future__ import annotations
@@ -71,22 +73,29 @@ class BandLU:
         self.ipiv = ipiv
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """A^{-1} b, or A^{-T} b for trans="T"; b is left as it is."""
+        """A^{-1} b, or A^{-T} b for trans="T", for b of shape (n,) or
+        (n, nrhs), all columns in one dgbtrs call; b is left as it is."""
         x, _ = _lapack.gbtrs(self.lu, KL, KU, self.ipiv,
-                             np.array(b, dtype=float), trans)
+                             np.array(b, dtype=float, order="F"), trans)
         return x
 
 
 def splu(ab: np.ndarray) -> BandLU:
-    """Band LU of an operator in radial_operator's storage, by LAPACK dgbtrf.
+    """Band LU by LAPACK dgbtrf, of an operator either in radial_operator's
+    storage (KL + KU + 1 rows), which is left as it is, or in the last rows
+    of a Fortran-ordered (2 KL + KU + 1, n) array such as
+    radial_operator's ab.base, which is factorised in place. dgbtrf needs
+    the KL rows above the band for the fill-in of pivoting and sets them
+    itself.
 
     The name is kept from the sparse LU it replaced, because the benchmark's
     tracer (bench/tracing.py) counts factorisations under it. An exactly
     zero pivot raises SingularOperator.
     """
-    work = np.zeros((2 * KL + KU + 1, ab.shape[1]), order="F")
-    work[KL:] = ab  # dgbtrf needs KL more rows for the fill-in of pivoting
-    lu, ipiv, info = _lapack.gbtrf(work, KL, KU)
+    if ab.shape[0] == KL + KU + 1:
+        band, ab = ab, np.zeros((2 * KL + KU + 1, ab.shape[1]), order="F")
+        ab[KL:] = band
+    lu, ipiv, info = _lapack.gbtrf(ab, KL, KU)
     if info > 0:
         raise SingularOperator("radial operator is exactly singular")
     return BandLU(lu, ipiv)
@@ -94,14 +103,20 @@ def splu(ab: np.ndarray) -> BandLU:
 
 def onenormest(matvec, rmatvec, n: int) -> float:
     """Hager-Higham lower estimate of ||B||_1 for an n x n operator B given
-    by x -> B x and x -> B^T x.
+    by x -> B x and x -> B^T x, where matvec also takes an (n, 2) block.
 
     N. J. Higham, ACM TOMS 14 (1988) 381, Algorithm 4.1, step for step as
     LAPACK dlacn2, the estimator dgbcon uses: at most five products with
-    B^T and six with B, the last on the alternating-sign vector.
+    B^T and six with B, the last on the alternating-sign vector. That
+    vector does not depend on B, so its product is taken with the first,
+    on 1/n, in one block product.
     """
     itmax = 5
-    v = matvec(np.full(n, 1.0 / n))
+    i = np.arange(n)
+    probes = np.empty((n, 2), order="F")
+    probes[:, 0] = 1.0 / n
+    probes[:, 1] = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / max(n - 1, 1))
+    v, last = matvec(probes).T
     est = float(np.sum(np.abs(v)))
     if n == 1:
         return est
@@ -122,20 +137,22 @@ def onenormest(matvec, rmatvec, n: int) -> float:
         if z[j_last] == abs(z[j]) or k >= itmax:
             break
         k += 1
-    i = np.arange(n)
-    alt = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / (n - 1))
-    return max(est, 2.0 * float(np.sum(np.abs(matvec(alt)))) / (3 * n))
+    return max(est, 2.0 * float(np.sum(np.abs(last))) / (3 * n))
 
 
 def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
                     robin_const: float | None = None) -> np.ndarray:
     """Assemble L[q] in LAPACK general band storage (see module docstring
-    for its rows): ab[KU + i - j, j] = L[i, j], zero outside the matrix."""
+    for its rows): ab[KU + i - j, j] = L[i, j], zero outside the matrix.
+
+    ab is the last KL + KU + 1 rows of ab.base, a zeroed Fortran-ordered
+    (2 KL + KU + 1, n) array that splu(ab.base) factorises in place.
+    """
     n = len(r) - 1
     h = r[1] - r[0]
     if robin_const is None:
         robin_const = 1.0 + (dim - 1) / (2.0 * r[-1])
-    ab = np.zeros((KL + KU + 1, n + 1))
+    ab = np.zeros((2 * KL + KU + 1, n + 1), order="F")[KL:]
 
     def put(i, j, v):
         ab[KU + i - j, j] = v
@@ -152,16 +169,16 @@ def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
     row1[1] += q[1]
     put(1, np.arange(4), row1)
 
-    # bulk rows 2..n-2: standard five-point fourth-order stencils.
+    # bulk rows 2..n-2: standard five-point fourth-order stencils; row i's
+    # entry in column i + off lies on band row KU - off.
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
     c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-    idx = np.arange(2, n - 1)
-    fric = (dim - 1) / r[idx]
+    fric = (dim - 1) / r[2:n - 1]
     for k, off in enumerate(range(-2, 3)):
         band = -c2[k] - fric * c1[k]
         if off == 0:
-            band = band + q[idx]
-        put(idx, idx + off, band)
+            band = band + q[2:n - 1]
+        ab[KU - off, 2 + off:n - 1 + off] = band
 
     # i = n-1: second-order fallback (sits deep in the exponential tail).
     put(n - 1, np.arange(n - 2, n + 1), np.array([
@@ -194,32 +211,40 @@ def solve_radial_linear(r: np.ndarray, q: np.ndarray, dim: int, rhs: np.ndarray,
     """Solve L[q] w = rhs with the decay boundary row (rhs forced to 0 there).
 
     A non-finite q or rhs raises ValueError. The condition estimate is the
-    exact ||L||_1, a column sum over the band, times the Hager-Higham
-    estimate of ||L^{-1}||_1 from solves with the factors; above COND_LIMIT
-    it raises SingularOperator.
+    exact ||L||_1, a column sum over the band taken before the band is
+    factorised in place, times the Hager-Higham estimate of ||L^{-1}||_1
+    from solves with the factors; above COND_LIMIT it raises
+    SingularOperator.
     """
     b = np.asarray(rhs, dtype=float).copy()
     if not (np.isfinite(q).all() and np.isfinite(b).all()):
         raise ValueError("q and rhs must be finite")
     A = radial_operator(r, q, dim, robin_const)
-    lu = splu(A)
+    norm = np.abs(A[0])  # column sums row by row, as numpy sums a C-order band
+    for row in A[1:]:
+        norm += np.abs(row)
+    norm = float(np.max(norm))
+    lu = splu(A.base)
     inv_norm = onenormest(lu.solve, lambda x: lu.solve(x, trans="T"),
                           A.shape[1])
-    if float(np.max(np.sum(np.abs(A), axis=0))) * inv_norm > COND_LIMIT:
+    if norm * inv_norm > COND_LIMIT:
         raise SingularOperator(
             f"radial operator condition estimate exceeds {COND_LIMIT:.1e}")
     b[-1] = 0.0
     return lu.solve(b)
 
 
-def _jacobian(base: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
-    """L[1 - p|u|^{p-1}] from L[1]: only the diagonal of the interior rows
-    changes; the Robin row carries no potential."""
-    shift = p * np.abs(u) ** (p - 1)
+def _jacobian(work: np.ndarray, base: np.ndarray, power: np.ndarray,
+              p: float) -> np.ndarray:
+    """Write L[1 - p|u|^{p-1}] into the last rows of splu's work array, from
+    L[1] (base) and power = |u|^{p-1}: only the diagonal of the interior
+    rows differs from L[1]; the Robin row carries no potential."""
+    shift = p * power
     shift[-1] = 0.0
-    J = base.copy()
-    J[KU] -= shift
-    return J
+    ab = work[KL:]
+    ab[...] = base
+    ab[KU] -= shift
+    return work
 
 
 def radial_newton(r: np.ndarray, dim: int, p: float,
@@ -234,19 +259,24 @@ def radial_newton(r: np.ndarray, dim: int, p: float,
 
     Returns u and the LU factors of the last Jacobian, which is within one
     rounding-level step of the Jacobian at u. The operator L[1] is assembled
-    once; each Jacobian differs from it only on the diagonal.
+    once; each Jacobian differs from it only on the diagonal. Every
+    Jacobian is written into the work array L[1] was assembled in and
+    factorised there, over the previous step's factors. |u|^{p-1} is
+    formed once per iterate, for its residual and its Jacobian.
     """
-    base = radial_operator(r, np.ones_like(r), dim)
+    assembled = radial_operator(r, np.ones_like(r), dim)
+    work, base = assembled.base, assembled.copy()
     u = u0.copy()
     lu = None
     for _ in range(NEWTON_MAX_ITER):
+        power = np.abs(u) ** (p - 1)
         F = band_matvec(base, u)
-        F[:-1] -= np.abs(u[:-1]) ** (p - 1) * u[:-1]
+        F[:-1] -= power[:-1] * u[:-1]
         if np.max(np.abs(F[:-1])) < NEWTON_TOL and abs(F[-1]) < NEWTON_TOL:
             if lu is None:  # u0 already solves the grid problem
-                lu = splu(_jacobian(base, u, p))
+                lu = splu(_jacobian(work, base, power, p))
             return u, lu
-        lu = splu(_jacobian(base, u, p))
+        lu = splu(_jacobian(work, base, power, p))
         du = lu.solve(-F)
         u = u + du
         if np.max(np.abs(du)) <= 1e-10 * max(1.0, np.max(np.abs(u))):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,11 @@ def jacobian33():
     """The radial Newton Jacobian of the (3, 3) ground state, h = 1/600."""
     gs = solve_ground_state(ProblemParams(3, 3.0))
     r = gs.profile.nodes
-    base = radial.radial_operator(r, np.ones_like(r), 3)
-    return radial._jacobian(base, gs.profile.values, 3.0)
+    jac = radial.radial_operator(r, np.ones_like(r), 3).copy()
+    shift = 3.0 * np.abs(gs.profile.values) ** 2.0
+    shift[-1] = 0.0  # the Robin row carries no potential
+    jac[radial.KU] -= shift
+    return jac
 
 
 def _band_work(ab):
@@ -75,6 +80,39 @@ def test_band_lu_bit_equal_on_both_paths(both, jacobian33):
         ref, _ = both[1].gbtrs(ref_lu, radial.KL, radial.KU, ref_ipiv,
                                b.copy(), trans)
         assert np.array_equal(x, ref)
+
+
+@pytest.mark.parametrize("nrhs", [2, 3])
+def test_band_solve_of_a_block_is_columnwise(both, jacobian33, nrhs):
+    # one dgbtrs call on an (n, nrhs) block solves each column as a single
+    # solve does, bit for bit
+    n = jacobian33.shape[1]
+    block = np.asfortranarray(
+        np.random.default_rng(10 + nrhs).normal(size=(n, nrhs)))
+    for path in both:
+        lu, ipiv, _ = path.gbtrf(_band_work(jacobian33), radial.KL, radial.KU)
+        for trans in "NT":
+            x, info = path.gbtrs(lu, radial.KL, radial.KU, ipiv,
+                                 block.copy(order="F"), trans)
+            assert info == 0 and x.shape == (n, nrhs)
+            for k in range(nrhs):
+                col, _ = path.gbtrs(lu, radial.KL, radial.KU, ipiv,
+                                    block[:, k].copy(), trans)
+                assert x[:, k].tobytes() == col.tobytes()
+
+
+def test_splu_copies_a_band_and_factorises_work_in_place(each_path,
+                                                        jacobian33):
+    # a (KL + KU + 1, n) band is left byte for byte as it was; the work
+    # array behind radial_operator's band is factorised where it lies
+    kept = jacobian33.copy()
+    lu = radial.splu(jacobian33)
+    assert jacobian33.tobytes() == kept.tobytes()
+    r = radial.uniform_grid(12.0, 0.1)
+    ab = radial.radial_operator(r, np.ones_like(r), 3)
+    assert ab.base.shape == (2 * radial.KL + radial.KU + 1, len(r))
+    assert np.shares_memory(radial.splu(ab.base).lu, ab)
+    assert not np.shares_memory(lu.lu, jacobian33)
 
 
 def test_band_lu_pivots_are_one_based(each_path, jacobian33):
@@ -140,3 +178,19 @@ def test_fallback_gives_the_same_numbers(monkeypatch):
     _lapack._routines.cache_clear()
     for a, b in zip(first, fallback):
         assert np.array_equal(a, b)
+
+
+def test_no_lapack_raises_one_error_naming_both(monkeypatch):
+    # without numpy's library and without scipy, the first call says where
+    # either comes from, not just that scipy is missing
+    monkeypatch.setattr(_lapack, "_locate", lambda: None)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    _lapack._routines.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"(?s)libscipy_openblas64_.*"
+                           r"numpy\.libs.*normwave\[fallback\]") as info:
+            _lapack.backend()
+        assert info.value.__cause__ is None
+        assert info.value.__suppress_context__
+    finally:
+        _lapack._routines.cache_clear()

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import lil_matrix
 
 from conftest import band_matrix
-from normwave import groundstate, radial
+from normwave import _lapack, groundstate, radial
+from normwave.corrections import correction_profile
 from normwave.errors import NoConvergence
 from normwave.groundstate import (GroundState, ProblemParams, RadialProfile,
                                   _shooting_guess, decay_constant,
@@ -167,3 +170,164 @@ def test_newton_from_perturbed_shot(gs2d):
 def test_uniform_grid_rejects_bad_extent(r_max, spacing):
     with pytest.raises(ValueError, match="positive and finite"):
         radial.uniform_grid(r_max, spacing)
+
+
+# -- the band LU layer as it was before the band was factorised in place:
+# a fresh work array and LU per factorisation, a copy of L[1] per Jacobian,
+# one solve per estimator probe. Kept as the reference that the in-place
+# layer must match bit for bit.
+
+class _ReferenceLU:
+    def __init__(self, ab):
+        work = np.zeros((2 * radial.KL + radial.KU + 1, ab.shape[1]),
+                        order="F")
+        work[radial.KL:] = ab
+        self.lu, self.ipiv, info = _lapack.gbtrf(work, radial.KL, radial.KU)
+        assert info == 0
+
+    def solve(self, b, trans="N"):
+        x, _ = _lapack.gbtrs(self.lu, radial.KL, radial.KU, self.ipiv,
+                             np.array(b, dtype=float), trans)
+        return x
+
+
+def _reference_jacobian(base, u, p):
+    shift = p * np.abs(u) ** (p - 1)
+    shift[-1] = 0.0
+    J = base.copy()
+    J[radial.KU] -= shift
+    return J
+
+
+def _reference_newton(r, dim, p, u0):
+    base = radial.radial_operator(r, np.ones_like(r), dim)
+    u = u0.copy()
+    lu = None
+    for _ in range(radial.NEWTON_MAX_ITER):
+        F = radial.band_matvec(base, u)
+        F[:-1] -= np.abs(u[:-1]) ** (p - 1) * u[:-1]
+        if np.max(np.abs(F[:-1])) < radial.NEWTON_TOL \
+                and abs(F[-1]) < radial.NEWTON_TOL:
+            if lu is None:
+                lu = _ReferenceLU(_reference_jacobian(base, u, p))
+            return u, lu
+        lu = _ReferenceLU(_reference_jacobian(base, u, p))
+        du = lu.solve(-F)
+        u = u + du
+        if np.max(np.abs(du)) <= 1e-10 * max(1.0, np.max(np.abs(u))):
+            return u, lu
+    raise NoConvergence("reference Newton did not converge")
+
+
+def _reference_onenormest(matvec, rmatvec, n):
+    itmax = 5
+    v = matvec(np.full(n, 1.0 / n))
+    est = float(np.sum(np.abs(v)))
+    sign = np.where(v >= 0.0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(rmatvec(sign))))
+    k = 2
+    while True:
+        e = np.zeros(n)
+        e[j] = 1.0
+        v = matvec(e)
+        est_old, est = est, float(np.sum(np.abs(v)))
+        new_sign = np.where(v >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_sign, sign) or est <= est_old:
+            break
+        sign = new_sign
+        z = rmatvec(sign)
+        j_last, j = j, int(np.argmax(np.abs(z)))
+        if z[j_last] == abs(z[j]) or k >= itmax:
+            break
+        k += 1
+    i = np.arange(n)
+    alt = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / (n - 1))
+    return max(est, 2.0 * float(np.sum(np.abs(matvec(alt)))) / (3 * n))
+
+
+def _reference_linear(r, q, dim, rhs, robin_const=None):
+    b = np.asarray(rhs, dtype=float).copy()
+    A = radial.radial_operator(r, q, dim, robin_const)
+    lu = _ReferenceLU(A)
+    inv_norm = _reference_onenormest(
+        lu.solve, lambda x: lu.solve(x, trans="T"), A.shape[1])
+    assert float(np.max(np.sum(np.abs(A), axis=0))) * inv_norm \
+        <= radial.COND_LIMIT
+    b[-1] = 0.0
+    return lu.solve(b)
+
+
+@pytest.mark.parametrize("dim, p", [(2, 3.0), (3, 2.5), (4, 1.8)])
+def test_band_layer_matches_reference_bit_for_bit(dim, p):
+    # U, the defect correction e = -J^{-1} R6, W and m_frak, byte for byte
+    params = ProblemParams(dim, p)
+    r = radial.uniform_grid(40.0, 1.0 / 300.0)
+    u0 = _shooting_guess(params, r)
+    u, lu = radial.radial_newton(r, dim, p, u0)
+    ref_u, ref_lu = _reference_newton(r, dim, p, u0)
+    assert u.tobytes() == ref_u.tobytes()
+    res = groundstate._ode_residual(params, r, u)
+    res[~((r <= radial.RESIDUAL_R_CAP) & np.isfinite(res))] = 0.0
+    assert (-lu.solve(res)).tobytes() == (-ref_lu.solve(res)).tobytes()
+    assert radial.onenormest(lu.solve, lambda x: lu.solve(x, trans="T"),
+                             len(r)) \
+        == _reference_onenormest(ref_lu.solve,
+                                 lambda x: ref_lu.solve(x, trans="T"), len(r))
+
+    gs = GroundState(params, RadialProfile(r, u, radial.d1_six(u, r[1] - r[0])),
+                     0.0, 0.0)
+    corr = correction_profile(gs)
+    ref_w = _reference_linear(r, 1.0 - p * np.abs(u) ** (p - 1), dim,
+                              r ** 2 * u, robin_const=1.0)
+    assert corr.profile.values.tobytes() == ref_w.tobytes()
+    assert corr.m_frak == radial.radial_quadrature(
+        r, u * ref_w, dim, tail_decay=2.0) / (2.0 * dim)
+
+
+def test_onenormest_probes_match_reference():
+    # the one block product carries the reference's first and last probes,
+    # and every other product and the estimate are the reference's
+    r = radial.uniform_grid(20.0, 1.0 / 50.0)
+    lu = radial.splu(radial.radial_operator(r, np.ones_like(r), 2))
+
+    def logged(log, trans):
+        def product(x):
+            log.append(np.array(x))
+            return lu.solve(x, trans)
+        return product
+
+    new, ref = {"N": [], "T": []}, {"N": [], "T": []}
+    est = radial.onenormest(logged(new["N"], "N"), logged(new["T"], "T"),
+                            len(r))
+    assert est == _reference_onenormest(logged(ref["N"], "N"),
+                                        logged(ref["T"], "T"), len(r))
+    block, *rest = new["N"]
+    assert block.shape == (len(r), 2)
+    assert block[:, 0].tobytes() == ref["N"][0].tobytes()
+    assert block[:, 1].tobytes() == ref["N"][-1].tobytes()
+    assert [x.tobytes() for x in rest] \
+        == [x.tobytes() for x in ref["N"][1:-1]]
+    assert [x.tobytes() for x in new["T"]] \
+        == [x.tobytes() for x in ref["T"]]
+
+
+def test_band_lu_peak_memory(gs2d):
+    # counted in work arrays, the (2 KL + KU + 1, n) doubles that dgbtrf
+    # factorises in place: one serves every Newton step, where a copy of
+    # L[1], a fresh work array and the previous step's LU made it 3.9, and
+    # 2.7 in the linear solve. gs2d has run first, so numpy's first-call
+    # allocations stay out of the count
+    params = ProblemParams(2, 3.0)
+    tracemalloc.start()
+    try:
+        gs = solve_ground_state(params, spacing=1.0 / 300.0)
+        gs_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        correction_profile(gs)
+        corr_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    work = (2 * radial.KL + radial.KU + 1) * len(gs.profile.nodes) * 8
+    assert gs_peak < 3.0 * work
+    assert corr_peak < 2.5 * work
