@@ -78,11 +78,18 @@ class AsymptoticReport:
     sweep: list = field(default_factory=list)  # measured (eps, mass) pairs
 
 
+def _require_finite(name: str, value: float, positive: bool = False) -> None:
+    """ValueError unless value is finite (and positive, if asked)."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        raise ValueError(f"{name} must be "
+                         f"{'positive and ' if positive else ''}finite")
+
+
 def predict_epsilon_noncritical(params: ProblemParams, rho: float,
                                 setting: str, sigma0: float):
     """Leading-order (eps, lambda) with Lambda at its limit value."""
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError("rho must be positive and finite")
+    _require_finite("rho", rho, positive=True)
+    _require_finite("sigma0", sigma0, positive=True)
     if params.regime is Regime.MASS_CRITICAL:
         raise RegimeMismatch("prediction requires a noncritical exponent")
     if setting == BOUNDARY_ENDPOINT:
@@ -105,6 +112,11 @@ def predict_mass_expansion_critical(setting: str, epsilon: float, *,
                                     m_frak: Optional[float] = None,
                                     laplacian_V: Optional[float] = None) -> float:
     """Two-term critical mass prediction for the given concentration setting."""
+    _require_finite("epsilon", epsilon, positive=True)
+    _require_finite("sigma0", sigma0, positive=True)
+    for name, value in (("m_frak", m_frak), ("laplacian_V", laplacian_V)):
+        if value is not None:
+            _require_finite(name, value)
     two_sigma0 = 2.0 * sigma0
     if setting == INTERIOR:
         if bc not in (DIRICHLET, NEUMANN):
@@ -125,6 +137,10 @@ def predict_lambda_critical_schrodinger(rho: float, m_frak: float,
     eps = (|rho - 2 sigma0| / (2 |m_frak ΔV|))^{1/4}; the factor 2 keeps the
     inversion consistent with the expansion the direct solver verifies.
     """
+    _require_finite("rho", rho, positive=True)
+    _require_finite("sigma0", sigma0, positive=True)
+    _require_finite("m_frak", m_frak)
+    _require_finite("laplacian_V", laplacian_V)
     if m_frak * laplacian_V == 0.0:
         raise ValueError("m_frak * ΔV must be nonzero")
     two_sigma0 = 2.0 * sigma0

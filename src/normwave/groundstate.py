@@ -203,7 +203,8 @@ MAX_DOUBLINGS = 60   # of the upper end of the U(0) bracket, from 2
 # 2001-2002 Enthought, Inc. and 2003- SciPy Developers) as Python floats:
 # the nodes C and rows A of stages 1 to 11, the weights B of the
 # eighth-order solution, and the error weights E3 and E5 over the 12
-# stages and the derivative at the new point.
+# stages and the derivative at the new point. solve_ivp unpacks them into
+# the locals c{i}, a{i}_{j}, b{j}, e3_{j} and e5_{j}.
 _DOP853_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
              0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
              0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
@@ -250,23 +251,6 @@ def _series(p: float, dim: int, s: float, r):
     return s + a2 * r ** 2 + a4 * r ** 4, 2.0 * a2 * r + 4.0 * a4 * r ** 3
 
 
-def _shot_rhs(p: float, dim: int):
-    """U'' = U - |U|^{p-1} U - (N-1) U'/r on Python floats, which cost less
-    than numpy scalars and round the same operations to the same bits."""
-    q, c = p - 1.0, dim - 1.0
-    return lambda t, u, v: u - abs(u) ** q * u - c * v / t
-
-
-def _weighted_sums(w, ku, kv):
-    """(sum w_i ku_i, sum w_i kv_i), added left to right: unlike math.fsum,
-    an inf or nan stage gives inf or nan, as in scipy's np.dot."""
-    su = sv = 0.0
-    for wi, x, y in zip(w, ku, kv):
-        su += wi * x
-        sv += wi * y
-    return su, sv
-
-
 def solve_ivp(p: float, dim: int, s: float, path: list | None = None) -> int:
     """-1 if the shot from U(0) = s crosses zero, +1 if it turns upward,
     0 if it reaches SHOT_STOP (or its step falls below 10 ulp of r). A list
@@ -278,22 +262,42 @@ def solve_ivp(p: float, dim: int, s: float, path: list | None = None) -> int:
     controller, E5/E3 error norm and event test. A step on which both events
     fire raises NoConvergence rather than ordering them on the dense output.
     The name is kept for bench/tracing.py, which counts the shots through it.
+
+    The step is written out stage by stage. Stage i has the state (w, v_i)
+    and the slope (v_i, f_i), f = U'' = U - |U|^{p-1} U - (N-1) U'/r. Each
+    weighted sum starts from 0.0 and adds its terms in tableau order, zero
+    weights included, so an inf or nan stage gives inf or nan, as in scipy.
     """
-    accel, rtol, atol = _shot_rhs(p, dim), SHOT_RTOL, SHOT_ATOL
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11 = _DOP853_C
+    ((a1_0,), (a2_0, a2_1), (a3_0, a3_1, a3_2), (a4_0, a4_1, a4_2, a4_3),
+     (a5_0, a5_1, a5_2, a5_3, a5_4), (a6_0, a6_1, a6_2, a6_3, a6_4, a6_5),
+     (a7_0, a7_1, a7_2, a7_3, a7_4, a7_5, a7_6),
+     (a8_0, a8_1, a8_2, a8_3, a8_4, a8_5, a8_6, a8_7),
+     (a9_0, a9_1, a9_2, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, a10_1, a10_2, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, a11_1, a11_2, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9,
+      a11_10)) = _DOP853_A
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11 = _DOP853_B
+    (e3_0, e3_1, e3_2, e3_3, e3_4, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11,
+     e3_12) = _DOP853_E3
+    (e5_0, e5_1, e5_2, e5_3, e5_4, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11,
+     e5_12) = _DOP853_E5
+    q, n1, rtol, atol = p - 1.0, dim - 1.0, SHOT_RTOL, SHOT_ATOL
     sq = lambda x, y: x * x + y * y
     rms = lambda x, y: math.sqrt(sq(x, y)) / 2.0 ** 0.5
     t = SHOT_START
     u, v = _series(p, dim, s, t)
-    a = accel(t, u, v)
+    f = u - abs(u) ** q * u - n1 * v / t
     if path is not None:
         path.append((t, u, v))
     # scipy's select_initial_step for an error estimator of order 7
     su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
-    d0, d1 = rms(u / su, v / sv), rms(v / su, a / sv)
+    d0, d1 = rms(u / su, v / sv), rms(v / su, f / sv)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, SHOT_STOP - t)
-    u1, v1 = u + h0 * v, v + h0 * a
-    d2 = rms((v1 - v) / su, (accel(t + h0, u1, v1) - a) / sv) / h0
+    ue, ve = u + h0 * v, v + h0 * f
+    fe = ue - abs(ue) ** q * ue - n1 * ve / (t + h0)
+    d2 = rms((ve - v) / su, (fe - f) / sv) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -308,22 +312,82 @@ def solve_ivp(p: float, dim: int, s: float, path: list | None = None) -> int:
                 return 0
             t_new = min(t + h_abs, SHOT_STOP)
             h = h_abs = t_new - t
-            ku, kv = [v], [a]
-            for c, row in zip(_DOP853_C, _DOP853_A):
-                du, dv = _weighted_sums(row, ku, kv)
-                us, vs = u + du * h, v + dv * h
-                ku.append(vs)
-                kv.append(accel(t + c * h, us, vs))
-            du, dv = _weighted_sums(_DOP853_B, ku, kv)
-            u_new, v_new = u + h * du, v + h * dv
-            a_new = accel(t + h, u_new, v_new)
-            ku.append(v_new)
-            kv.append(a_new)
+            w = u + (0.0 + a1_0 * v) * h
+            v1 = v + (0.0 + a1_0 * f) * h
+            f1 = w - abs(w) ** q * w - n1 * v1 / (t + c1 * h)
+            w = u + (0.0 + a2_0 * v + a2_1 * v1) * h
+            v2 = v + (0.0 + a2_0 * f + a2_1 * f1) * h
+            f2 = w - abs(w) ** q * w - n1 * v2 / (t + c2 * h)
+            w = u + (0.0 + a3_0 * v + a3_1 * v1 + a3_2 * v2) * h
+            v3 = v + (0.0 + a3_0 * f + a3_1 * f1 + a3_2 * f2) * h
+            f3 = w - abs(w) ** q * w - n1 * v3 / (t + c3 * h)
+            w = u + (0.0 + a4_0 * v + a4_1 * v1 + a4_2 * v2 + a4_3 * v3) * h
+            v4 = v + (0.0 + a4_0 * f + a4_1 * f1 + a4_2 * f2 + a4_3 * f3) * h
+            f4 = w - abs(w) ** q * w - n1 * v4 / (t + c4 * h)
+            w = u + (0.0 + a5_0 * v + a5_1 * v1 + a5_2 * v2 + a5_3 * v3
+                     + a5_4 * v4) * h
+            v5 = v + (0.0 + a5_0 * f + a5_1 * f1 + a5_2 * f2 + a5_3 * f3
+                      + a5_4 * f4) * h
+            f5 = w - abs(w) ** q * w - n1 * v5 / (t + c5 * h)
+            w = u + (0.0 + a6_0 * v + a6_1 * v1 + a6_2 * v2 + a6_3 * v3
+                     + a6_4 * v4 + a6_5 * v5) * h
+            v6 = v + (0.0 + a6_0 * f + a6_1 * f1 + a6_2 * f2 + a6_3 * f3
+                      + a6_4 * f4 + a6_5 * f5) * h
+            f6 = w - abs(w) ** q * w - n1 * v6 / (t + c6 * h)
+            w = u + (0.0 + a7_0 * v + a7_1 * v1 + a7_2 * v2 + a7_3 * v3
+                     + a7_4 * v4 + a7_5 * v5 + a7_6 * v6) * h
+            v7 = v + (0.0 + a7_0 * f + a7_1 * f1 + a7_2 * f2 + a7_3 * f3
+                      + a7_4 * f4 + a7_5 * f5 + a7_6 * f6) * h
+            f7 = w - abs(w) ** q * w - n1 * v7 / (t + c7 * h)
+            w = u + (0.0 + a8_0 * v + a8_1 * v1 + a8_2 * v2 + a8_3 * v3
+                     + a8_4 * v4 + a8_5 * v5 + a8_6 * v6 + a8_7 * v7) * h
+            v8 = v + (0.0 + a8_0 * f + a8_1 * f1 + a8_2 * f2 + a8_3 * f3
+                      + a8_4 * f4 + a8_5 * f5 + a8_6 * f6 + a8_7 * f7) * h
+            f8 = w - abs(w) ** q * w - n1 * v8 / (t + c8 * h)
+            w = u + (0.0 + a9_0 * v + a9_1 * v1 + a9_2 * v2 + a9_3 * v3
+                     + a9_4 * v4 + a9_5 * v5 + a9_6 * v6 + a9_7 * v7
+                     + a9_8 * v8) * h
+            v9 = v + (0.0 + a9_0 * f + a9_1 * f1 + a9_2 * f2 + a9_3 * f3
+                      + a9_4 * f4 + a9_5 * f5 + a9_6 * f6 + a9_7 * f7
+                      + a9_8 * f8) * h
+            f9 = w - abs(w) ** q * w - n1 * v9 / (t + c9 * h)
+            w = u + (0.0 + a10_0 * v + a10_1 * v1 + a10_2 * v2 + a10_3 * v3
+                     + a10_4 * v4 + a10_5 * v5 + a10_6 * v6 + a10_7 * v7
+                     + a10_8 * v8 + a10_9 * v9) * h
+            v10 = v + (0.0 + a10_0 * f + a10_1 * f1 + a10_2 * f2 + a10_3 * f3
+                       + a10_4 * f4 + a10_5 * f5 + a10_6 * f6 + a10_7 * f7
+                       + a10_8 * f8 + a10_9 * f9) * h
+            f10 = w - abs(w) ** q * w - n1 * v10 / (t + c10 * h)
+            w = u + (0.0 + a11_0 * v + a11_1 * v1 + a11_2 * v2 + a11_3 * v3
+                     + a11_4 * v4 + a11_5 * v5 + a11_6 * v6 + a11_7 * v7
+                     + a11_8 * v8 + a11_9 * v9 + a11_10 * v10) * h
+            v11 = v + (0.0 + a11_0 * f + a11_1 * f1 + a11_2 * f2 + a11_3 * f3
+                       + a11_4 * f4 + a11_5 * f5 + a11_6 * f6 + a11_7 * f7
+                       + a11_8 * f8 + a11_9 * f9 + a11_10 * f10) * h
+            f11 = w - abs(w) ** q * w - n1 * v11 / (t + c11 * h)
+            u_new = u + h * (0.0 + b0 * v + b1 * v1 + b2 * v2 + b3 * v3
+                             + b4 * v4 + b5 * v5 + b6 * v6 + b7 * v7 + b8 * v8
+                             + b9 * v9 + b10 * v10 + b11 * v11)
+            v_new = v + h * (0.0 + b0 * f + b1 * f1 + b2 * f2 + b3 * f3
+                             + b4 * f4 + b5 * f5 + b6 * f6 + b7 * f7 + b8 * f8
+                             + b9 * f9 + b10 * f10 + b11 * f11)
+            f_new = u_new - abs(u_new) ** q * u_new - n1 * v_new / (t + h)
             su = atol + max(abs(u), abs(u_new)) * rtol
             sv = atol + max(abs(v), abs(v_new)) * rtol
-            e5u, e5v = _weighted_sums(_DOP853_E5, ku, kv)
-            e3u, e3v = _weighted_sums(_DOP853_E3, ku, kv)
-            e5, e3 = sq(e5u / su, e5v / sv), sq(e3u / su, e3v / sv)
+            xu = (0.0 + e5_0 * v + e5_1 * v1 + e5_2 * v2 + e5_3 * v3
+                  + e5_4 * v4 + e5_5 * v5 + e5_6 * v6 + e5_7 * v7 + e5_8 * v8
+                  + e5_9 * v9 + e5_10 * v10 + e5_11 * v11 + e5_12 * v_new) / su
+            xv = (0.0 + e5_0 * f + e5_1 * f1 + e5_2 * f2 + e5_3 * f3
+                  + e5_4 * f4 + e5_5 * f5 + e5_6 * f6 + e5_7 * f7 + e5_8 * f8
+                  + e5_9 * f9 + e5_10 * f10 + e5_11 * f11 + e5_12 * f_new) / sv
+            e5 = xu * xu + xv * xv
+            xu = (0.0 + e3_0 * v + e3_1 * v1 + e3_2 * v2 + e3_3 * v3
+                  + e3_4 * v4 + e3_5 * v5 + e3_6 * v6 + e3_7 * v7 + e3_8 * v8
+                  + e3_9 * v9 + e3_10 * v10 + e3_11 * v11 + e3_12 * v_new) / su
+            xv = (0.0 + e3_0 * f + e3_1 * f1 + e3_2 * f2 + e3_3 * f3
+                  + e3_4 * f4 + e3_5 * f5 + e3_6 * f6 + e3_7 * f7 + e3_8 * f8
+                  + e3_9 * f9 + e3_10 * f10 + e3_11 * f11 + e3_12 * f_new) / sv
+            e3 = xu * xu + xv * xv
             err = 0.0 if e5 == 0 and e3 == 0 else (
                 h * e5 / math.sqrt((e5 + 0.01 * e3) * 2))
             if err < 1:
@@ -340,7 +404,7 @@ def solve_ivp(p: float, dim: int, s: float, path: list | None = None) -> int:
                                 f"turned upward in one step")
         if crossed or turned:
             return -1 if crossed else 1
-        t, u, v, a = t_new, u_new, v_new, a_new
+        t, u, v, f = t_new, u_new, v_new, f_new
     return 0
 
 

@@ -56,6 +56,13 @@ def test_predict_noncritical_rejects_bad_mass(rho):
         predict_epsilon_noncritical(P3, rho, INTERIOR, SIGMA0_P3)
 
 
+@pytest.mark.parametrize("sigma0", [math.nan, math.inf])
+def test_predict_noncritical_rejects_nonfinite_sigma0(sigma0):
+    # nan gave (nan, nan), and inf a ZeroDivisionError
+    with pytest.raises(ValueError, match="sigma0 must be positive and finite"):
+        predict_epsilon_noncritical(P3, 8.0, INTERIOR, sigma0)
+
+
 def test_predict_noncritical_regime_errors():
     with pytest.raises(RegimeMismatch):
         predict_epsilon_noncritical(ProblemParams(1, 5.0), 2.0, INTERIOR,
@@ -102,6 +109,37 @@ def test_predict_lambda_critical_wrong_side(corr5):
     with pytest.raises(WrongSide):
         predict_lambda_critical_schrodinger(TWO_SIGMA0_P5 + 0.01,
                                             corr5.m_frak, 2.0, SIGMA0_P5)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("epsilon", math.nan, "epsilon must be positive and finite"),
+    ("epsilon", math.inf, "epsilon must be positive and finite"),
+    ("sigma0", math.nan, "sigma0 must be positive and finite"),
+    ("m_frak", math.inf, "m_frak must be finite"),
+    ("laplacian_V", math.nan, "laplacian_V must be finite"),
+])
+def test_predict_critical_expansion_rejects_nonfinite(name, value, message):
+    # epsilon = nan returned nan on the whole space
+    kwargs = dict(epsilon=0.2, sigma0=SIGMA0_P5, m_frak=0.3, laplacian_V=2.0)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=message):
+        predict_mass_expansion_critical(WHOLE_SPACE, **kwargs)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("rho", math.nan, "rho must be positive and finite"),
+    ("rho", math.inf, "rho must be positive and finite"),
+    ("sigma0", math.inf, "sigma0 must be positive and finite"),
+    ("m_frak", math.nan, "m_frak must be finite"),
+    ("laplacian_V", -math.inf, "laplacian_V must be finite"),
+])
+def test_predict_lambda_critical_rejects_nonfinite(name, value, message):
+    # rho = nan returned (nan, nan), and rho = inf raised WrongSide
+    kwargs = dict(rho=TWO_SIGMA0_P5 - 0.01, m_frak=0.3, laplacian_V=2.0,
+                  sigma0=SIGMA0_P5)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=message):
+        predict_lambda_critical_schrodinger(**kwargs)
 
 
 def test_fit_exact_power_law():

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (FRAK_C_DIM2_P3, SIGMA0_DIM2_P3, TWO_SIGMA0_P3,
                       TWO_SIGMA0_P5)
@@ -293,6 +296,176 @@ def test_overflowing_shot_raises_no_convergence(p):
     # shot's right-hand side
     with pytest.raises(NoConvergence, match=r"shot from U\(0\) = .* overflow"):
         solve_ground_state(ProblemParams(2, p))
+
+
+# -- the shot's DOP853 step against a plain reference copy ---------------------
+
+def _reference_shot_rhs(p, dim):
+    q, c = p - 1.0, dim - 1.0
+    return lambda t, u, v: u - abs(u) ** q * u - c * v / t
+
+
+def _reference_weighted_sums(w, ku, kv):
+    su = sv = 0.0
+    for wi, x, y in zip(w, ku, kv):
+        su += wi * x
+        sv += wi * y
+    return su, sv
+
+
+def _reference_solve_ivp(p, dim, s, path=None):
+    """groundstate.solve_ivp as it was before its step was written out stage
+    by stage: each stage sum zips a tableau row, and the right-hand side is
+    a closure. Kept as the reference for the written-out step."""
+    accel = _reference_shot_rhs(p, dim)
+    rtol, atol = groundstate.SHOT_RTOL, groundstate.SHOT_ATOL
+    stop = groundstate.SHOT_STOP
+    sq = lambda x, y: x * x + y * y
+    rms = lambda x, y: math.sqrt(sq(x, y)) / 2.0 ** 0.5
+    t = groundstate.SHOT_START
+    u, v = groundstate._series(p, dim, s, t)
+    a = accel(t, u, v)
+    if path is not None:
+        path.append((t, u, v))
+    su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+    d0, d1 = rms(u / su, v / sv), rms(v / su, a / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, stop - t)
+    u1, v1 = u + h0 * v, v + h0 * a
+    d2 = rms((v1 - v) / su, (accel(t + h0, u1, v1) - a) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, stop - t)
+    while t < stop:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return 0
+            t_new = min(t + h_abs, stop)
+            h = h_abs = t_new - t
+            ku, kv = [v], [a]
+            for c, row in zip(groundstate._DOP853_C, groundstate._DOP853_A):
+                du, dv = _reference_weighted_sums(row, ku, kv)
+                us, vs = u + du * h, v + dv * h
+                ku.append(vs)
+                kv.append(accel(t + c * h, us, vs))
+            du, dv = _reference_weighted_sums(groundstate._DOP853_B, ku, kv)
+            u_new, v_new = u + h * du, v + h * dv
+            a_new = accel(t + h, u_new, v_new)
+            ku.append(v_new)
+            kv.append(a_new)
+            su = atol + max(abs(u), abs(u_new)) * rtol
+            sv = atol + max(abs(v), abs(v_new)) * rtol
+            e5u, e5v = _reference_weighted_sums(groundstate._DOP853_E5, ku, kv)
+            e3u, e3v = _reference_weighted_sums(groundstate._DOP853_E3, ku, kv)
+            e5, e3 = sq(e5u / su, e5v / sv), sq(e3u / su, e3v / sv)
+            err = 0.0 if e5 == 0 and e3 == 0 else (
+                h * e5 / math.sqrt((e5 + 0.01 * e3) * 2))
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            rejected = True
+        if path is not None:
+            path.append((t_new, u_new, v_new))
+        crossed, turned = u >= 0.0 >= u_new, v <= 0.0 <= v_new
+        if crossed and turned:
+            raise NoConvergence(f"shot from U(0) = {s!r} crossed zero and "
+                                f"turned upward in one step")
+        if crossed or turned:
+            return -1 if crossed else 1
+        t, u, v, a = t_new, u_new, v_new, a_new
+    return 0
+
+
+def _shot_record(shot, p, dim, s):
+    """What a shot returns or raises (type and message), and its path with
+    every float as float.hex, so that signed zeros count."""
+    path = []
+    try:
+        outcome = shot(p, dim, s, path)
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, [tuple(map(float.hex, point)) for point in path]
+
+
+def _checked_bisection(monkeypatch, p, dim):
+    """Run _shoot_ground_state with every shot checked against the reference;
+    returns the records of the shots checked."""
+    real_shot, checked = groundstate.solve_ivp, []
+
+    def both(p_, dim_, s, path=None):
+        record = _shot_record(real_shot, p_, dim_, s)
+        assert record == _shot_record(_reference_solve_ivp, p_, dim_, s)
+        checked.append(record)
+        return real_shot(p_, dim_, s, path)
+
+    monkeypatch.setattr(groundstate, "solve_ivp", both)
+    groundstate._shoot_ground_state(p, dim)
+    return checked
+
+
+# the radial_ground_states pairs of the benchmark (bench/workloads.py)
+RADIAL_PAIRS = [(2, 2.0), (2, 3.0), (2, 4.0), (3, 2.0), (3, 2.5), (4, 1.8),
+                (4, 2.0)]
+
+
+@pytest.mark.parametrize("dim, p", sorted(set(RADIAL_PAIRS + SIGN_SHOT_PAIRS)))
+def test_shot_step_matches_reference_bit_for_bit(monkeypatch, dim, p):
+    # every shot of the bisection returns the reference's sign and records
+    # the reference's path, float for float
+    checked = _checked_bisection(monkeypatch, p, dim)
+    assert len(checked) >= 12
+    assert all(outcome in (-1, 0, 1) for outcome, _ in checked)
+    assert len(checked[-1][1]) > 10
+
+
+@pytest.mark.parametrize("p", [20.0, 30.0, 50.0, 100.0])
+def test_overflowing_shot_matches_reference(monkeypatch, p):
+    # the shot that overflows raises the reference's OverflowError, with its
+    # message and after the same accepted steps
+    with pytest.raises(NoConvergence, match="overflow"):
+        _checked_bisection(monkeypatch, p, 2)
+
+
+def _below_sobolev(dim, frac):
+    """p from 1.05 up to just below the Sobolev bound (N + 2)/(N - 2), or up
+    to 10 for N = 2."""
+    top = 10.0 if dim == 2 else (dim + 2) / (dim - 2)
+    return 1.05 + frac * (top - 1.05)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(2, 6), frac=st.floats(0.0, 1.0, exclude_max=True),
+       s=st.floats(1.0, 64.0))
+def test_shot_matches_reference_on_random_starts(dim, frac, s):
+    p = _below_sobolev(dim, frac)
+    assert _shot_record(groundstate.solve_ivp, p, dim, s) \
+        == _shot_record(_reference_solve_ivp, p, dim, s)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(2, 6), frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_ground_state_contract(dim, frac):
+    # a documented refusal, or a strictly decreasing profile with finite
+    # constants whose sigma0 estimate meets the gate; no RuntimeWarning on
+    # the way, only the plateau's UserWarning
+    params = ProblemParams(dim, _below_sobolev(dim, frac))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "decay plateau spread", UserWarning)
+        try:
+            gs = solve_ground_state(params)
+        except (NoConvergence, TailNotResolved):
+            return
+    assert np.all(np.diff(gs.profile.values) < 0)
+    assert np.isfinite(gs.sigma0) and np.isfinite(gs.frak_c)
+    assert 0.0 <= gs.sigma0_rel_err <= groundstate.SIGMA0_RTOL
 
 
 def test_scale_identity(gs3):
