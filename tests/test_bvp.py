@@ -257,9 +257,10 @@ def test_trace_branch_refuses_bad_epsilon_before_solving(monkeypatch,
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_trace_branch_warm_starts_only_within_warm_range(bc):
-    # 0.2 -> 0.1 is a jump by 0.5: warm-started from the eps = 0.2 bump,
-    # Newton diverged (Dirichlet) or left a profile that is not
-    # single-peaked (Neumann), where eps = 0.1 alone solves from the ansatz
+    # 0.2 -> 0.1 is a jump by 0.5: warm-started from the unscaled eps = 0.2
+    # bump, Newton diverged (Dirichlet) or left a profile that is not
+    # single-peaked (Neumann), and the bump rescaled to eps = 0.1 takes 2
+    # or 3 Newton steps where the ansatz takes 1
     spec = DomainSpec("interval", -1, 1, bc)
     rows = trace_branch(spec, P3, [0.3, 0.2, 0.1])
     assert rows[-1][1] == solve_fixed_epsilon(spec, P3, 0.1).mass
@@ -396,6 +397,57 @@ def test_stop_tolerance_is_floored_at_two_sigma0(monkeypatch, gs5):
                            rho, ground_state=gs5)
     assert len(misses) <= 14
     assert abs(sol.mass - rho) <= bvp.STOP_FLOOR * bvp.MASS_RTOL * rho
+
+
+def test_mixed_sign_potential_first_step_keeps_the_law_slope(monkeypatch,
+                                                             gs5):
+    # on V = -x^2 + 5x^4 the law (side None) can be far from the masses:
+    # from its start the law's slope takes 7 solves to 2 sigma0 - 1e-2,
+    # the local dm/deps 10
+    misses = _count_misses(monkeypatch)
+    rho = 2.0 * gs5.sigma0 - 1e-2
+    sol = solve_normalized(DomainSpec("realline", potential=(-1.0, 5.0)), P5,
+                           rho, ground_state=gs5)
+    assert abs(sol.mass - rho) <= bvp.MASS_RTOL * rho
+    assert len(misses) <= 7
+
+
+@pytest.mark.parametrize("spec, p, eps", [
+    (DomainSpec("interval", -1, 1, "dirichlet"), 3.0, 0.2),
+    (DomainSpec("interval", -1, 1, "neumann"), 5.0, 0.15),
+    (DomainSpec("interval", -1, 1, "dirichlet"), 5.0, 0.1),
+    (LINE_X2, 5.0, 0.2),
+    (DomainSpec("realline"), 3.0, 0.3),
+])
+def test_mass_slope_matches_central_difference(spec, p, eps):
+    # dm/deps by one Jacobian solve at the solution, against two solves
+    params = ProblemParams(1, p)
+    evaluate = MassEvaluator(spec, params)
+    evaluate(eps)
+    d = 1e-5 * eps
+    masses = [solve_fixed_epsilon(spec, params, e).mass
+              for e in (eps + d, eps - d)]
+    central = (masses[0] - masses[1]) / (2.0 * d)
+    assert evaluate.slope(eps) == pytest.approx(central, rel=1e-6)
+
+
+@pytest.mark.parametrize("spec", [DomainSpec("interval", -1, 1, "dirichlet"),
+                                  DomainSpec("interval", -1, 1, "neumann"),
+                                  LINE_X2],
+                         ids=["dirichlet", "neumann", "line_x2"])
+@pytest.mark.parametrize("eps0", [0.1, 0.2])
+def test_warm_start_follows_the_bump(spec, eps0):
+    # the previous bump rescaled to the new width: at most 2 Newton steps
+    # per jump within WARM_RANGE, where the unscaled bump took 3-4 at p = 5.
+    # Not compared with the cold start jump by jump: at eps = 0.1 on an
+    # interval the ansatz takes 1 step
+    prev = solve_fixed_epsilon(spec, P5, eps0)
+    for factor in (0.85, 0.95, 1.05, 1.15):
+        eps = factor * eps0
+        warm = bvp._solve_from(prev, spec, P5, eps)
+        assert warm.newton_iterations <= 2
+        cold = solve_fixed_epsilon(spec, P5, eps)
+        assert warm.mass == pytest.approx(cold.mass, rel=1e-10, abs=0.0)
 
 
 def test_failed_solve_inside_the_walk_raises_its_error(monkeypatch, gs5):
