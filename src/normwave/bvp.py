@@ -19,13 +19,17 @@ solve with the Jacobian at the first solution, the implicit-function step),
 secant steps once two masses lie on one side of rho, then runs Brent (on
 log eps) until the mass is within tolerance of rho. Each mass comes from one
 solve, warm-started from the previous bump rescaled to the new eps: the
-Numerov rows and Simpson's rule make it fourth order in h, and
-the default spacing eps/80 (at least MIN_NODES panels) keeps its error at or
-below that of a second-order Richardson pair at eps/60 and eps/120.
+Numerov rows and Simpson's rule on the uniform grid make it fourth order in
+h, and the default spacing eps/80 (at least MIN_NODES panels) keeps its
+error at or below that of a second-order Richardson pair at eps/60 and
+eps/120. The real line is cut at L = REALLINE_WIDTHS eps-widths.
 
 Real-line potentials are even polynomials, so those solves exploit evenness:
 the half-line [0, L] is discretized with a symmetric row at 0 and a decay
 row at L, removing the translational near-kernel of the whole-line problem.
+A symmetric interval solve runs on the right half likewise. Such a solve
+forms its start, and checks its profile, on the half alone; the profile is
+mirrored onto the whole grid for the mass and the returned solution.
 An interior solve starts from the bump at the centre of its domain.
 Endpoint concentration on a Neumann interval is realized by reflection onto
 the doubled interval, whose centre is the endpoint.
@@ -40,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _lapack
-from ._numerics import brentq, simpson
+from ._numerics import brentq
 from .errors import (BracketFailed, NewtonDiverged, NonPositive,
                      NoSolutionInRegime)
 from .groundstate import (GroundState, ProblemParams, Regime,
@@ -66,8 +70,9 @@ NEWTON_MAX_BACKTRACK = 40
 POINTS_PER_WIDTH = 80
 MIN_POINTS_PER_WIDTH = 10
 MIN_NODES = 2640
-# the real line is truncated at this many eps-widths (e^-40 of the peak)
-REALLINE_WIDTHS = 40.0
+# the real line is truncated at this many eps-widths: e^-20 of the peak,
+# so the mass tail beyond it is at e^-40
+REALLINE_WIDTHS = 20.0
 # eps^{-4/(p-1)}, the factor from ∫u^2 to the mass, stays below 1e300
 MAX_LOG_MASS_SCALE = 300.0 * math.log(10.0)
 
@@ -131,7 +136,7 @@ class NormalizedSolution:
 # -- grids and discrete rows ------------------------------------------------------
 
 def _realline_halfwidth(eps: float) -> float:
-    """Half-width L of the truncated real line: 20 at eps = 0.5."""
+    """Half-width L of the truncated real line: 10 at eps = 0.5."""
     return REALLINE_WIDTHS * eps
 
 
@@ -171,7 +176,7 @@ def _rows(u, power, a, b, d, h, eps, left, right):
     Boundary row kinds: DIRICHLET value rows u; NEUMANN rows with the ghost
     u_{-1} = u_1; DECAY rows with the ghost u_{-1} = u_1 - 2h u_0/eps, i.e.
     u' = u/eps at a real-line truncation (mirrored on the right). Both
-    ghosts take g_{-1} = g_1; at a truncation, e^-40 of the peak, the
+    ghosts take g_{-1} = g_1; at a truncation, e^-20 of the peak, the
     mirror costs nothing.
     """
     g = b * u - d * power * u
@@ -316,40 +321,57 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
     raise NewtonDiverged(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
-def _single_peak(u: np.ndarray, umax_abs: float) -> bool:
-    """Whether the differences of u change sign at most once, ignoring
-    those below 1e-12 of umax_abs = max |u|."""
-    du = u[1:] - u[:-1]
-    signs = np.sign(du[np.abs(du) > 1e-12 * umax_abs])
-    return np.count_nonzero(signs[1:] - signs[:-1]) <= 1
+def _simpson_uniform(y: np.ndarray, h: float) -> float:
+    """Composite Simpson of y at nodes h apart, over an even panel count."""
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum()
+                      + 2.0 * y[2:-1:2].sum())
 
 
-def _package(spec, params, eps, x, u, iters, residual) -> NormalizedSolution:
-    peak = u.argmax()
-    umax, umin = u[peak], u.min()
-    interior_min = (u[1:-1].min()
-                    if (spec.kind == "interval" and spec.bc == DIRICHLET)
-                    else umin)
+def _package(spec, params, eps, x, solved, iters, residual,
+             mirrored) -> NormalizedSolution:
+    """The solution on the grid x from solved, the array Newton solved:
+    the whole profile, or (mirrored) its right half from the centre, which
+    is mirrored onto x. The checks run on solved. A profile that is not
+    positive at the interior nodes, or whose peak is below 1/2 (the trivial
+    solution u = 0), raises NonPositive. One whose differences change sign
+    more than once, ignoring those below 1e-12 of max |u|, raises
+    NewtonDiverged: the mirror of a half with c changes has 2c + 1, so
+    there the half may have none. The mass is eps^{-4/(p-1)} ∫u^2 by
+    composite Simpson over the uniform x, whose panel count is even; on a
+    mirrored profile whose half has an even panel count too, it is summed
+    over the half."""
+    u = np.concatenate([solved[::-1], solved[1:]]) if mirrored else solved
+    umax, umin = solved.max(), solved.min()
+    # the Dirichlet value rows: both ends of solved, or a half's far end
+    interior = (solved[0 if mirrored else 1:-1] if spec.bc == DIRICHLET
+                else solved)
     umax_abs = float(max(umax, -umin))
     # tolerate rounding dust in the truncation tail, catch real crossings
     floor = 1e-12 * umax_abs
-    if umax <= 0 or interior_min < -floor:
+    if umax <= 0 or interior.min() < -floor:
         raise NonPositive("solution is not positive at interior nodes")
     # at the peak of a positive solution u'' <= 0 and V = 0, so u^{p-1} >= 1
     if umax < 0.5:
         raise NonPositive(f"Newton fell onto the trivial solution u = 0 "
                           f"(max u = {umax:.3g})")
-    if not _single_peak(u, umax_abs):
+    du = solved[1:] - solved[:-1]
+    signs = np.sign(du[np.abs(du) > floor])
+    if np.count_nonzero(signs[1:] - signs[:-1]) > (0 if mirrored else 1):
         raise NewtonDiverged("converged profile is not single-peaked")
     p = params.p
-    v = eps ** (-2.0 / (p - 1.0)) * u
-    # mass = eps^{-4/(p-1)} ∫ u^2 (= ∫ v^2) by composite Simpson
-    mass = eps ** (-4.0 / (p - 1.0)) * simpson(u ** 2, x=x)
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    if mirrored and len(solved) % 2:
+        # the half has an even panel count: the mirror's Simpson sum is twice
+        # the half's, whose centre weight 1 doubles to the full grid's 2
+        integral = 2.0 * _simpson_uniform(solved * solved, h)
+    else:
+        integral = _simpson_uniform(u * u, h)
     return NormalizedSolution(
         spec=spec, params=params, lambda_=eps ** -2.0, epsilon=eps,
-        nodes=x, v_values=v, u_values=u, mass=mass,
+        nodes=x, v_values=eps ** (-2.0 / (p - 1.0)) * u, u_values=u,
+        mass=eps ** (-4.0 / (p - 1.0)) * integral,
         residual_inf=float(residual),
-        concentration_point=float(x[peak]),
+        concentration_point=float(x[u.argmax()]),
         newton_iterations=iters)
 
 
@@ -361,7 +383,9 @@ def _check_epsilon(epsilon: float) -> None:
 def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
                         init: str = "interior",
                         u0: Optional[np.ndarray] = None,
-                        n_override: Optional[int] = None) -> NormalizedSolution:
+                        n_override: Optional[int] = None, *,
+                        _warm: Optional[NormalizedSolution] = None
+                        ) -> NormalizedSolution:
     """Damped-Newton solve at fixed eps from u0 (on the solver grid) or,
     without u0, from the ansatz that init selects: "interior" (bump at the
     centre of the interval, 0 on the real line) or "endpoint" (Neumann,
@@ -371,6 +395,9 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     mass scale eps^{-4/(p-1)} exceeds 1e300 raises ValueError. Newton
     failing raises NewtonDiverged; a profile that crosses zero, or falls
     onto the trivial solution u = 0, raises NonPositive.
+
+    _warm, in place of the ansatz, is the start of _solve_from: that
+    solution's bump rescaled to the width eps about the centre.
     """
     if params.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
@@ -395,42 +422,45 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
         n2 += n2 % 4  # keep the restricted half on an even panel count
         inner = solve_fixed_epsilon(doubled, params, epsilon, n_override=n2)
         keep = inner.nodes <= spec.b + 1e-14
-        x, u = inner.nodes[keep], inner.u_values[keep]
-        return _package(spec, params, epsilon, x, u, inner.newton_iterations,
-                        inner.residual_inf)
+        return _package(spec, params, epsilon, inner.nodes[keep],
+                        inner.u_values[keep], inner.newton_iterations,
+                        inner.residual_inf, mirrored=False)
 
     x = _grid(spec, epsilon, n_override)
     n = len(x) - 1
     side = spec.bc or DECAY
+    # a symmetric profile is solved on the right half xh with a symmetry
+    # row at the centre, which removes the exponentially weak translation
+    # mode exactly; its start is formed on xh alone
+    xh = x[n // 2:]
+    centre = 0.5 * (x[0] + x[-1])  # 0.0 on (-1, 1) and the real line
     if u0 is not None:
         if len(u0) != n + 1:
             raise ValueError(f"u0 must hold the {n + 1} solver grid values")
         guess = np.asarray(u0, dtype=float)
-        scale = max(1.0, float(np.abs(guess).max()))
-        even = spec.kind == "realline" or bool(
-            (np.abs(guess - guess[::-1]) <= 1e-9 * scale).all())
+        if spec.kind == "realline":
+            start = guess[n // 2:]
+        else:
+            scale = max(1.0, float(np.abs(guess).max()))
+            if not (np.abs(guess - guess[::-1]) <= 1e-9 * scale).all():
+                u, iters, residual = _newton(x, guess, epsilon, p, spec.V(x),
+                                             side, side)
+                return _package(spec, params, epsilon, x, u, iters, residual,
+                                mirrored=False)
+            start = 0.5 * (guess[n // 2:] + guess[n // 2::-1])
     else:
-        centre = 0.5 * (x[0] + x[-1])  # 0.0 on (-1, 1) and the real line
-        guess = closed_form_soliton(p)[0]((x - centre) / epsilon)
+        if _warm is None:
+            start = closed_form_soliton(p)[0]((xh - centre) / epsilon)
+        else:
+            ratio = _warm.epsilon / epsilon
+            start = np.interp(centre + (xh - centre) * ratio, _warm.nodes,
+                              _warm.u_values)
         if spec.bc == DIRICHLET:
-            guess[0] = 0.0
-            guess[-1] = 0.0
-        even = True
-    if even:
-        # symmetric profile: solve on the right half with a symmetry row at
-        # the centre, which removes the exponentially weak translation mode
-        # exactly. On the mirrored real-line grid the ansatz is already even
-        # and a warm-start guess is used on the right half as interpolated.
-        if spec.kind == "interval":
-            guess = 0.5 * (guess + guess[::-1])
-        xh = x[n // 2:]
-        uh, iters, residual = _newton(xh, guess[n // 2:], epsilon, p,
-                                      spec.V(xh), NEUMANN, side)
-        u = np.concatenate([uh[::-1], uh[1:]])
-    else:
-        u, iters, residual = _newton(x, guess, epsilon, p, spec.V(x), side,
-                                     side)
-    return _package(spec, params, epsilon, x, u, iters, residual)
+            start[-1] = 0.0
+    uh, iters, residual = _newton(xh, start, epsilon, p, spec.V(xh), NEUMANN,
+                                  side)
+    return _package(spec, params, epsilon, x, uh, iters, residual,
+                    mirrored=True)
 
 
 WARM_RANGE = (0.8, 1.25)  # warm starts only within this factor of eps
@@ -438,24 +468,18 @@ WARM_RANGE = (0.8, 1.25)  # warm starts only within this factor of eps
 
 def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
                 params: ProblemParams, eps: float) -> NormalizedSolution:
-    """Solve at eps warm-started from prev's profile rescaled to the width
-    eps about the centre c of the domain, u(x) = prev.u(c + (x - c)
-    prev.eps/eps) (node to node on the line, whose grid scales with eps),
-    with the Dirichlet ends set to 0 as in the ansatz. Without prev, or
-    when eps is not within WARM_RANGE of prev's eps, the solve starts from
-    the centred ansatz: across a longer jump the ansatz is the cheaper
-    start (0.2 -> 0.1, p = 3 Dirichlet: 1 Newton step, against 2 from the
+    """Solve at eps on the default grid, warm-started from prev's profile
+    rescaled to the width eps about the centre c of the domain, u(x) =
+    prev.u(c + (x - c) prev.eps/eps) (node to node on the line, whose grid
+    scales with eps), evaluated on the right half that Newton solves, with
+    the Dirichlet end set to 0 as in the ansatz. Without prev, or when eps
+    is not within WARM_RANGE of prev's eps, the solve starts from the
+    centred ansatz: across a longer jump the ansatz is the cheaper start
+    (0.2 -> 0.1, p = 3 Dirichlet: 1 Newton step, against 2 from the
     rescaled bump)."""
-    if prev is None or not (
-            WARM_RANGE[0] <= eps / prev.epsilon <= WARM_RANGE[1]):
-        return solve_fixed_epsilon(spec, params, eps)
-    x = _grid(spec, eps, None)
-    centre = 0.5 * (x[0] + x[-1])
-    guess = np.interp(centre + (x - centre) * (prev.epsilon / eps),
-                      prev.nodes, prev.u_values)
-    if spec.bc == DIRICHLET:
-        guess[0] = guess[-1] = 0.0
-    return solve_fixed_epsilon(spec, params, eps, u0=guess)
+    warm = prev if prev is not None and (
+        WARM_RANGE[0] <= eps / prev.epsilon <= WARM_RANGE[1]) else None
+    return solve_fixed_epsilon(spec, params, eps, _warm=warm)
 
 
 def trace_branch(spec: DomainSpec, params: ProblemParams,

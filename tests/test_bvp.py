@@ -178,6 +178,71 @@ def test_positivity_single_peak(gs5):
     assert flips <= 1
 
 
+def _full_grid_checks(bc, u):
+    """The profile checks as they ran on the whole mirrored grid before
+    they moved onto the solved half: the error they raise, or None."""
+    umax, umin = u.max(), u.min()
+    interior_min = u[1:-1].min() if bc == "dirichlet" else umin
+    floor = 1e-12 * max(umax, -umin)
+    if umax <= 0 or interior_min < -floor or umax < 0.5:
+        return NonPositive
+    du = np.diff(u)
+    signs = np.sign(du[np.abs(du) > floor])
+    return NewtonDiverged if np.count_nonzero(np.diff(signs)) > 1 else None
+
+
+def _set(values, i, value):
+    out = values.copy()
+    out[i] = value
+    return out
+
+
+def _bump(x):
+    return 2.0 * np.exp(-(x / 0.3) ** 2)
+
+
+HALF_PROFILES = {
+    "bump": _bump,
+    "twin_peaks": lambda x: 2.0 * np.exp(-((x - 0.5) / 0.2) ** 2),
+    "centre_valley": lambda x: 1.0 + x ** 2,
+    "negative_interior": lambda x: _set(_bump(x), 5, -0.1),
+    "negative_centre": lambda x: _set(_bump(x), 0, -0.1),
+    "zero_end": lambda x: _set(_bump(x), -1, 0.0),
+    "negative_end": lambda x: _set(_bump(x), -1, -1e-3),
+    "zero_end_negative_before":
+        lambda x: _set(_set(_bump(x), -1, 0.0), -2, -1e-3),
+    "trivial": lambda x: 0.1 * _bump(x),
+    "constant": np.ones_like,
+}
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", sorted(HALF_PROFILES))
+@pytest.mark.parametrize("half_panels", [10, 11])
+def test_half_grid_checks_match_full_grid_rule(bc, name, half_panels):
+    # a mirrored profile is checked on the half Newton solved: the same
+    # verdict as the full-grid rule, whose sign changes are 2c + 1 for c on
+    # the half, and the same first maximum as the concentration point. Its
+    # mass is Simpson's over the whole grid, summed on the half when the
+    # half's panel count is even
+    x = np.linspace(-1.0, 1.0, 2 * half_panels + 1)
+    half = HALF_PROFILES[name](x[half_panels:])
+    u = np.concatenate([half[::-1], half[1:]])
+    spec = DomainSpec("interval", -1, 1, bc)
+    expected = _full_grid_checks(bc, u)
+    if expected is not None:
+        with pytest.raises(expected):
+            bvp._package(spec, P5, 0.2, x, half, 0, 0.0, mirrored=True)
+        return
+    sol = bvp._package(spec, P5, 0.2, x, half, 0, 0.0, mirrored=True)
+    assert sol.u_values.tobytes() == u.tobytes()
+    assert sol.concentration_point == x[u.argmax()]
+    assert sol.mass == pytest.approx(0.2 ** -1.0 * simpson(u ** 2, x=x),
+                                     rel=1e-14)
+    if name == "constant":
+        assert sol.concentration_point == -1.0
+
+
 def test_zero_init_raises_nonpositive():
     spec = DomainSpec("interval", -1, 1, "dirichlet")
     n = 2000
@@ -420,14 +485,25 @@ def test_mixed_sign_potential_first_step_keeps_the_law_slope(monkeypatch,
     (DomainSpec("realline"), 3.0, 0.3),
 ])
 def test_mass_slope_matches_central_difference(spec, p, eps):
-    # dm/deps by one Jacobian solve at the solution, against two solves
+    # dm/deps by one Jacobian solve at the solution, against a central
+    # difference of solves
     params = ProblemParams(1, p)
     evaluate = MassEvaluator(spec, params)
     evaluate(eps)
-    d = 1e-5 * eps
-    masses = [solve_fixed_epsilon(spec, params, e).mass
-              for e in (eps + d, eps - d)]
-    central = (masses[0] - masses[1]) / (2.0 * d)
+
+    def mass(k, d):
+        return solve_fixed_epsilon(spec, params, eps + k * d).mass
+
+    if spec.bc == "dirichlet" and p == 5.0:
+        # the slope is -4.9e-5 on a mass of 2.7: one ulp of one mass moves
+        # the two-point difference at 1e-5 eps by 4.5e-6, so four points
+        # at 1e-3 eps
+        d = 1e-3 * eps
+        central = (8.0 * (mass(1, d) - mass(-1, d))
+                   - (mass(2, d) - mass(-2, d))) / (12.0 * d)
+    else:
+        d = 1e-5 * eps
+        central = (mass(1, d) - mass(-1, d)) / (2.0 * d)
     assert evaluate.slope(eps) == pytest.approx(central, rel=1e-6)
 
 
@@ -630,11 +706,11 @@ def test_critical_interval_law_scales_with_half_width(monkeypatch, gs5, d, bc,
     (DomainSpec("realline", potential=(1.0,)), P5),
 ])
 def test_realline_truncation_keeps_mass(monkeypatch, spec, params):
-    # the line is cut at 40 eps-widths; the old half-width 20 gives the same
-    # masses at the same spacing eps/80. Each eps puts a whole number of
-    # cut grids into [0, 20], so the spacings are equal: at eps = 0.06 the
-    # wide grid rounds up to 26668 panels a half, and the 5e-5 change in h
-    # alone moves the mass by 1e-13.
+    # the line is cut at REALLINE_WIDTHS = 20 eps-widths; a fixed
+    # half-width 20 gives the same masses at the same spacing eps/80. Each
+    # eps puts a whole number of cut grids into [0, 20], so the spacings are
+    # equal: at eps = 0.06 the wide grid rounds up to 26668 panels a half,
+    # and the 5e-5 change in h alone moves the mass by 1e-13.
     eps_list = (0.4, 0.1, 0.0625)
     cut = [MassEvaluator(spec, params) for _ in eps_list]
     masses = [ev(e) for ev, e in zip(cut, eps_list)]
@@ -643,7 +719,7 @@ def test_realline_truncation_keeps_mass(monkeypatch, spec, params):
     assert [ev(e) for ev, e in zip(wide, eps_list)] \
         == pytest.approx(masses, rel=1e-13)
     for ev_cut, ev_wide, e in zip(cut, wide, eps_list):
-        assert ev_cut.solution(e).nodes[-1] == pytest.approx(40.0 * e)
+        assert ev_cut.solution(e).nodes[-1] == bvp.REALLINE_WIDTHS * e
         assert ev_wide.solution(e).nodes[-1] == 20.0
 
 
@@ -796,7 +872,9 @@ def test_solve_normalized_releases_cached_solutions():
     (DomainSpec("interval", -1, 1, "neumann"), 0.2, 99, "interior"),
     # n counts panels on (-1, 1) also when the solve runs on (-1, 3)
     (DomainSpec("interval", -1, 1, "neumann"), 0.2, 99, "endpoint"),
-    (DomainSpec("realline"), 0.5, 799, "interior"),
+    # the line at eps = 0.5 is [-10, 10]: 399 panels are just under 10
+    # nodes per eps-width
+    (DomainSpec("realline"), 0.5, 399, "interior"),
 ])
 def test_grid_resolution_floor(monkeypatch, spec, eps, n, init):
     # fewer than 10 nodes per eps-width is rejected before Newton runs
