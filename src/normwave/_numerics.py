@@ -1,9 +1,10 @@
 """Composite and cumulative Simpson, Brent's root-finder and a cubic
 Hermite evaluator.
 
-Each follows scipy's arithmetic operation for operation, so results are
-bit-identical to ``scipy.integrate.simpson`` and
-``scipy.integrate.cumulative_simpson`` (1-D, nodes given),
+``simpson`` is the one quadrature of every mass and moment in normwave: the
+composite rule on a uniform grid with an even panel count. The other three
+follow scipy's arithmetic operation for operation, so results are
+bit-identical to ``scipy.integrate.cumulative_simpson`` (1-D, nodes given),
 ``scipy.optimize.brentq`` and ``scipy.interpolate.CubicHermiteSpline``.
 They live here so that importing normwave loads only numpy: importing
 scipy.integrate, scipy.optimize or scipy.interpolate takes about as long as
@@ -23,36 +24,20 @@ import numpy as np
 __all__ = ["simpson", "cumulative_simpson", "brentq", "CubicHermite"]
 
 
-def simpson(y, x) -> np.float64:
-    """∫ y dx by composite Simpson over the nodes x (at least three).
+def simpson(y, h: float) -> float:
+    """∫ y by composite Simpson at nodes h apart:
+    (h/3)(y₀ + yₙ + 4Σodd + 2Σeven) over an even panel count n.
 
-    Pairs of panels use the nonuniform three-point weights; with an odd
-    panel count the last panel gets Cartwright's correction. Returns a numpy
-    float64, as scipy does.
+    The sums are numpy's pairwise sums, whose order is fixed, so the result
+    does not depend on any thread count. An even number of nodes, or fewer
+    than three, raises ValueError.
     """
     y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = len(y)
-    if n < 3 or len(x) != n:
-        raise ValueError("simpson needs at least three nodes and one y per node")
-    m = n if n % 2 else n - 1  # nodes covered by whole pairs of panels
-    h = np.diff(x[:m])
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[0:m - 2:2] * (2.0 - 1.0 / h0divh1)
-                        + y[1:m - 1:2] * (hsum * (hsum / hprod))
-                        + y[2:m:2] * (2.0 - h0divh1))
-    result = np.sum(tmp)
-    if m < n:
-        # 1-element arrays keep the powers on numpy's array loops, as in scipy
-        h0, h1 = np.diff(x[-3:])[:, None]
-        alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
-        eta = h1 ** 3 / (6 * h0 * (h0 + h1))
-        result += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
-    return result
+    if len(y) < 3 or len(y) % 2 == 0:
+        raise ValueError(f"simpson needs an even panel count, at least two "
+                         f"(got {len(y) - 1})")
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum()
+                            + 2.0 * y[2:-1:2].sum()))
 
 
 def _simpson_first_panels(y: np.ndarray, dx: np.ndarray) -> np.ndarray:

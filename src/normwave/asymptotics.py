@@ -219,7 +219,7 @@ def ansatz_residual_l2(gs: GroundState, corr: CorrectionProfile, epsilon: float,
     Vterm = (epsilon ** 4 * y ** 2 + 2.0 * epsilon ** 5 * tau * y
              + epsilon ** 6 * tau ** 2)
     E = -Zpp + (Vterm + 1.0) * Z - np.abs(Z) ** (p - 1) * Z
-    return float(np.sqrt(simpson(E ** 2, x=y)))
+    return math.sqrt(simpson(E ** 2, (y[-1] - y[0]) / (len(y) - 1)))
 
 
 # -- orchestrated reports -----------------------------------------------------------

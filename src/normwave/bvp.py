@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _lapack
-from ._numerics import brentq
+from ._numerics import brentq, simpson
 from .errors import (BracketFailed, NewtonDiverged, NonPositive,
                      NoSolutionInRegime)
 from .groundstate import (GroundState, ProblemParams, Regime,
@@ -150,11 +150,15 @@ def _grid(spec: DomainSpec, eps: float, n_override: Optional[int]) -> np.ndarray
     """
     if spec.kind == "interval":
         a, b = spec.a, spec.b
+        n = math.ceil(POINTS_PER_WIDTH * (b - a) / eps)
     else:
         b = _realline_halfwidth(eps)
         a = -b
+        # whole eps-widths: (b - a)/eps in floating point can read an ulp
+        # above 40, which ceil would pad to 3204 panels
+        n = POINTS_PER_WIDTH * 2 * round(b / eps)
     if n_override is None:
-        n = max(MIN_NODES, int(math.ceil(POINTS_PER_WIDTH * (b - a) / eps)))
+        n = max(MIN_NODES, n)
     else:
         n = int(n_override)
         if n * eps < MIN_POINTS_PER_WIDTH * (b - a):
@@ -321,12 +325,6 @@ def _newton(x: np.ndarray, u0: np.ndarray, eps: float, p: float,
     raise NewtonDiverged(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
-def _simpson_uniform(y: np.ndarray, h: float) -> float:
-    """Composite Simpson of y at nodes h apart, over an even panel count."""
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum()
-                      + 2.0 * y[2:-1:2].sum())
-
-
 def _package(spec, params, eps, x, solved, iters, residual,
              mirrored) -> NormalizedSolution:
     """The solution on the grid x from solved, the array Newton solved:
@@ -363,9 +361,9 @@ def _package(spec, params, eps, x, solved, iters, residual,
     if mirrored and len(solved) % 2:
         # the half has an even panel count: the mirror's Simpson sum is twice
         # the half's, whose centre weight 1 doubles to the full grid's 2
-        integral = 2.0 * _simpson_uniform(solved * solved, h)
+        integral = 2.0 * simpson(solved * solved, h)
     else:
-        integral = _simpson_uniform(u * u, h)
+        integral = simpson(u * u, h)
     return NormalizedSolution(
         spec=spec, params=params, lambda_=eps ** -2.0, epsilon=eps,
         nodes=x, v_values=eps ** (-2.0 / (p - 1.0)) * u, u_values=u,

@@ -13,7 +13,8 @@ normalized-wave problem, so equilibria are read off from a positive solve
 and vice versa; at any other nu the transform yields no equilibrium.
 
 The Kolmogorov equation is an identity under the transform; its discrete
-residual measures pure truncation and refines at second order.
+residual measures pure truncation and refines at second order. Masses are
+_numerics.simpson on the uniform nodes: an odd panel count raises ValueError.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def to_mfg(sol: NormalizedSolution) -> MfgTriple:
     if np.min(v) <= 0.0:
         raise NonPositiveDensity("Hopf-Cole needs v > 0 up to the boundary")
     x = sol.nodes
-    rho = simpson(v ** 2, x=x)
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    rho = simpson(v ** 2, h)
     m = v ** 2 / rho
     u = -2.0 * NU * np.log(v)
     u = u - np.min(u)
@@ -110,7 +112,7 @@ def to_mfg(sol: NormalizedSolution) -> MfgTriple:
     r_hjb, r_kol = mfg_residuals(triple)
     triple.residual_hjb = float(np.max(np.abs(r_hjb[1:-1])))
     triple.residual_kolmogorov = float(np.max(np.abs(r_kol[1:-1])))
-    triple.mass_defect = float(abs(simpson(m, x=x) - 1.0))
+    triple.mass_defect = abs(simpson(m, h) - 1.0)
     return triple
 
 
@@ -125,10 +127,11 @@ def from_mfg(triple: MfgTriple) -> NormalizedSolution:
     eps = triple.lambda_ ** -0.5
     u = eps ** (2.0 / (p - 1.0)) * v
     x = triple.nodes
+    mass = simpson(v ** 2, (x[-1] - x[0]) / (len(x) - 1))
     params = ProblemParams(1, p)
     res = assemble_residual(triple.spec, params, eps, x, u)
     return NormalizedSolution(
         spec=triple.spec, params=params, lambda_=triple.lambda_, epsilon=eps,
-        nodes=x, v_values=v, u_values=u, mass=float(simpson(v ** 2, x=x)),
+        nodes=x, v_values=v, u_values=u, mass=mass,
         residual_inf=float(np.max(np.abs(res))),
         concentration_point=float(x[np.argmax(v)]))

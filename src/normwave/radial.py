@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from . import _lapack
+from ._numerics import simpson
 from .errors import NoConvergence, SingularOperator
 
 __all__ = [
@@ -350,19 +351,16 @@ def radial_quadrature(r: np.ndarray, f: np.ndarray, dim: int,
                       tail_decay: float = 2.0, rule: str = "simpson") -> float:
     """Integral of f(|x|) over R^dim, by composite rule plus exponential tail.
 
-    rule="trapezoid" applies the Euler-Maclaurin endpoint correction
-    -(h^2/12) (g'(R) - g'(0)), which restores O(h^4) accuracy when the
-    integrand g = f r^{dim-1} has a nonzero derivative at r=0 (dim = 2).
+    rule="simpson" is _numerics.simpson, which needs an even panel count.
+    rule="trapezoid", the cross-check, applies the Euler-Maclaurin endpoint
+    correction -(h^2/12) (g'(R) - g'(0)), which restores O(h^4) accuracy
+    when the integrand g = f r^{dim-1} has a nonzero derivative at r=0
+    (dim = 2).
     """
-    h = r[1] - r[0]
+    h = (r[-1] - r[0]) / (len(r) - 1)
     g = f * r ** (dim - 1)
     if rule == "simpson":
-        if len(r) % 2 == 0:
-            raise ValueError("simpson rule needs an even number of intervals")
-        w = np.ones_like(g)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        core = h / 3.0 * np.dot(w, g)
+        core = simpson(g, h)
     elif rule == "trapezoid":
         core = h * (np.sum(g) - 0.5 * (g[0] + g[-1]))
         dg0 = np.dot([-25.0, 48.0, -36.0, 16.0, -3.0], g[:5]) / (12 * h)

@@ -709,8 +709,8 @@ def test_realline_truncation_keeps_mass(monkeypatch, spec, params):
     # the line is cut at REALLINE_WIDTHS = 20 eps-widths; a fixed
     # half-width 20 gives the same masses at the same spacing eps/80. Each
     # eps puts a whole number of cut grids into [0, 20], so the spacings are
-    # equal: at eps = 0.06 the wide grid rounds up to 26668 panels a half,
-    # and the 5e-5 change in h alone moves the mass by 1e-13.
+    # equal: at eps = 0.06 the wide grid rounds to 333 widths, 26640 panels
+    # a half, and the 1e-3 change in h alone moves the mass by up to 1.3e-11.
     eps_list = (0.4, 0.1, 0.0625)
     cut = [MassEvaluator(spec, params) for _ in eps_list]
     masses = [ev(e) for ev, e in zip(cut, eps_list)]

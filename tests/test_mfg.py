@@ -116,6 +116,18 @@ def test_unit_alpha_gives_unit_mass():
     assert sol.mass == pytest.approx(1.0, rel=1e-12)
 
 
+def test_from_mfg_refuses_odd_panel_count():
+    # the mass is composite Simpson on the uniform nodes, which needs pairs
+    # of panels
+    x = np.linspace(-1, 1, 200)
+    triple = MfgTriple(spec=DomainSpec("interval", -1, 1, "neumann"),
+                       nodes=x, u_values=np.zeros_like(x),
+                       m_values=np.full_like(x, 0.5), lambda_=1.0,
+                       alpha=1.0, q=2.0)
+    with pytest.raises(ValueError, match="even panel count"):
+        from_mfg(triple)
+
+
 def test_mass_critical_alpha_threshold(gs5):
     # at p = 5 the dictionary gives q = 2 and the critical coupling
     # alpha = (2 sigma0)^q

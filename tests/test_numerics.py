@@ -19,28 +19,32 @@ def _grids(rng):
         yield np.concatenate([[0.0], np.cumsum(rng.exponential(0.1, n - 1))])
 
 
-def test_simpson_bit_equal_to_scipy():
+def test_simpson_exact_on_cubics():
+    # the rule's error is a multiple of h^4 times the fourth derivative
     rng = np.random.default_rng(1)
-    count = 0
-    for x in _grids(rng):
-        for y in (np.exp(-x ** 2) * np.cos(3 * x), rng.normal(size=len(x))):
-            assert simpson(y, x=x) == scipy_simpson(y, x=x)
-            count += 1
-    assert count == 54
+    for panels in (2, 4, 10, 100, 2000):
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        c = rng.normal(size=4)
+        exact = np.polyval(np.polyint(c), b) - np.polyval(np.polyint(c), a)
+        x = np.linspace(a, b, panels + 1)
+        assert simpson(np.polyval(c, x), (b - a) / panels) \
+            == pytest.approx(exact, rel=1e-13, abs=1e-14)
 
 
-def test_simpson_last_panel_bit_equal_to_scipy():
-    # short even-length grids, where the last-panel correction weighs most
+def test_simpson_matches_scipy_on_uniform_grids():
     rng = np.random.default_rng(4)
-    for n in rng.integers(2, 6, 300) * 2:
-        x = np.cumsum(rng.exponential(1.0, n))
-        y = rng.normal(size=n)
-        assert simpson(y, x=x) == scipy_simpson(y, x=x)
+    for panels in (2, 4, 6, 100, 2000, 24000):
+        x = np.linspace(-1.0, 3.0, panels + 1)
+        for y in (np.exp(-x ** 2) * np.cos(3 * x) + 1.0, 2.0 + np.sin(x),
+                  rng.uniform(0.5, 1.5, panels + 1)):
+            assert simpson(y, 4.0 / panels) \
+                == pytest.approx(scipy_simpson(y, x=x), rel=1e-14)
 
 
-def test_simpson_needs_three_nodes():
-    with pytest.raises(ValueError):
-        simpson([1.0, 2.0], x=[0.0, 1.0])
+@pytest.mark.parametrize("nodes", [0, 1, 2, 4, 2000])
+def test_simpson_needs_an_even_panel_count(nodes):
+    with pytest.raises(ValueError, match="even panel count"):
+        simpson(np.ones(nodes), 0.1)
 
 
 def _recording(f):

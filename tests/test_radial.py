@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -331,3 +334,33 @@ def test_band_lu_peak_memory(gs2d):
     work = (2 * radial.KL + radial.KU + 1) * len(gs.profile.nodes) * 8
     assert gs_peak < 3.0 * work
     assert corr_peak < 2.5 * work
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS runs one thread on a one-core host, so "
+                           "the two runs would not differ in thread count")
+def test_outputs_independent_of_openblas_threads():
+    # OpenBLAS splits a long ddot across its threads, which changes the
+    # order of the sum; every quadrature is a numpy pairwise sum instead,
+    # so sigma0, m_frak and the line's mass-law moment keep their bits
+    code = (
+        "from normwave.corrections import correction_profile\n"
+        "from normwave.groundstate import (ProblemParams, mass_moment,\n"
+        "                                  solve_ground_state)\n"
+        "print(repr(float(solve_ground_state(ProblemParams(4, 1.8)).sigma0)))\n"
+        "gs = solve_ground_state(ProblemParams(2, 3.0))\n"
+        "print(repr(float(correction_profile(gs).m_frak)))\n"
+        "gs = solve_ground_state(ProblemParams(1, 5.0))\n"
+        "print(repr(float(mass_moment(gs, 1))))\n")
+    src = os.path.dirname(os.path.dirname(radial.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout.splitlines())
+    assert len(outs[0]) == 3
+    assert outs[0] == outs[1]
