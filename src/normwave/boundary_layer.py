@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp import DIRICHLET, NEUMANN, THETA_RATE_CONSTANT
+from ._constants import DIRICHLET, NEUMANN, THETA_RATE_CONSTANT
 from .errors import NoConvergence
 
 __all__ = [
@@ -47,14 +47,26 @@ __all__ = [
 ]
 
 # leading coefficients of |Theta| ~ C/eps e^{-2/eps} (THETA_RATE_CONSTANT,
-# defined in bvp, whose mass root-find starts from that law) and of
+# shared with bvp, whose mass root-find starts from that law) and of
 # |phi(0)| ~ c e^{-2/eps}
 CENTER_RATE_CONSTANT = 2.0 ** 1.5 * 3.0 ** 0.25
 
 # smallest eps at which e^{-2/eps} is still a normal double (about 0.002823)
 EPS_FLOOR = 2.0 / -math.log(sys.float_info.min)
 THETA_RTOL = 1e-13  # theta_quadrature's bound on |I(h) - I(h/2)| / |I(h/2)|
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the 16-point Gauss-Legendre rule on [-1, 1], bit for bit numpy's
+# leggauss(16), whose nodes and weights are exactly symmetric; written out
+# so that no import loads numpy.polynomial
+_GL_HALF_NODES = np.array((
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499))
+_GL_HALF_WEIGHTS = np.array((
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176))
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
 
 def _trace_amplitude(eps: float, bc: str) -> float:

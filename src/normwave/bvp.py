@@ -44,6 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _lapack
+from ._constants import DIRICHLET, NEUMANN, THETA_RATE_CONSTANT
 from ._numerics import brentq, simpson
 from .errors import (BracketFailed, NewtonDiverged, NonPositive,
                      NoSolutionInRegime)
@@ -60,8 +61,6 @@ __all__ = [
     "MassEvaluator",
 ]
 
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
 DECAY = "decay"
 
 NEWTON_TOL = 1e-11
@@ -519,9 +518,6 @@ CRITICAL_STOP = 1e-3
 # critical stop is 0, and the floor (1.4e-10 there at p = 5) lies below
 # the mass error of one solve
 STOP_FLOOR = 1e-3
-# |Theta| ~ THETA_RATE_CONSTANT s e^{-2s}, s = d/eps, at p = 1 + 4/N on an
-# interval of half-width d, and mass - 2 sigma0 ~ -2 Theta (boundary_layer)
-THETA_RATE_CONSTANT = 4.0 * math.sqrt(3.0)
 
 
 class MassEvaluator:
@@ -635,7 +631,10 @@ class _MassLaw:
         s = self.d / eps
         c = math.log(ratio) + slope * s + math.log(s)
         for _ in range(60):
-            s = max((c - math.log(s)) / slope, 1.0)
+            s_next = max((c - math.log(s)) / slope, 1.0)
+            if s_next == s:  # a fixed point: the remaining passes keep it
+                break
+            s = s_next
         return self.d / s
 
     def start(self) -> float:
@@ -679,6 +678,26 @@ class _MassLaw:
         return (f"{self.masses} lie strictly "
                 f"{'above' if self.side > 0.0 else 'below'} "
                 f"2*sigma0 = {self.origin:.12g}")
+
+    def turned_away(self, met: Sequence[tuple[float, float]]
+                    ) -> Optional[float]:
+        """The mass met nearest rho, below it on rho's side of the origin,
+        once a mass met at a larger eps lies farther from rho: the masses
+        have turned away from rho where the law has them grow toward it
+        with eps. None before that, and always where side is not None (a V
+        of one sign, whose masses keep to the law's side).
+        """
+        toward = self.rho - self.origin
+        if self.side is not None or toward == 0.0:
+            return None
+        # each mass as a fraction of the way from the origin to rho
+        share = [(eps, (mass - self.origin) / toward, mass)
+                 for eps, mass in met]
+        eps_top, top, mass_top = max(share, key=lambda q: q[1])
+        if 0.0 < top < 1.0 and any(eps > eps_top and t < top
+                                   for eps, t, _ in share):
+            return mass_top
+        return None
 
 
 def _mass_law(spec: DomainSpec, params: ProblemParams, rho: float,
@@ -730,9 +749,12 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     1e-3 * |rho - 2 sigma0| at p = 1 + 4/N, so that the returned eps also
     resolves a small distance to 2 sigma0, but never below STOP_FLOOR *
     MASS_RTOL * rho. Raises NoSolutionInRegime when the law puts no mass at
-    rho (_MassLaw.refusal), and BracketFailed when no step brackets rho or
-    when the root-find ends on a constant solution (u = 1 on a Neumann
-    interval), which does not concentrate. A solve inside the walk that
+    rho (_MassLaw.refusal), and BracketFailed when no step brackets rho,
+    when on a V of mixed signs the masses turn away from rho
+    (_MassLaw.turned_away; on V = -x^2 + 5x^4 at rho = 2 sigma0 + 1e-3
+    after 2 solves, where the walk once took 17), or when the root-find
+    ends on a constant solution (u = 1 on a Neumann interval), which does
+    not concentrate. A solve inside the walk that
     fails raises its own error, NonPositive or NewtonDiverged (as
     solve_fixed_epsilon documents), and the walk stops there: on the line
     with V = x^2 - 5x^4 at p = 5 and rho near 2 sigma0 the first solve
@@ -766,6 +788,7 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
                    f"[{eps_min}, {EPS_START}]")
     eps_a = clip(law.start())
     f_a = f(eps_a)
+    met = [(eps_a, f_a + rho)]  # the walk's (eps, mass) points
     behind = None  # the point before eps_a, on the same side of rho
     steps = 0
     while abs(f_a) > tol:
@@ -791,6 +814,12 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
                 raise BracketFailed(
                     "root-find stalled before reaching the target mass")
             break
+        met.append((eps_b, f_b + rho))
+        peak = law.turned_away(met)
+        if peak is not None:
+            raise BracketFailed(f"{unbracketed}: the masses on its side of "
+                                f"2*sigma0 turn away from it; the nearest "
+                                f"met is {peak:.12g}")
         behind = None if step is None else point
         eps_a, f_a = eps_b, f_b
     sol = evaluate.solution(eps_a)

@@ -7,6 +7,10 @@ written atomically. Exit codes: 0 ok, 1 usage error, 2 computational failure.
 
 Options may be preloaded from a flat key=value config file (--config);
 explicit command-line flags take precedence.
+
+Each subcommand imports the modules it uses when it runs, so a run loads
+only those: ground-state only groundstate (and the radial layer under it),
+boundary-layer only boundary_layer.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, asymptotics, boundary_layer, bvp, corrections, mfg
-from . import groundstate as gsmod
+from . import __version__
 from .errors import SolverError
 
 __all__ = ["main", "build_parser"]
@@ -103,6 +106,8 @@ def _resolved(args) -> dict:
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_ground_state(args) -> int:
+    from . import groundstate as gsmod
+
     params = gsmod.ProblemParams(args.n, args.p)
     gs = gsmod.solve_ground_state(params, r_max=args.r_max,
                                   spacing=args.spacing)
@@ -121,6 +126,9 @@ def cmd_ground_state(args) -> int:
 
 
 def cmd_correction(args) -> int:
+    from . import corrections
+    from . import groundstate as gsmod
+
     params = gsmod.ProblemParams(args.n, args.p)
     gs = gsmod.solve_ground_state(params, r_max=args.r_max,
                                   spacing=args.spacing)
@@ -141,6 +149,8 @@ def cmd_correction(args) -> int:
 
 
 def cmd_boundary_layer(args) -> int:
+    from . import boundary_layer
+
     eps_list = _floats(args.sweep) if args.sweep else [args.epsilon]
     rows = []
     for eps in eps_list:
@@ -162,6 +172,8 @@ def cmd_boundary_layer(args) -> int:
 
 
 def _domain_from_args(args) -> bvp.DomainSpec:
+    from . import bvp
+
     # DomainSpec refuses the flags that the domain does not take
     return bvp.DomainSpec(args.domain, args.a, args.b, args.bc,
                           tuple(_floats(args.potential)))
@@ -174,6 +186,9 @@ def _direct_solve(args) -> bvp.NormalizedSolution:
     --eps-min to --rho only; any other pairing is a usage error (ValueError),
     as is neither or both.
     """
+    from . import bvp
+    from . import groundstate as gsmod
+
     params = gsmod.ProblemParams(args.n, args.p)
     spec = _domain_from_args(args)
     init = getattr(args, "init", "interior")
@@ -216,6 +231,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import bvp
+    from . import groundstate as gsmod
+
     params = gsmod.ProblemParams(args.n, args.p)
     spec = _domain_from_args(args)
     rows = bvp.trace_branch(spec, params, _floats(args.eps_list))
@@ -235,6 +253,8 @@ def _jsonable(obj):
 
 
 def cmd_verify(args) -> int:
+    from . import asymptotics
+
     report = asymptotics.verify_report(args.theorem)
     payload = {
         "theorem_id": report.theorem_id,
@@ -256,6 +276,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mfg(args) -> int:
+    from . import mfg
+
     triple = mfg.to_mfg(_direct_solve(args))
     write_csv(_out(args, "mfg_profile", "csv"), ["x", "u", "m"],
               [triple.nodes, triple.u_values, triple.m_values])
@@ -340,9 +362,12 @@ def build_parser() -> _Parser:
     sp = _command(sub, "solve", cmd_solve,
                   "direct solve (fixed eps or fixed mass)",
                   _add_problem, _add_direct)
+    # the default is bvp.EPS_MIN, written out (as are the theorems of
+    # verify, asymptotics.REPORT_IDS) so that building the parser imports
+    # neither module; tests/test_cli.py pins both
     sp.add_argument("--eps-min", type=float, default=None,
-                    help=f"smallest eps of the root-find (--rho only; "
-                         f"default {bvp.EPS_MIN:g})")
+                    help="smallest eps of the root-find (--rho only; "
+                         "default 0.05)")
     sp.add_argument("--init", choices=["interior", "endpoint"],
                     default="interior")
     sp.add_argument("--init-csv", default=None,
@@ -354,7 +379,8 @@ def build_parser() -> _Parser:
                     help="strictly decreasing comma-separated epsilons")
     sp = _command(sub, "verify", cmd_verify, "prediction-vs-solver reports")
     sp.add_argument("--theorem", required=True,
-                    choices=list(asymptotics.REPORT_IDS))
+                    choices=["interior_scaling", "interior_critical_mass",
+                             "potential_critical_mass"])
     _command(sub, "mfg", cmd_mfg, "Hopf-Cole transform of a direct solve",
              _add_problem, _add_direct)
     return parser

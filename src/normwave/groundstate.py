@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import radial
-from ._numerics import CubicHermite
+from ._numerics import CubicHermite, median
 from .errors import MassCriticalInfeasible, NoConvergence, TailNotResolved
 
 __all__ = [
@@ -147,6 +147,9 @@ class GroundState:
     # frak_c (N >= 2); zero for the exact N = 1 profile
     sigma0_rel_err: float = 0.0
     frak_c_rel_err: float = 0.0
+    # mass_moment's integrals by k, each taken once per ground state
+    moments: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
 
 def _cosh_power(y, q: float):
@@ -516,8 +519,8 @@ def _polished_ground_state(params: ProblemParams,
     if not gs.sigma0_rel_err <= SIGMA0_RTOL:
         raise NoConvergence(f"ground-state sigma0 error estimate "
                             f"{gs.sigma0_rel_err:.2e} above {SIGMA0_RTOL:.0e}")
-    plateau = float(np.median(_decay_plateau(r, vals, params.dim)))
-    corrected = float(np.median(_decay_plateau(r, vals + e, params.dim)))
+    plateau = median(_decay_plateau(r, vals, params.dim))
+    corrected = median(_decay_plateau(r, vals + e, params.dim))
     gs.frak_c_rel_err = abs(corrected - plateau) / plateau
     return gs
 
@@ -556,11 +559,14 @@ def mass_sigma0(gs: GroundState, rule: str = "simpson") -> float:
 
 
 def mass_moment(gs: GroundState, k: int) -> float:
-    """∫_{R^N} |y|^{2k} U^2, by radial quadrature + tail."""
-    prof = gs.profile
-    return radial.radial_quadrature(prof.nodes,
-                                    prof.nodes ** (2 * k) * prof.values ** 2,
-                                    gs.params.dim, tail_decay=2.0)
+    """∫_{R^N} |y|^{2k} U^2, by radial quadrature + tail; computed once per
+    ground state and k, then read from gs.moments."""
+    if k not in gs.moments:
+        prof = gs.profile
+        gs.moments[k] = radial.radial_quadrature(
+            prof.nodes, prof.nodes ** (2 * k) * prof.values ** 2,
+            gs.params.dim, tail_decay=2.0)
+    return gs.moments[k]
 
 
 def decay_constant(gs: GroundState) -> float:
@@ -576,7 +582,7 @@ def decay_constant(gs: GroundState) -> float:
     if r[-1] < 12.0 or np.count_nonzero(r >= (2.0 / 3.0) * r[-1]) < 8:
         raise TailNotResolved("grid too short to resolve the decay plateau")
     g = _decay_plateau(r, gs.profile.values, gs.params.dim)
-    c = float(np.median(g))
+    c = median(g)
     if c <= 0 or not np.isfinite(c):
         raise TailNotResolved("decay plateau is not positive")
     spread = float((np.max(g) - np.min(g)) / c)

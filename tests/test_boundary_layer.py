@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from normwave import boundary_layer as bl
 from normwave.boundary_layer import (CENTER_RATE_CONSTANT, EPS_FLOOR,
                                      THETA_RATE_CONSTANT, make_boundary_layer,
                                      phi_explicit, theta_antiderivative,
@@ -204,3 +205,11 @@ def test_epsilon_below_underflow_floor_rejected(eps):
     with pytest.raises(ValueError, match="underflows"):
         phi_explicit(eps, "neumann", 0.0)
     assert EPS_FLOOR == pytest.approx(2.0 / 708.396, rel=1e-5)
+
+
+def test_gauss_legendre_literals_are_leggauss_16():
+    # written out so that no import loads numpy.polynomial; the rule must
+    # stay numpy's to the bit
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert bl._GL_NODES.tobytes() == nodes.tobytes()
+    assert bl._GL_WEIGHTS.tobytes() == weights.tobytes()

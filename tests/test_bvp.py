@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -1132,3 +1134,78 @@ def test_normalized_contract(kind, p, sign, log_eps, log_offset):
     du = np.diff(u)
     du = du[np.abs(du) > 1e-12 * np.max(u)]
     assert np.count_nonzero(np.diff(np.sign(du))) <= 1
+
+
+def _step_sixty(law, eps, mass, slope):
+    """_MassLaw.step on an interval as it was: always 60 passes."""
+    ratio = (law.rho - law.origin) / (mass - law.origin)
+    s = law.d / eps
+    c = math.log(ratio) + slope * s + math.log(s)
+    for _ in range(60):
+        s = max((c - math.log(s)) / slope, 1.0)
+    return law.d / s
+
+
+def test_interval_law_step_stops_at_its_fixed_point(gs5):
+    # the fixed-point loop stops where s' == s, which every seed-1 step
+    # reaches after 12-18 passes; the 60 passes it used to take return
+    # the same bits
+    two_sigma0 = 2.0 * gs5.sigma0
+    for bc in ("dirichlet", "neumann"):
+        spec = DomainSpec("interval", -1, 1, bc)
+        sign = -1.0 if bc == "dirichlet" else 1.0
+        for delta in (1e-8, 1e-5, 1e-3, 1e-1):
+            law = bvp._mass_law(spec, P5, two_sigma0 + sign * delta, gs5)
+            for eps in np.geomspace(0.05, 0.5, 7):
+                for offset in (1e-9, 1e-6, 1e-4, 1e-2):
+                    mass = two_sigma0 + sign * offset
+                    for slope in (-4.0, -2.5, -2.0, -1.5, -1.0):
+                        assert law.step(eps, mass, slope) \
+                            == _step_sixty(law, eps, mass, slope)
+
+
+def test_mixed_sign_line_stops_once_the_masses_turn_away(monkeypatch, gs5):
+    # on V = -x^2 + 5x^4 no mass on [0.05, 0.5] exceeds 2 sigma0 + 2.6e-4
+    # (near eps = 0.14). rho = 2 sigma0 + 1e-3 and + 1e-2 each walked 17
+    # mass solves before BracketFailed; the walk now stops once a mass at
+    # a larger eps lies farther from rho than the nearest one on its side
+    spec = DomainSpec("realline", potential=(-1.0, 5.0))
+    two_sigma0 = 2.0 * gs5.sigma0
+    masses = {}
+    call = MassEvaluator.__call__
+
+    def recording(self, eps):
+        masses[eps] = call(self, eps)
+        return masses[eps]
+
+    monkeypatch.setattr(MassEvaluator, "__call__", recording)
+    for delta in (1e-3, 1e-2):
+        masses.clear()
+        rho = two_sigma0 + delta
+        with pytest.raises(BracketFailed) as info:
+            solve_normalized(spec, P5, rho, ground_state=gs5)
+        assert len(masses) <= 4
+        nearest = max(m for m in masses.values() if m < rho)
+        assert two_sigma0 < nearest < two_sigma0 + 2.7e-4
+        assert str(info.value) == (
+            f"mass {rho:.12g} not bracketed for eps in [{bvp.EPS_MIN}, "
+            f"{bvp.EPS_START}]: the masses on its side of 2*sigma0 turn "
+            f"away from it; the nearest met is {nearest:.12g}")
+
+
+def test_turned_away_reads_only_a_mixed_sign_law():
+    law = bvp._MassLaw(1.0, 4.0, 0.0, None, (1.0, 0.0), None)
+    # rising toward rho with eps: no turn yet
+    assert law.turned_away([(0.1, 0.5), (0.2, 0.8)]) is None
+    # a mass at a larger eps farther from rho, on either side of the origin
+    assert law.turned_away([(0.1, 0.5), (0.2, 0.8), (0.3, 0.6)]) == 0.8
+    assert law.turned_away([(0.2, 0.8), (0.3, -0.1)]) == 0.8
+    # a mass past rho: the bracket decides, not this rule
+    assert law.turned_away([(0.2, 1.2), (0.3, 0.1)]) is None
+    # no mass on rho's side, or rho at the origin
+    assert law.turned_away([(0.2, -0.5), (0.3, -0.9)]) is None
+    assert dataclasses.replace(law, rho=0.0).turned_away(
+        [(0.1, 0.5), (0.2, 0.1)]) is None
+    # a V of one sign keeps its masses on the law's side
+    assert dataclasses.replace(law, side=1.0).turned_away(
+        [(0.1, 0.5), (0.2, 0.8), (0.3, 0.6)]) is None

@@ -1,6 +1,8 @@
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,3 +484,100 @@ def test_write_csv_matches_per_value_format(tmp_path):
         _write_csv_per_value(tmp_path / f"{name}.ref", header, columns)
         assert (tmp_path / f"{name}.csv").read_bytes() \
             == (tmp_path / f"{name}.ref").read_bytes(), name
+
+
+def _subparsers() -> dict:
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _option(parser, dest):
+    return next(a for a in parser._actions if a.dest == dest)
+
+
+def test_parser_literals_match_their_modules():
+    # the parser writes out bvp.EPS_MIN and asymptotics.REPORT_IDS so that
+    # building it imports neither module
+    from normwave import asymptotics, bvp
+
+    theorem = _option(_subparsers()["verify"], "theorem")
+    assert tuple(theorem.choices) == asymptotics.REPORT_IDS
+    eps_min = _option(_subparsers()["solve"], "eps_min")
+    assert eps_min.help.endswith(f"(--rho only; default {bvp.EPS_MIN:g})")
+
+
+# a fresh interpreter runs `python -m normwave ARGS` and prints every module
+# it then holds
+_MODULES_AFTER = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('normwave', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert not exc.code, exc.code\n"
+    "print(*sorted(sys.modules))\n")
+
+
+def _modules_after(args, out_dir):
+    out = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *args.split(),
+                          "--out-dir", str(out_dir)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("args, used, unused", [
+    ("ground-state --n 1 --p 5", ["groundstate"],
+     ["bvp", "asymptotics", "boundary_layer", "corrections", "mfg",
+      "numpy.ma", "numpy.polynomial"]),
+    ("boundary-layer --sweep 0.3,0.2,0.15", ["boundary_layer"],
+     ["groundstate", "bvp", "radial", "numpy.ma", "numpy.polynomial"]),
+    ("solve --n 1 --p 3 --domain realline --rho 8", ["bvp", "groundstate"],
+     ["asymptotics", "corrections", "boundary_layer", "mfg", "numpy.ma"]),
+], ids=["ground-state", "boundary-layer", "solve"])
+def test_subcommand_loads_only_its_modules(tmp_path, args, used, unused):
+    # each command imports its own modules when it runs, one interpreter
+    # per command; numpy.ma came with np.median and numpy.polynomial with
+    # leggauss, neither of which a command calls now
+    def name(m):
+        return m if m.startswith("numpy") else f"normwave.{m}"
+
+    loaded = _modules_after(args, tmp_path)
+    assert {name(m) for m in used} <= loaded
+    assert not {name(m) for m in unused} & loaded
+
+
+def test_bare_import_loads_no_submodule():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, normwave; "
+         "print(*sorted(m for m in sys.modules if m.startswith('normwave')))"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["normwave"]
+
+
+def _readme_examples():
+    """The `normwave ...` lines of the README, without --out-dir."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text().splitlines():
+        if line.startswith("normwave "):
+            args = line.split("#")[0].split()[1:]
+            yield " ".join(args[:args.index("--out-dir")])
+
+
+README_EXAMPLES = list(_readme_examples())
+
+
+def test_readme_examples_cover_every_subcommand():
+    assert len(README_EXAMPLES) == 11
+    assert {line.split()[0] for line in README_EXAMPLES} == set(_subparsers())
+
+
+@pytest.mark.parametrize("args", README_EXAMPLES)
+def test_readme_example_runs_in_its_own_process(tmp_path, args):
+    # a module that a command uses but does not import would fail here,
+    # where no earlier command in the same interpreter has loaded it
+    out = subprocess.run([sys.executable, "-m", "normwave", *args.split(),
+                          "--out-dir", str(tmp_path)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert any(tmp_path.glob("*.json"))

@@ -13,7 +13,7 @@ from normwave.errors import (MassCriticalInfeasible, NoConvergence,
                              SolverError, TailNotResolved)
 from normwave.groundstate import (ANY_LAMBDA, ProblemParams, Regime,
                                   closed_form_soliton, decay_constant,
-                                  mass_sigma0, ode_residual_max,
+                                  mass_moment, mass_sigma0, ode_residual_max,
                                   scale_solution, solve_ground_state,
                                   solve_pure_scaling)
 
@@ -543,3 +543,23 @@ def test_profile_tail_model(gs3):
     R = gs3.profile.nodes[-1]
     val = gs3.profile(R + 1.0)
     assert val == pytest.approx(gs3.profile.values[-1] * np.exp(-1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, p", [(1, 5.0), (2, 3.0)])
+def test_mass_moment_is_taken_once_per_ground_state(monkeypatch, dim, p):
+    # every solve_normalized on a line with a potential reads it; a second
+    # call reads the first one's bits and does no quadrature
+    gs = solve_ground_state(ProblemParams(dim, p))
+    prof = gs.profile
+    direct = groundstate.radial.radial_quadrature(
+        prof.nodes, prof.nodes ** 2 * prof.values ** 2, dim, tail_decay=2.0)
+    first = mass_moment(gs, 1)
+    assert repr(first) == repr(direct)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the moment was integrated again")
+
+    monkeypatch.setattr(groundstate.radial, "radial_quadrature",
+                        no_quadrature)
+    assert repr(mass_moment(gs, 1)) == repr(first)
+    assert "moments" not in repr(gs)

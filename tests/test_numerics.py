@@ -4,12 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import simpson as scipy_simpson
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq as scipy_brentq
 
-from normwave._numerics import CubicHermite, brentq, cumulative_simpson, simpson
+from normwave._numerics import (CubicHermite, brentq, cumulative_simpson,
+                                median, simpson)
 
 
 def _grids(rng):
@@ -188,3 +191,32 @@ def test_startup_leaves_out_heavy_scipy(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["False []"] + ["0 False []"] * 12
+
+
+def _same_bits(a: float, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                min_size=1, max_size=40),
+       st.integers(0, 3))
+def test_median_is_numpys_bit_for_bit(values, repeats):
+    # odd and even counts, and repeated values, which the partition must
+    # not reorder into a different pair; -0.0 reads 0.0 in both
+    values = values + values[:repeats]
+    with np.errstate(over="ignore"):  # the middle two may sum past 1e308
+        assert _same_bits(median(values), np.median(values))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=20))
+def test_median_is_nan_where_numpys_is(values):
+    # any NaN makes both NaN; infinities of both signs give NaN or inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        expect = np.median(values)
+        got = median(values)
+    if math.isnan(expect):
+        assert math.isnan(got)
+    else:
+        assert _same_bits(got, expect)
