@@ -536,8 +536,8 @@ def _modules_after(args, out_dir):
 ], ids=["ground-state", "boundary-layer", "solve"])
 def test_subcommand_loads_only_its_modules(tmp_path, args, used, unused):
     # each command imports its own modules when it runs, one interpreter
-    # per command; numpy.ma came with np.median and numpy.polynomial with
-    # leggauss, neither of which a command calls now
+    # per command; numpy.ma comes with np.median and numpy.polynomial with
+    # leggauss, so no command may call either
     def name(m):
         return m if m.startswith("numpy") else f"normwave.{m}"
 
