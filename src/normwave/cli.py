@@ -316,7 +316,9 @@ def _add_domain(sp) -> None:
     sp.add_argument("--bc", choices=["dirichlet", "neumann"], default=None)
     sp.add_argument("--potential", default="",
                     help="even-polynomial coefficients a1,a2,... for "
-                         "V = a1 x^2 + a2 x^4 + ... (real line only)")
+                         "V = a1 x^2 + a2 x^4 + ... (real line only); a "
+                         "list that starts with a minus sign takes the = "
+                         "form, --potential=-1,5")
 
 
 def _add_direct(sp) -> None:
@@ -410,6 +412,8 @@ def _inject_config(argv: list[str]) -> list[str]:
         if key in _STORE_TRUE_KEYS:
             if _bool(cfg[key]):
                 extra.append(flag)
+        elif cfg[key].startswith("-"):  # argparse reads "-1,5" as an option
+            extra.append(f"{flag}={cfg[key]}")
         else:
             extra.extend([flag, cfg[key]])
     return [argv[0]] + extra + argv[1:]

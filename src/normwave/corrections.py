@@ -33,7 +33,8 @@ import numpy as np
 from . import radial
 from ._numerics import CubicHermite, brentq, cumulative_simpson
 from .errors import ZeroCountMismatch
-from .groundstate import GroundState, ProblemParams, RadialProfile
+from .groundstate import (GroundState, ProblemParams, RadialProfile,
+                          linearization)
 
 __all__ = [
     "CorrectionProfile",
@@ -61,16 +62,18 @@ class CorrectionProfile:
 def solve_linearized_radial(gs: GroundState, rhs) -> RadialProfile:
     """Decaying solution of the linearized radial problem with source rhs.
 
-    rhs holds samples on the ground-state grid. The far field uses the
-    logarithmic-derivative row W'(R) + W(R) = 0.
+    rhs holds samples on the ground-state grid. The solve uses the ground
+    state's factors of L+ (groundstate.linearization), so its far field is
+    the ground state's Robin row W'(R) + (1 + (N-1)/(2R)) W(R) = 0, which
+    for N = 1 is W'(R) + W(R) = 0.
     """
     prof = gs.profile
     r = prof.nodes
     b = np.asarray(rhs, dtype=float)
     if b.shape != r.shape:
         raise ValueError("rhs must be sampled on the ground-state grid")
-    q = 1.0 - gs.params.p * np.abs(prof.values) ** (gs.params.p - 1)
-    w = radial.solve_radial_linear(r, q, gs.params.dim, b, robin_const=1.0)
+    w = radial.solve_radial_linear(r, None, gs.params.dim, b,
+                                   factors=linearization(gs))
     dw = radial.d1_six(w, prof.spacing)
     dw[-3:] = -w[-3:]  # tail model derivative in the one-sided zone
     return RadialProfile(r, w, dw, tail_rate=-1.0)
@@ -181,7 +184,12 @@ def factorization_oracle_1d(gs: GroundState) -> CorrectionProfile:
 
 def w_zero_locate(w: RadialProfile) -> float:
     """Unique sign change of W, refined by Brent's method on the C^1
-    interpolant to W_ZERO_XTOL."""
+    interpolant to W_ZERO_XTOL.
+
+    The interpolant is built on the bracketing nodes idx, idx + 1 and the
+    node after them only: on [x_idx, x_idx+1] its cubic is the full grid's,
+    and the right end evaluates at s = 0 in the next interval, as on the
+    full grid, so the zero is the same bit for bit."""
     vals = w.values
     mask = np.abs(vals) > 1e-13
     signs = np.sign(vals[mask])
@@ -189,6 +197,7 @@ def w_zero_locate(w: RadialProfile) -> float:
     if flips != 1:
         raise ZeroCountMismatch(f"expected exactly one sign change, found {flips}")
     idx = np.where(np.diff(np.sign(vals)) != 0)[0][0]
-    spline = CubicHermite(w.nodes, vals, w.dvalues)
+    near = slice(idx, idx + 3)
+    spline = CubicHermite(w.nodes[near], vals[near], w.dvalues[near])
     return float(brentq(spline, w.nodes[idx], w.nodes[idx + 1],
                         xtol=W_ZERO_XTOL, rtol=8.9e-16))

@@ -40,6 +40,7 @@ __all__ = [
     "ode_residual_max",
     "mass_sigma0",
     "mass_moment",
+    "linearization",
     "decay_constant",
     "scale_solution",
     "solve_pure_scaling",
@@ -150,6 +151,9 @@ class GroundState:
     # mass_moment's integrals by k, each taken once per ground state
     moments: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    # linearization's factors of L+ at the profile, formed once
+    lplus: Optional[radial.BandLU] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
 
 def _cosh_power(y, q: float):
@@ -498,22 +502,27 @@ def _polished_ground_state(params: ProblemParams,
 
     Defect correction: the sixth-order residual R6 of the grid solution is,
     to leading order, that of the differential equation, so one solve with
-    Newton's last Jacobian, e = -J^{-1} R6, estimates the distance to the
-    exact U. ∫ U e is the first-order change of sigma0, and the plateau of
-    U + e that of frak_c.
+    the Jacobian at U, e = -J^{-1} R6, estimates the distance to the exact
+    U. ∫ U e is the first-order change of sigma0, and the plateau of U + e
+    that of frak_c.
+
+    J = L+ is factorised here, once, in the work array Newton stepped in,
+    from the L[1] Newton assembled; the factors stay on the ground state
+    (gs.lplus) for linearization, so correction_profile solves with them.
     """
     vals = _shooting_guess(params, r)
-    vals, lu = radial.radial_newton(r, params.dim, params.p, vals)
+    vals, jac = radial.radial_newton(r, params.dim, params.p, vals)
     dvals = radial.d1_six(vals, r[1] - r[0])
     # one-sided zone: use the tail model derivative (poly x exp(-r))
     tail_ld = -1.0 - (params.dim - 1) / (2.0 * r[-3:])
     dvals[-3:] = tail_ld * vals[-3:]
     gs = GroundState(params, RadialProfile(r, vals, dvals, tail_rate=-1.0),
                      0.0, 0.0)
+    gs.lplus = jac.factors()
     gs.sigma0 = mass_sigma0(gs)
     res = _ode_residual(params, r, vals)
     res[~((r <= radial.RESIDUAL_R_CAP) & np.isfinite(res))] = 0.0
-    e = -lu.solve(res)
+    e = -gs.lplus.solve(res)
     gs.sigma0_rel_err = abs(float(radial.radial_quadrature(
         r, vals * e, params.dim, tail_decay=2.0))) / gs.sigma0
     if not gs.sigma0_rel_err <= SIGMA0_RTOL:
@@ -567,6 +576,19 @@ def mass_moment(gs: GroundState, k: int) -> float:
             prof.nodes, prof.nodes ** (2 * k) * prof.values ** 2,
             gs.params.dim, tail_decay=2.0)
     return gs.moments[k]
+
+
+def linearization(gs: GroundState) -> radial.BandLU:
+    """The LU factors of L+ = L[1 - p U^{p-1}] at the profile, with the
+    ground state's decay row (Robin constant 1 + (N-1)/(2R)), formed once
+    per ground state and then read from gs.lplus: an N >= 2 state gets
+    them from its Newton polish, any other state assembles L[1] on first
+    use (radial.Linearization)."""
+    if gs.lplus is None:
+        prof = gs.profile
+        gs.lplus = radial.Linearization.assemble(
+            prof.nodes, gs.params.dim, gs.params.p, prof.values).factors()
+    return gs.lplus
 
 
 def decay_constant(gs: GroundState) -> float:

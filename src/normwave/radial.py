@@ -17,7 +17,8 @@ row, KU = 2 super-diagonals) and factorised by LAPACK dgbtrf, called in
 numpy's bundled OpenBLAS (normwave._lapack), so that no radial solve loads
 scipy. The band is assembled straight into the Fortran-ordered array that
 dgbtrf factorises in place, and a radial Newton solve reuses one such array
-for every step.
+for every step and then for the linearization L+ at its solution, which the
+ground state's defect estimate and correction profile solve with.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "radial_operator",
     "solve_radial_linear",
     "radial_newton",
+    "Linearization",
     "d1_six",
     "d2_six",
     "radial_ode_residual",
@@ -67,11 +69,14 @@ def uniform_grid(r_max: float, spacing: float) -> np.ndarray:
 
 class BandLU:
     """LU factors of a band operator from LAPACK dgbtrf, solved by dgbtrs;
-    ipiv holds LAPACK's 1-based pivots."""
+    ipiv holds LAPACK's 1-based pivots. Factors from factorise also carry
+    the operator's exact ||A||_1 as norm, for condition()."""
 
     def __init__(self, lu: np.ndarray, ipiv: np.ndarray):
         self.lu = lu
         self.ipiv = ipiv
+        self.norm: float | None = None
+        self.cond: float | None = None
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """A^{-1} b, or A^{-T} b for trans="T", for b of shape (n,) or
@@ -79,6 +84,16 @@ class BandLU:
         x, _ = _lapack.gbtrs(self.lu, KL, KU, self.ipiv,
                              np.array(b, dtype=float, order="F"), trans)
         return x
+
+    def condition(self) -> float:
+        """The 1-norm condition estimate, norm times the Hager-Higham
+        estimate of ||A^{-1}||_1 from solves with the factors; taken on the
+        first call, then read from cond."""
+        if self.cond is None:
+            self.cond = self.norm * onenormest(
+                self.solve, lambda x: self.solve(x, trans="T"),
+                self.lu.shape[1])
+        return self.cond
 
 
 def splu(ab: np.ndarray) -> BandLU:
@@ -100,6 +115,21 @@ def splu(ab: np.ndarray) -> BandLU:
     if info > 0:
         raise SingularOperator("radial operator is exactly singular")
     return BandLU(lu, ipiv)
+
+
+def factorise(ab: np.ndarray) -> BandLU:
+    """splu(ab.base), in place, of ab in radial_operator's storage, for
+    checked solves: the factors carry ||A||_1, a column sum over the band
+    taken before it is factorised. A non-finite entry raises ValueError."""
+    norm = np.abs(ab[0])  # column sums row by row, as numpy sums a C-order band
+    for row in ab[1:]:
+        norm += np.abs(row)
+    norm = float(np.max(norm))  # NaN or inf if an entry is
+    if not math.isfinite(norm):
+        raise ValueError("the radial operator must be finite")
+    lu = splu(ab.base)
+    lu.norm = norm
+    return lu
 
 
 def onenormest(matvec, rmatvec, n: int) -> float:
@@ -208,80 +238,118 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def solve_radial_linear(r: np.ndarray, q: np.ndarray, dim: int, rhs: np.ndarray,
-                        robin_const: float | None = None) -> np.ndarray:
+                        robin_const: float | None = None,
+                        factors: BandLU | None = None) -> np.ndarray:
     """Solve L[q] w = rhs with the decay boundary row (rhs forced to 0 there).
 
-    A non-finite q or rhs raises ValueError. The condition estimate is the
-    exact ||L||_1, a column sum over the band taken before the band is
-    factorised in place, times the Hager-Higham estimate of ||L^{-1}||_1
-    from solves with the factors; above COND_LIMIT it raises
+    L[q] is assembled and factorised here, or factors, the factorise
+    result for L[q] (such as Linearization.factors()), is solved with as it
+    is; r, q, dim and robin_const are then not read. A non-finite q or rhs
+    raises ValueError. Above COND_LIMIT the factors' condition estimate
+    (BandLU.condition, taken once per factorisation) raises
     SingularOperator.
     """
     b = np.asarray(rhs, dtype=float).copy()
-    if not (np.isfinite(q).all() and np.isfinite(b).all()):
-        raise ValueError("q and rhs must be finite")
-    A = radial_operator(r, q, dim, robin_const)
-    norm = np.abs(A[0])  # column sums row by row, as numpy sums a C-order band
-    for row in A[1:]:
-        norm += np.abs(row)
-    norm = float(np.max(norm))
-    lu = splu(A.base)
-    inv_norm = onenormest(lu.solve, lambda x: lu.solve(x, trans="T"),
-                          A.shape[1])
-    if norm * inv_norm > COND_LIMIT:
+    if not np.isfinite(b).all():
+        raise ValueError("rhs must be finite")
+    if factors is None:
+        factors = factorise(radial_operator(r, q, dim, robin_const))
+    if factors.condition() > COND_LIMIT:
         raise SingularOperator(
             f"radial operator condition estimate exceeds {COND_LIMIT:.1e}")
     b[-1] = 0.0
-    return lu.solve(b)
+    return factors.solve(b)
 
 
-def _jacobian(work: np.ndarray, base: np.ndarray, power: np.ndarray,
+def _jacobian(work: np.ndarray, base: np.ndarray | None, power: np.ndarray,
               p: float) -> np.ndarray:
     """Write L[1 - p|u|^{p-1}] into the last rows of splu's work array, from
-    L[1] (base) and power = |u|^{p-1}: only the diagonal of the interior
-    rows differs from L[1]; the Robin row carries no potential."""
+    L[1] (base, or the band already in work where base is None) and
+    power = |u|^{p-1}: only the diagonal of the interior rows differs from
+    L[1]; the Robin row carries no potential."""
     shift = p * power
     shift[-1] = 0.0
     ab = work[KL:]
-    ab[...] = base
+    if base is not None:
+        ab[...] = base
     ab[KU] -= shift
     return work
 
 
+class Linearization:
+    """L+ = L[1 - p|u|^{p-1}], the Jacobian at u of the ground-state
+    equation -u'' - (dim-1)/r u' + u = |u|^{p-1} u with its decay row,
+    formed from L[1] and factorised, once, on first use.
+
+    work is a Fortran-ordered (2 KL + KU + 1, n) array, as splu takes, and
+    L[1] is either the band in its last rows (base None) or base. J(u) is
+    written into work, its ||J||_1 taken (factorise), and it is factorised
+    there in place; L[1] and u are then dropped.
+    """
+
+    def __init__(self, work: np.ndarray, base: np.ndarray | None, p: float,
+                 u: np.ndarray):
+        self.work, self.base, self.p, self.u = work, base, p, u
+        self._lu: BandLU | None = None
+
+    @classmethod
+    def assemble(cls, r: np.ndarray, dim: int, p: float,
+                 u: np.ndarray) -> "Linearization":
+        """L+ at u on r, from an L[1] assembled here, with the default
+        Robin constant 1 + (dim-1)/(2R)."""
+        return cls(radial_operator(r, np.ones_like(r), dim).base, None, p, u)
+
+    def factors(self) -> BandLU:
+        """The factors of L+, with its norm for the condition estimate."""
+        if self._lu is None:
+            work, base, u = self.work, self.base, self.u
+            self.work = self.base = self.u = None
+            power = np.abs(u) ** (self.p - 1)
+            self._lu = factorise(_jacobian(work, base, power, self.p)[KL:])
+        return self._lu
+
+
 def radial_newton(r: np.ndarray, dim: int, p: float,
-                  u0: np.ndarray) -> tuple[np.ndarray, BandLU]:
+                  u0: np.ndarray) -> tuple[np.ndarray, Linearization]:
     """Newton polish for -u'' - (dim-1)/r u' + u = |u|^{p-1} u with decay tail.
 
     Stops when the residual is below NEWTON_TOL, or when a Newton step is at
     rounding level, ||du||_inf <= 1e-10 * max(1, ||u||_inf): the residual
     of the fourth-order system bottoms out near 1e-9 on fine grids, above
     NEWTON_TOL, while the step keeps shrinking (Deuflhard's step-norm
-    test). Raises NoConvergence after NEWTON_MAX_ITER steps.
+    test). A freshly factorised step at most sqrt(1e-10) * max(1, ||u||_inf)
+    is followed by a simplified-Newton step that solves with the same
+    factors: its error is of the order of that step squared, at rounding
+    level, so no third factorisation is needed to confirm convergence.
+    Where such a step is not at rounding level the next Jacobian is
+    factorised again (P. Deuflhard, Newton Methods for Nonlinear Problems,
+    2004, section 2.1). Raises NoConvergence after NEWTON_MAX_ITER steps.
 
-    Returns u and the LU factors of the last Jacobian, which is within one
-    rounding-level step of the Jacobian at u. The operator L[1] is assembled
-    once; each Jacobian differs from it only on the diagonal. Every
-    Jacobian is written into the work array L[1] was assembled in and
-    factorised there, over the previous step's factors. |u|^{p-1} is
-    formed once per iterate, for its residual and its Jacobian.
+    Returns u and the Linearization L+ at u, not yet factorised. The
+    operator L[1] is assembled once; each Jacobian differs from it only on
+    the diagonal. Every Jacobian, and then L+, is written into the work
+    array L[1] was assembled in and factorised there, over the factors
+    before it. |u|^{p-1} is formed once per iterate, for its residual and
+    its Jacobian.
     """
     assembled = radial_operator(r, np.ones_like(r), dim)
     work, base = assembled.base, assembled.copy()
     u = u0.copy()
-    lu = None
+    reuse = False
     for _ in range(NEWTON_MAX_ITER):
         power = np.abs(u) ** (p - 1)
         F = band_matvec(base, u)
         F[:-1] -= power[:-1] * u[:-1]
         if np.max(np.abs(F[:-1])) < NEWTON_TOL and abs(F[-1]) < NEWTON_TOL:
-            if lu is None:  # u0 already solves the grid problem
-                lu = splu(_jacobian(work, base, power, p))
-            return u, lu
-        lu = splu(_jacobian(work, base, power, p))
+            return u, Linearization(work, base, p, u)
+        if not reuse:
+            lu = splu(_jacobian(work, base, power, p))
         du = lu.solve(-F)
         u = u + du
-        if np.max(np.abs(du)) <= 1e-10 * max(1.0, np.max(np.abs(u))):
-            return u, lu
+        step, scale = np.max(np.abs(du)), max(1.0, np.max(np.abs(u)))
+        if step <= 1e-10 * scale:
+            return u, Linearization(work, base, p, u)
+        reuse = not reuse and step <= 1e-10 ** 0.5 * scale
     raise NoConvergence(f"radial Newton did not converge in {NEWTON_MAX_ITER} "
                         f"steps")
 

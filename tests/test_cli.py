@@ -362,6 +362,33 @@ def test_config_file_and_override(run_main, tmp_path):
     assert doc["epsilon"] == 0.2
 
 
+def test_potential_starting_with_a_minus_sign(run_main, tmp_path, capsys):
+    # V = -x^2 + 5x^4: after a space argparse takes "-1,5" for an option,
+    # so --potential's help and the README give the = form, and a config
+    # file's value is passed in that form too
+    solve = ("solve", "--n", "1", "--p", "5", "--domain", "realline",
+             "--epsilon", "0.25")
+    out = run_main(*solve, "--potential=-1,5", "--out-dir",
+                   str(tmp_path / "flag"))
+    assert out.returncode == 0, out.err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("potential = -1,5\n")
+    out = run_main(*solve, "--config", str(cfg), "--out-dir",
+                   str(tmp_path / "cfg"))
+    assert out.returncode == 0, out.err
+    docs = [json.loads((tmp_path / d / "solution_scalars.json").read_text())
+            for d in ("flag", "cfg")]
+    assert docs[0] == docs[1]
+    assert docs[0]["config"]["potential"] == "-1,5"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*solve, "--potential", "-1,5", "--out-dir",
+                  str(tmp_path / "space")])
+    assert exc.value.code == 1
+    assert "--potential: expected one argument" in capsys.readouterr().err
+    assert "--potential=-1,5" in _option(_subparsers()["solve"],
+                                         "potential").help
+
+
 def test_mfg_command(run_main, tmp_path):
     out = run_main("mfg", "--n", "1", "--p", "5", "--domain", "interval",
                    "--bc", "neumann", "--epsilon", "0.4", "--out-dir",

@@ -4,12 +4,14 @@ from scipy.integrate import simpson
 
 from conftest import CATALAN, band_matrix
 from normwave import radial
-from normwave.corrections import (compute_m_frak, correction_profile,
-                                  linearized_residual, oracle_c_prime,
-                                  solve_linearized_radial, w_zero_locate)
+from normwave._numerics import CubicHermite, brentq
+from normwave.corrections import (W_ZERO_XTOL, compute_m_frak,
+                                  correction_profile, linearized_residual,
+                                  oracle_c_prime, solve_linearized_radial,
+                                  w_zero_locate)
 from normwave.errors import SingularOperator, ZeroCountMismatch
-from normwave.groundstate import (ProblemParams, RadialProfile, mass_moment,
-                                  solve_ground_state)
+from normwave.groundstate import (GroundState, ProblemParams, RadialProfile,
+                                  mass_moment, solve_ground_state)
 
 W_CENTER = -(3.0 ** 0.25) * CATALAN / 4.0  # closed-form value of W(0)
 
@@ -133,6 +135,44 @@ def test_singular_operator_detected(gs5):
     with pytest.raises(SingularOperator):
         radial.solve_radial_linear(r, q - shift, 1, np.ones_like(r),
                                    robin_const=1.0)
+
+
+@pytest.mark.parametrize("state", ["solved N = 2", "hand-built N = 2",
+                                   "N = 1"])
+def test_correction_checks_the_shared_factors_condition(monkeypatch, gs2d,
+                                                         gs5, state):
+    # the check runs on every correction solve, also with factors formed
+    # (and their estimate taken) before the limit was lowered
+    gs = {"solved N = 2": gs2d, "N = 1": gs5,
+          "hand-built N = 2": GroundState(gs2d.params, gs2d.profile, 0.0,
+                                          0.0)}[state]
+    correction_profile(gs)
+    monkeypatch.setattr(radial, "COND_LIMIT", 1.0)
+    with pytest.raises(SingularOperator, match="condition estimate"):
+        correction_profile(gs)
+
+
+@pytest.mark.parametrize("dim, p", [(2, 2.0), (2, 3.0), (2, 4.0), (3, 2.0),
+                                    (3, 2.5), (4, 1.8), (4, 2.0), (1, 5.0)])
+def test_w_zero_is_the_full_grid_splines_bit_for_bit(dim, p):
+    # the zero on the three nodes about the sign change against Brent's
+    # method on the spline through every node, at the benchmark's pairs
+    w = correction_profile(solve_ground_state(ProblemParams(dim, p))).profile
+    idx = np.where(np.diff(np.sign(w.values)) != 0)[0][0]
+    full = CubicHermite(w.nodes, w.values, w.dvalues)
+    assert w_zero_locate(w) == brentq(full, w.nodes[idx], w.nodes[idx + 1],
+                                      xtol=W_ZERO_XTOL, rtol=8.9e-16)
+
+
+def test_w_zero_in_the_last_interval():
+    # only two nodes remain about a sign change in the last interval; the
+    # full spline evaluates that end on the last cubic too
+    x = np.linspace(0.0, 1.0, 11)
+    w = RadialProfile(x, 0.96 - x ** 2, np.concatenate([[0.0], -2.0 * x[1:]]))
+    full = CubicHermite(w.nodes, w.values, w.dvalues)
+    zero = w_zero_locate(w)
+    assert 0.9 < zero < 1.0
+    assert zero == brentq(full, 0.9, 1.0, xtol=W_ZERO_XTOL, rtol=8.9e-16)
 
 
 @pytest.mark.parametrize("dim, p", [(1, 2.0), (1, 3.0), (1, 5.0), (2, 3.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -135,7 +136,65 @@ def test_ground_state_factorisation_count(monkeypatch):
 
     monkeypatch.setattr(radial, "splu", counting_splu)
     solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
-    assert 1 <= len(calls) <= 4
+    assert len(calls) == 3
+
+
+def test_ground_state_and_correction_share_one_linearization(monkeypatch):
+    # Newton factorises twice (the step after the second reuses its
+    # factors), then J(U) is formed from Newton's L[1] and factorised once
+    # more; the correction and its condition check solve with those factors
+    counts = {"splu": 0, "radial_operator": 0, "onenormest": 0}
+    for name in counts:
+        def counting(*args, _real=getattr(radial, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(radial, name, counting)
+    gs = solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
+    assert counts == {"splu": 3, "radial_operator": 1, "onenormest": 0}
+    correction_profile(gs)
+    assert counts == {"splu": 3, "radial_operator": 1, "onenormest": 1}
+    correction_profile(gs)
+    assert counts == {"splu": 3, "radial_operator": 1, "onenormest": 1}
+
+
+def test_correction_from_shared_factors_matches_hand_built(gs2d):
+    # J(U) formed from Newton's copy of L[1] and from a fresh assembly are
+    # the same operator: W is the same bit for bit. dataclasses.replace
+    # does not carry the factors to the new state
+    copy = dataclasses.replace(gs2d)
+    assert gs2d.lplus is not None and copy.lplus is None
+    w = correction_profile(gs2d).profile.values
+    assert correction_profile(copy).profile.values.tobytes() == w.tobytes()
+    assert copy.lplus is not gs2d.lplus
+
+
+def test_newton_refactorises_when_the_reused_step_is_not_at_rounding_level(
+        monkeypatch):
+    # each Jacobian factorised with 1e-3 added to its diagonal: the second
+    # step (about 2e-6) is within sqrt(1e-10) of rounding level, so the
+    # third reuses its factors; that one (about 2e-9) is not at rounding
+    # level, so the fourth is factorised again
+    params = ProblemParams(2, 3.0)
+    r = radial.uniform_grid(40.0, 1.0 / 300.0)
+    u0 = _shooting_guess(params, r)
+    exact, _ = radial.radial_newton(r, params.dim, params.p, u0)
+    real_splu, real_solve, events = radial.splu, radial.BandLU.solve, []
+
+    def shifted_splu(work):
+        events.append("factorise")
+        work[radial.KL + radial.KU] += 1e-3
+        return real_splu(work)
+
+    def logged_solve(self, b, trans="N"):
+        events.append("solve")
+        return real_solve(self, b, trans)
+
+    monkeypatch.setattr(radial, "splu", shifted_splu)
+    monkeypatch.setattr(radial.BandLU, "solve", logged_solve)
+    u, _ = radial.radial_newton(r, params.dim, params.p, u0)
+    assert events == ["factorise", "solve", "factorise", "solve", "solve",
+                      "factorise", "solve"]
+    assert np.max(np.abs(u - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def test_ground_state_shot_count(monkeypatch):
@@ -203,23 +262,28 @@ def _reference_jacobian(base, u, p):
 
 
 def _reference_newton(r, dim, p, u0):
+    # a freshly factorised step within sqrt(1e-10) of rounding level is
+    # followed by one that reuses its factors; the LU returned is J's at u
     base = radial.radial_operator(r, np.ones_like(r), dim)
     u = u0.copy()
-    lu = None
+    lu, reuse = None, False
     for _ in range(radial.NEWTON_MAX_ITER):
         F = radial.band_matvec(base, u)
         F[:-1] -= np.abs(u[:-1]) ** (p - 1) * u[:-1]
         if np.max(np.abs(F[:-1])) < radial.NEWTON_TOL \
                 and abs(F[-1]) < radial.NEWTON_TOL:
-            if lu is None:
-                lu = _ReferenceLU(_reference_jacobian(base, u, p))
-            return u, lu
-        lu = _ReferenceLU(_reference_jacobian(base, u, p))
+            break
+        if not reuse:
+            lu = _ReferenceLU(_reference_jacobian(base, u, p))
         du = lu.solve(-F)
         u = u + du
-        if np.max(np.abs(du)) <= 1e-10 * max(1.0, np.max(np.abs(u))):
-            return u, lu
-    raise NoConvergence("reference Newton did not converge")
+        scale = max(1.0, np.max(np.abs(u)))
+        if np.max(np.abs(du)) <= 1e-10 * scale:
+            break
+        reuse = not reuse and np.max(np.abs(du)) <= 1e-10 ** 0.5 * scale
+    else:
+        raise NoConvergence("reference Newton did not converge")
+    return u, _ReferenceLU(_reference_jacobian(base, u, p))
 
 
 def _reference_onenormest(matvec, rmatvec, n):
@@ -248,9 +312,11 @@ def _reference_onenormest(matvec, rmatvec, n):
     return max(est, 2.0 * float(np.sum(np.abs(matvec(alt)))) / (3 * n))
 
 
-def _reference_linear(r, q, dim, rhs, robin_const=None):
+def _reference_linear(r, u, p, dim, rhs):
+    # the correction solves with J at u, formed from L[1] as Newton's are
     b = np.asarray(rhs, dtype=float).copy()
-    A = radial.radial_operator(r, q, dim, robin_const)
+    A = _reference_jacobian(radial.radial_operator(r, np.ones_like(r), dim),
+                            u, p)
     lu = _ReferenceLU(A)
     inv_norm = _reference_onenormest(
         lu.solve, lambda x: lu.solve(x, trans="T"), A.shape[1])
@@ -266,7 +332,8 @@ def test_band_layer_matches_reference_bit_for_bit(dim, p):
     params = ProblemParams(dim, p)
     r = radial.uniform_grid(40.0, 1.0 / 300.0)
     u0 = _shooting_guess(params, r)
-    u, lu = radial.radial_newton(r, dim, p, u0)
+    u, jac = radial.radial_newton(r, dim, p, u0)
+    lu = jac.factors()
     ref_u, ref_lu = _reference_newton(r, dim, p, u0)
     assert u.tobytes() == ref_u.tobytes()
     res = groundstate._ode_residual(params, r, u)
@@ -280,8 +347,7 @@ def test_band_layer_matches_reference_bit_for_bit(dim, p):
     gs = GroundState(params, RadialProfile(r, u, radial.d1_six(u, r[1] - r[0])),
                      0.0, 0.0)
     corr = correction_profile(gs)
-    ref_w = _reference_linear(r, 1.0 - p * np.abs(u) ** (p - 1), dim,
-                              r ** 2 * u, robin_const=1.0)
+    ref_w = _reference_linear(r, u, p, dim, r ** 2 * u)
     assert corr.profile.values.tobytes() == ref_w.tobytes()
     assert corr.m_frak == radial.radial_quadrature(
         r, u * ref_w, dim, tail_decay=2.0) / (2.0 * dim)
