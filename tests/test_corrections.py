@@ -164,15 +164,19 @@ def test_w_zero_is_the_full_grid_splines_bit_for_bit(dim, p):
                                       xtol=W_ZERO_XTOL, rtol=8.9e-16)
 
 
-def test_w_zero_in_the_last_interval():
-    # only two nodes remain about a sign change in the last interval; the
-    # full spline evaluates that end on the last cubic too
+@pytest.mark.parametrize("root", [0.2 - 1e-9, 0.4 - 1e-10, 0.96 ** 0.5])
+def test_w_zero_near_a_node_and_in_the_last_interval(root):
+    # W = root^2 - r^2 on 11 nodes. A zero just left of a node makes Brent's
+    # method read the spline at that node, where a spline on the two
+    # bracketing nodes alone rounds differently; in the last interval only
+    # two nodes remain, and the full spline evaluates that end on the last
+    # cubic too
     x = np.linspace(0.0, 1.0, 11)
-    w = RadialProfile(x, 0.96 - x ** 2, np.concatenate([[0.0], -2.0 * x[1:]]))
+    w = RadialProfile(x, root ** 2 - x ** 2, -2.0 * x)
+    idx = int(root * 10)
     full = CubicHermite(w.nodes, w.values, w.dvalues)
-    zero = w_zero_locate(w)
-    assert 0.9 < zero < 1.0
-    assert zero == brentq(full, 0.9, 1.0, xtol=W_ZERO_XTOL, rtol=8.9e-16)
+    assert w_zero_locate(w) == brentq(full, x[idx], x[idx + 1],
+                                      xtol=W_ZERO_XTOL, rtol=8.9e-16)
 
 
 @pytest.mark.parametrize("dim, p", [(1, 2.0), (1, 3.0), (1, 5.0), (2, 3.0),
