@@ -484,8 +484,10 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
                  ) -> list[tuple[float, float, float]]:
     """Continuation along a decreasing eps list, each solve warm-started
     from the previous one where _solve_from allows. Every eps is checked
-    before the first solve."""
+    before the first solve, and an empty list raises ValueError."""
     eps_list = list(epsilon_list)
+    if not eps_list:
+        raise ValueError("epsilon list must not be empty")
     for eps in eps_list:
         _check_epsilon(eps)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):

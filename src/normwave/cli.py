@@ -121,6 +121,8 @@ def cmd_ground_state(args) -> int:
         "center_value": float(prof.values[0]),
         "regime": params.regime.value,
         "ode_residual_inf": gsmod.ode_residual_max(gs),
+        "sigma0_rel_err": gs.sigma0_rel_err,
+        "frak_c_rel_err": gs.frak_c_rel_err,
     }, _resolved(args))
     return 0
 
@@ -152,6 +154,8 @@ def cmd_boundary_layer(args) -> int:
     from . import boundary_layer
 
     eps_list = _floats(args.sweep) if args.sweep else [args.epsilon]
+    if not eps_list:
+        raise ValueError("--sweep epsilon list must not be empty")
     rows = []
     for eps in eps_list:
         layer = boundary_layer.make_boundary_layer(eps, args.bc)

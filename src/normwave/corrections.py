@@ -72,8 +72,7 @@ def solve_linearized_radial(gs: GroundState, rhs) -> RadialProfile:
     b = np.asarray(rhs, dtype=float)
     if b.shape != r.shape:
         raise ValueError("rhs must be sampled on the ground-state grid")
-    w = radial.solve_radial_linear(r, None, gs.params.dim, b,
-                                   factors=linearization(gs))
+    w = radial.solve_radial_linear(linearization(gs), b)
     dw = radial.d1_six(w, prof.spacing)
     dw[-3:] = -w[-3:]  # tail model derivative in the one-sided zone
     return RadialProfile(r, w, dw, tail_rate=-1.0)

@@ -506,19 +506,20 @@ def _polished_ground_state(params: ProblemParams,
     U. ∫ U e is the first-order change of sigma0, and the plateau of U + e
     that of frak_c.
 
-    J = L+ is factorised here, once, in the work array Newton stepped in,
-    from the L[1] Newton assembled; the factors stay on the ground state
-    (gs.lplus) for linearization, so correction_profile solves with them.
+    J = L+ comes back from radial_newton written from Newton's L[1] into
+    the work array Newton stepped in, and is factorised here, once, outside
+    the Newton call; the factors stay on the ground state (gs.lplus) for
+    linearization, so correction_profile solves with them.
     """
     vals = _shooting_guess(params, r)
-    vals, jac = radial.radial_newton(r, params.dim, params.p, vals)
+    vals, band = radial.radial_newton(r, params.dim, params.p, vals)
     dvals = radial.d1_six(vals, r[1] - r[0])
     # one-sided zone: use the tail model derivative (poly x exp(-r))
     tail_ld = -1.0 - (params.dim - 1) / (2.0 * r[-3:])
     dvals[-3:] = tail_ld * vals[-3:]
     gs = GroundState(params, RadialProfile(r, vals, dvals, tail_rate=-1.0),
                      0.0, 0.0)
-    gs.lplus = jac.factors()
+    gs.lplus = radial.factorise(band)
     gs.sigma0 = mass_sigma0(gs)
     res = _ode_residual(params, r, vals)
     res[~((r <= radial.RESIDUAL_R_CAP) & np.isfinite(res))] = 0.0
@@ -582,12 +583,13 @@ def linearization(gs: GroundState) -> radial.BandLU:
     """The LU factors of L+ = L[1 - p U^{p-1}] at the profile, with the
     ground state's decay row (Robin constant 1 + (N-1)/(2R)), formed once
     per ground state and then read from gs.lplus: an N >= 2 state gets
-    them from its Newton polish, any other state assembles L[1] on first
-    use (radial.Linearization)."""
+    them from its Newton polish, any other state forms L+ from an L[1]
+    assembled on first use (radial.lplus_band), bit for bit as Newton
+    does."""
     if gs.lplus is None:
         prof = gs.profile
-        gs.lplus = radial.Linearization.assemble(
-            prof.nodes, gs.params.dim, gs.params.p, prof.values).factors()
+        gs.lplus = radial.factorise(radial.lplus_band(
+            prof.nodes, gs.params.dim, gs.params.p, prof.values))
     return gs.lplus
 
 

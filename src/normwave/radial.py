@@ -10,15 +10,16 @@ The discrete operator implemented here is
 
 with a fourth-order interior discretization, the symmetric limit
 -dim * w''(0) + q(0) w(0) at the origin, and a Robin far-field row
-w'(R) + robin_const * w(R) = 0 modelling exponential decay.
+w'(R) + (1 + (dim-1)/(2R)) w(R) = 0 modelling exponential decay.
 
 L is held in LAPACK general band storage (KL = 4 sub-diagonals for the Robin
 row, KU = 2 super-diagonals) and factorised by LAPACK dgbtrf, called in
 numpy's bundled OpenBLAS (normwave._lapack), so that no radial solve loads
 scipy. The band is assembled straight into the Fortran-ordered array that
-dgbtrf factorises in place, and a radial Newton solve reuses one such array
-for every step and then for the linearization L+ at its solution, which the
-ground state's defect estimate and correction profile solve with.
+dgbtrf factorises in place. A radial Newton solve reuses one such array for
+every step and hands back the linearization L+ at its solution written into
+it, for factorise; the ground state's defect estimate solves with those
+factors, and its correction profile through solve_radial_linear.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "radial_operator",
     "solve_radial_linear",
     "radial_newton",
-    "Linearization",
+    "lplus_band",
     "d1_six",
     "d2_six",
     "radial_ode_residual",
@@ -96,31 +97,27 @@ class BandLU:
         return self.cond
 
 
-def splu(ab: np.ndarray) -> BandLU:
-    """Band LU by LAPACK dgbtrf, of an operator either in radial_operator's
-    storage (KL + KU + 1 rows), which is left as it is, or in the last rows
-    of a Fortran-ordered (2 KL + KU + 1, n) array such as
-    radial_operator's ab.base, which is factorised in place. dgbtrf needs
-    the KL rows above the band for the fill-in of pivoting and sets them
-    itself.
+def splu(work: np.ndarray) -> BandLU:
+    """Band LU by LAPACK dgbtrf, in place, of the operator in the last
+    KL + KU + 1 rows of a Fortran-ordered (2 KL + KU + 1, n) array such as
+    radial_operator's ab.base. dgbtrf needs the KL rows above the band for
+    the fill-in of pivoting and sets them itself.
 
     The name is kept from the sparse LU it replaced, because the benchmark's
     tracer (bench/tracing.py) counts factorisations under it. An exactly
     zero pivot raises SingularOperator.
     """
-    if ab.shape[0] == KL + KU + 1:
-        band, ab = ab, np.zeros((2 * KL + KU + 1, ab.shape[1]), order="F")
-        ab[KL:] = band
-    lu, ipiv, info = _lapack.gbtrf(ab, KL, KU)
+    lu, ipiv, info = _lapack.gbtrf(work, KL, KU)
     if info > 0:
         raise SingularOperator("radial operator is exactly singular")
     return BandLU(lu, ipiv)
 
 
 def factorise(ab: np.ndarray) -> BandLU:
-    """splu(ab.base), in place, of ab in radial_operator's storage, for
-    checked solves: the factors carry ||A||_1, a column sum over the band
-    taken before it is factorised. A non-finite entry raises ValueError."""
+    """splu(ab.base), in place, of ab in radial_operator's storage (from
+    radial_operator, lplus_band or radial_newton), for solve_radial_linear:
+    the factors carry ||A||_1, a column sum over the band taken before it is
+    factorised. A non-finite entry raises ValueError."""
     norm = np.abs(ab[0])  # column sums row by row, as numpy sums a C-order band
     for row in ab[1:]:
         norm += np.abs(row)
@@ -171,8 +168,7 @@ def onenormest(matvec, rmatvec, n: int) -> float:
     return max(est, 2.0 * float(np.sum(np.abs(last))) / (3 * n))
 
 
-def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
-                    robin_const: float | None = None) -> np.ndarray:
+def radial_operator(r: np.ndarray, q: np.ndarray, dim: int) -> np.ndarray:
     """Assemble L[q] in LAPACK general band storage (see module docstring
     for its rows): ab[KU + i - j, j] = L[i, j], zero outside the matrix.
 
@@ -181,8 +177,6 @@ def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
     """
     n = len(r) - 1
     h = r[1] - r[0]
-    if robin_const is None:
-        robin_const = 1.0 + (dim - 1) / (2.0 * r[-1])
     ab = np.zeros((2 * KL + KU + 1, n + 1), order="F")[KL:]
 
     def put(i, j, v):
@@ -219,7 +213,7 @@ def radial_operator(r: np.ndarray, q: np.ndarray, dim: int,
 
     # i = n: Robin decay row, one-sided fourth-order first derivative.
     cr = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / (12 * h)
-    cr[0] += robin_const
+    cr[0] += 1.0 + (dim - 1) / (2.0 * r[-1])
     put(n, np.arange(n, n - 5, -1), cr)
     return ab
 
@@ -237,23 +231,17 @@ def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def solve_radial_linear(r: np.ndarray, q: np.ndarray, dim: int, rhs: np.ndarray,
-                        robin_const: float | None = None,
-                        factors: BandLU | None = None) -> np.ndarray:
-    """Solve L[q] w = rhs with the decay boundary row (rhs forced to 0 there).
+def solve_radial_linear(factors: BandLU, rhs: np.ndarray) -> np.ndarray:
+    """Solve L w = rhs with the decay boundary row (rhs forced to 0 there),
+    for factors of L from factorise, such as a ground state's L+.
 
-    L[q] is assembled and factorised here, or factors, the factorise
-    result for L[q] (such as Linearization.factors()), is solved with as it
-    is; r, q, dim and robin_const are then not read. A non-finite q or rhs
-    raises ValueError. Above COND_LIMIT the factors' condition estimate
-    (BandLU.condition, taken once per factorisation) raises
-    SingularOperator.
+    A non-finite rhs raises ValueError. Above COND_LIMIT the factors'
+    condition estimate (BandLU.condition, taken once per factorisation)
+    raises SingularOperator.
     """
     b = np.asarray(rhs, dtype=float).copy()
     if not np.isfinite(b).all():
         raise ValueError("rhs must be finite")
-    if factors is None:
-        factors = factorise(radial_operator(r, q, dim, robin_const))
     if factors.condition() > COND_LIMIT:
         raise SingularOperator(
             f"radial operator condition estimate exceeds {COND_LIMIT:.1e}")
@@ -261,56 +249,25 @@ def solve_radial_linear(r: np.ndarray, q: np.ndarray, dim: int, rhs: np.ndarray,
     return factors.solve(b)
 
 
-def _jacobian(work: np.ndarray, base: np.ndarray | None, power: np.ndarray,
-              p: float) -> np.ndarray:
-    """Write L[1 - p|u|^{p-1}] into the last rows of splu's work array, from
-    L[1] (base, or the band already in work where base is None) and
-    power = |u|^{p-1}: only the diagonal of the interior rows differs from
-    L[1]; the Robin row carries no potential."""
+def _jacobian(ab: np.ndarray, power: np.ndarray, p: float) -> np.ndarray:
+    """L[1 - p|u|^{p-1}] from L[1] in ab, in place, for power = |u|^{p-1}:
+    only the diagonal of the interior rows differs from L[1]; the Robin row
+    carries no potential."""
     shift = p * power
     shift[-1] = 0.0
-    ab = work[KL:]
-    if base is not None:
-        ab[...] = base
     ab[KU] -= shift
-    return work
+    return ab
 
 
-class Linearization:
-    """L+ = L[1 - p|u|^{p-1}], the Jacobian at u of the ground-state
-    equation -u'' - (dim-1)/r u' + u = |u|^{p-1} u with its decay row,
-    formed from L[1] and factorised, once, on first use.
-
-    work is a Fortran-ordered (2 KL + KU + 1, n) array, as splu takes, and
-    L[1] is either the band in its last rows (base None) or base. J(u) is
-    written into work, its ||J||_1 taken (factorise), and it is factorised
-    there in place; L[1] and u are then dropped.
-    """
-
-    def __init__(self, work: np.ndarray, base: np.ndarray | None, p: float,
-                 u: np.ndarray):
-        self.work, self.base, self.p, self.u = work, base, p, u
-        self._lu: BandLU | None = None
-
-    @classmethod
-    def assemble(cls, r: np.ndarray, dim: int, p: float,
-                 u: np.ndarray) -> "Linearization":
-        """L+ at u on r, from an L[1] assembled here, with the default
-        Robin constant 1 + (dim-1)/(2R)."""
-        return cls(radial_operator(r, np.ones_like(r), dim).base, None, p, u)
-
-    def factors(self) -> BandLU:
-        """The factors of L+, with its norm for the condition estimate."""
-        if self._lu is None:
-            work, base, u = self.work, self.base, self.u
-            self.work = self.base = self.u = None
-            power = np.abs(u) ** (self.p - 1)
-            self._lu = factorise(_jacobian(work, base, power, self.p)[KL:])
-        return self._lu
+def lplus_band(r: np.ndarray, dim: int, p: float, u: np.ndarray) -> np.ndarray:
+    """L+ = L[1 - p|u|^{p-1}] at u in radial_operator's storage, formed from
+    an L[1] assembled here as radial_newton forms it, for factorise."""
+    return _jacobian(radial_operator(r, np.ones_like(r), dim),
+                     np.abs(u) ** (p - 1), p)
 
 
 def radial_newton(r: np.ndarray, dim: int, p: float,
-                  u0: np.ndarray) -> tuple[np.ndarray, Linearization]:
+                  u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton polish for -u'' - (dim-1)/r u' + u = |u|^{p-1} u with decay tail.
 
     Stops when the residual is below NEWTON_TOL, or when a Newton step is at
@@ -325,15 +282,16 @@ def radial_newton(r: np.ndarray, dim: int, p: float,
     factorised again (P. Deuflhard, Newton Methods for Nonlinear Problems,
     2004, section 2.1). Raises NoConvergence after NEWTON_MAX_ITER steps.
 
-    Returns u and the Linearization L+ at u, not yet factorised. The
-    operator L[1] is assembled once; each Jacobian differs from it only on
-    the diagonal. Every Jacobian, and then L+, is written into the work
-    array L[1] was assembled in and factorised there, over the factors
-    before it. |u|^{p-1} is formed once per iterate, for its residual and
-    its Jacobian.
+    Returns u and the band of L+ = J(u), the Jacobian at u, not yet
+    factorised: factorise(band) gives its factors. The operator L[1] is
+    assembled once; each Jacobian differs from it only on the diagonal.
+    Every Jacobian, and then L+, is written from a copy of L[1] into the
+    work array L[1] was assembled in, and factorised there, over the
+    factors before it. |u|^{p-1} is formed once per iterate, for its
+    residual and its Jacobian.
     """
-    assembled = radial_operator(r, np.ones_like(r), dim)
-    work, base = assembled.base, assembled.copy()
+    ab = radial_operator(r, np.ones_like(r), dim)
+    base = ab.copy()
     u = u0.copy()
     reuse = False
     for _ in range(NEWTON_MAX_ITER):
@@ -341,17 +299,22 @@ def radial_newton(r: np.ndarray, dim: int, p: float,
         F = band_matvec(base, u)
         F[:-1] -= power[:-1] * u[:-1]
         if np.max(np.abs(F[:-1])) < NEWTON_TOL and abs(F[-1]) < NEWTON_TOL:
-            return u, Linearization(work, base, p, u)
+            break
         if not reuse:
-            lu = splu(_jacobian(work, base, power, p))
+            ab[...] = base
+            lu = splu(_jacobian(ab, power, p).base)
         du = lu.solve(-F)
         u = u + du
         step, scale = np.max(np.abs(du)), max(1.0, np.max(np.abs(u)))
         if step <= 1e-10 * scale:
-            return u, Linearization(work, base, p, u)
+            power = np.abs(u) ** (p - 1)
+            break
         reuse = not reuse and step <= 1e-10 ** 0.5 * scale
-    raise NoConvergence(f"radial Newton did not converge in {NEWTON_MAX_ITER} "
-                        f"steps")
+    else:
+        raise NoConvergence(f"radial Newton did not converge in "
+                            f"{NEWTON_MAX_ITER} steps")
+    ab[...] = base
+    return u, _jacobian(ab, power, p)
 
 
 # -- high-order difference stencils (independent residual checks) ------------

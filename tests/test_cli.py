@@ -46,9 +46,11 @@ def test_ground_state_p3(run_main, tmp_path):
     assert out.returncode == 0
     doc = json.loads((tmp_path / "ground_state_scalars.json").read_text())
     assert doc["sigma0"] == pytest.approx(2.0, rel=1e-9)
+    # the exact N = 1 profile carries no error estimate
+    assert doc["sigma0_rel_err"] == doc["frak_c_rel_err"] == 0.0
 
 
-def test_ground_state_dim2_pins_and_rerun(run_main, tmp_path):
+def test_ground_state_dim2_pins_and_rerun(run_main, tmp_path, gs2d):
     # the shooting and Newton path: the pins of the library test, and the
     # same bytes from a second, fresh process
     a, b = tmp_path / "a", tmp_path / "b"
@@ -57,6 +59,10 @@ def test_ground_state_dim2_pins_and_rerun(run_main, tmp_path):
     doc = json.loads((a / "ground_state_scalars.json").read_text())
     assert doc["sigma0"] == pytest.approx(SIGMA0_DIM2_P3, rel=1e-10)
     assert doc["frak_c"] == pytest.approx(FRAK_C_DIM2_P3, rel=1e-10)
+    # the defect-correction error estimates, as the library gives them
+    assert doc["sigma0_rel_err"] == gs2d.sigma0_rel_err
+    assert doc["frak_c_rel_err"] == gs2d.frak_c_rel_err
+    assert 0.0 < doc["sigma0_rel_err"] <= gsmod.SIGMA0_RTOL
     assert run_cli("ground-state", "--n", "2", "--p", "3",
                    "--out-dir", str(b)).returncode == 0
     for name in ("ground_state_profile.csv", "ground_state_scalars.json"):
@@ -182,6 +188,21 @@ def test_trace_nonfinite_epsilon_is_usage_error(run_main, tmp_path):
                    "--out-dir", str(tmp_path))
     assert out.returncode == 1
     assert out.stderr == "normwave: error: epsilon must lie in (0, 0.5]\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (("trace", "--n", "1", "--p", "5", "--domain", "interval", "--bc",
+      "neumann", "--eps-list", ","), "epsilon list must not be empty"),
+    (("boundary-layer", "--sweep", ","),
+     "--sweep epsilon list must not be empty"),
+])
+def test_empty_epsilon_list_is_usage_error(run_main, tmp_path, args, message):
+    # exited 1 with "not enough values to unpack (expected 3, got 0)" and
+    # "need at least one array to concatenate"
+    out = run_main(*args, "--out-dir", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr == f"normwave: error: {message}\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -126,15 +126,16 @@ def test_singular_operator_detected(gs5):
     from scipy.sparse.linalg import eigs
     r = radial.uniform_grid(20.0, 1 / 50)
     q = 1.0 - 5.0 * np.abs(gs5.u_exact(r)) ** 4
-    A = band_matrix(radial.radial_operator(r, q, 1, robin_const=1.0))
+    A = band_matrix(radial.radial_operator(r, q, 1))
     B = identity(A.shape[0], format="csc").tolil()
     B[-1, -1] = 0.0
     mu = eigs(A, k=1, M=B.tocsc(), sigma=0.0, v0=np.ones(A.shape[0]),
               return_eigenvectors=False)
     shift = float(np.real(mu[0]))
     with pytest.raises(SingularOperator):
-        radial.solve_radial_linear(r, q - shift, 1, np.ones_like(r),
-                                   robin_const=1.0)
+        radial.solve_radial_linear(
+            radial.factorise(radial.radial_operator(r, q - shift, 1)),
+            np.ones_like(r))
 
 
 @pytest.mark.parametrize("state", ["solved N = 2", "hand-built N = 2",

@@ -101,24 +101,19 @@ def test_band_solve_of_a_block_is_columnwise(both, jacobian33, nrhs):
                 assert x[:, k].tobytes() == col.tobytes()
 
 
-def test_splu_copies_a_band_and_factorises_work_in_place(each_path,
-                                                        jacobian33):
-    # a (KL + KU + 1, n) band is left byte for byte as it was; the work
-    # array behind radial_operator's band is factorised where it lies
-    kept = jacobian33.copy()
-    lu = radial.splu(jacobian33)
-    assert jacobian33.tobytes() == kept.tobytes()
+def test_splu_factorises_work_in_place(each_path):
+    # the work array behind radial_operator's band is factorised where it
+    # lies
     r = radial.uniform_grid(12.0, 0.1)
     ab = radial.radial_operator(r, np.ones_like(r), 3)
     assert ab.base.shape == (2 * radial.KL + radial.KU + 1, len(r))
     assert np.shares_memory(radial.splu(ab.base).lu, ab)
-    assert not np.shares_memory(lu.lu, jacobian33)
 
 
 def test_band_lu_pivots_are_one_based(each_path, jacobian33):
     # row i (1-based) swaps with a row among i .. i + KL, and the solves
     # undo the factorisation on both paths, leaving b as it was
-    lu = radial.splu(jacobian33)
+    lu = radial.splu(_band_work(jacobian33))
     n = jacobian33.shape[1]
     i = np.arange(1, n + 1)
     assert lu.ipiv.dtype == np.int64
@@ -148,7 +143,7 @@ def test_splu_singular(each_path, jacobian33):
     ab = jacobian33.copy()
     ab[:, 100] = 0.0  # a zero column: U[100, 100] is exactly zero
     with pytest.raises(SingularOperator):
-        radial.splu(ab)
+        radial.splu(_band_work(ab))
 
 
 def test_illegal_argument_raises(each_path):

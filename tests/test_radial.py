@@ -82,7 +82,7 @@ def test_band_products_and_solves_match_dense(dim):
     x = np.random.default_rng(30 + dim).normal(size=len(r))
     assert np.allclose(radial.band_matvec(ab, x), A @ x, rtol=0.0,
                        atol=1e-13 * np.max(np.abs(A)) * np.max(np.abs(x)))
-    lu = radial.splu(ab)
+    lu = radial.splu(ab.base)
     assert np.allclose(A @ lu.solve(x), x, rtol=0.0, atol=1e-9)
     assert np.allclose(A.T @ lu.solve(x, trans="T"), x, rtol=0.0, atol=1e-9)
 
@@ -95,7 +95,8 @@ def test_onenormest_matches_dense_inverse(dim):
     ab = radial.radial_operator(r, np.ones_like(r), dim)
     A = band_matrix(ab).toarray()
     exact = np.max(np.sum(np.abs(np.linalg.inv(A)), axis=0))
-    lu = radial.splu(ab)
+    # splu factorises in place, and ab is read again below
+    lu = radial.splu(radial.radial_operator(r, np.ones_like(r), dim).base)
     est = radial.onenormest(lu.solve, lambda x: lu.solve(x, trans="T"),
                             len(r))
     assert est == pytest.approx(exact, rel=1e-10)
@@ -110,12 +111,15 @@ def test_onenormest_matches_dense_inverse(dim):
 @pytest.mark.parametrize("where", ["q", "rhs"])
 def test_linear_solve_rejects_nonfinite_input(where):
     # a NaN in q failed in the sparse LU with RuntimeError "Factor is exactly
-    # singular", and a NaN in rhs returned an all-NaN solution
+    # singular", and a NaN in rhs returned an all-NaN solution; a NaN q is
+    # now refused by factorise, a NaN rhs by the solve
     r = radial.uniform_grid(12.0, 0.1)
     q, rhs = np.ones_like(r), np.ones_like(r)
     {"q": q, "rhs": rhs}[where][5] = np.nan
-    with pytest.raises(ValueError, match="must be finite"):
-        radial.solve_radial_linear(r, q, 2, rhs)
+    message = {"q": "the radial operator", "rhs": "rhs"}[where]
+    with pytest.raises(ValueError, match=f"{message} must be finite"):
+        radial.solve_radial_linear(
+            radial.factorise(radial.radial_operator(r, q, 2)), rhs)
 
 
 def test_newton_raises_at_iteration_cap(monkeypatch):
@@ -332,8 +336,8 @@ def test_band_layer_matches_reference_bit_for_bit(dim, p):
     params = ProblemParams(dim, p)
     r = radial.uniform_grid(40.0, 1.0 / 300.0)
     u0 = _shooting_guess(params, r)
-    u, jac = radial.radial_newton(r, dim, p, u0)
-    lu = jac.factors()
+    u, band = radial.radial_newton(r, dim, p, u0)
+    lu = radial.factorise(band)
     ref_u, ref_lu = _reference_newton(r, dim, p, u0)
     assert u.tobytes() == ref_u.tobytes()
     res = groundstate._ode_residual(params, r, u)
@@ -357,7 +361,7 @@ def test_onenormest_probes_match_reference():
     # the one block product carries the reference's first and last probes,
     # and every other product and the estimate are the reference's
     r = radial.uniform_grid(20.0, 1.0 / 50.0)
-    lu = radial.splu(radial.radial_operator(r, np.ones_like(r), 2))
+    lu = radial.splu(radial.radial_operator(r, np.ones_like(r), 2).base)
 
     def logged(log, trans):
         def product(x):
