@@ -123,6 +123,7 @@ def cmd_ground_state(args) -> int:
         "ode_residual_inf": gsmod.ode_residual_max(gs),
         "sigma0_rel_err": gs.sigma0_rel_err,
         "frak_c_rel_err": gs.frak_c_rel_err,
+        "r_max": float(prof.nodes[-1]),
     }, _resolved(args))
     return 0
 
@@ -308,7 +309,11 @@ def _add_problem(sp) -> None:
 
 
 def _add_radial_grid(sp) -> None:
-    sp.add_argument("--r-max", type=float, default=40.0)
+    # None is the library's choice (groundstate.solve_ground_state): 40 for
+    # N = 1, and the radius the shot's tail asks for, 20 to 40, for N >= 2
+    sp.add_argument("--r-max", type=float, default=None,
+                    help="radius of the radial grid (default: 40 for N = 1, "
+                         "20 to 40 from the shot's tail for N >= 2)")
     sp.add_argument("--spacing", type=float, default=1.0 / 600.0)
 
 

@@ -64,8 +64,8 @@ def solve_linearized_radial(gs: GroundState, rhs) -> RadialProfile:
 
     rhs holds samples on the ground-state grid. The solve uses the ground
     state's factors of L+ (groundstate.linearization), so its far field is
-    the ground state's Robin row W'(R) + (1 + (N-1)/(2R)) W(R) = 0, which
-    for N = 1 is W'(R) + W(R) = 0.
+    the ground state's Robin row W'(R) + beta W(R) = 0 (radial's module
+    docstring), which for N = 1 is W'(R) + W(R) = 0.
     """
     prof = gs.profile
     r = prof.nodes

@@ -5,7 +5,8 @@ For N = 1 the ground state is the explicit soliton
     U(x) = ((p+1)/2)^{1/(p-1)} sech^{2/(p-1)}((p-1) x / 2),
 
 for N >= 2 it is computed by overshoot/undershoot bisection on U(0) followed
-by a fourth-order collocation polish on the uniform radial grid.
+by a fourth-order collocation polish on the uniform radial grid [0, R], R
+taken from the shot's tail (_tail_radius).
 
 The key derived constants are sigma0 (half the L2 mass, 2*sigma0 = ∫ U^2)
 and the decay constant frak_c = lim r^{(N-1)/2} e^r U(r).
@@ -51,6 +52,10 @@ MASS_CRITICAL_TOL = 1e-12  # |p - (1 + 4/N)| below this counts as critical
 SIGMA0_RTOL = 1e-9  # largest accepted N >= 2 error estimate of sigma0, relative
 PURE_SCALING_RTOL = 1e-10  # solve_pure_scaling: rho = 2 sigma0 within this
 DECAY_SPREAD_TOL = 1e-3  # decay_constant warns above this plateau spread
+RADIUS_MIN = 20.0  # the shortest default radial grid, N >= 2
+RADIUS_MAX = 40.0  # the default for N = 1, and the longest for N >= 2
+# _tail_radius: largest p U^{p-1} allowed at the start of the decay plateau
+RADIUS_NONLINEARITY = 5e-8
 
 
 class Regime(str, Enum):
@@ -446,59 +451,101 @@ def _shoot_ground_state(p: float, dim: int):
     return s, path
 
 
-def _shooting_guess(params: ProblemParams, r: np.ndarray) -> np.ndarray:
-    """Shot profile spliced onto the decay tail c r^{-(N-1)/2} e^{-r}.
+def _shot_splice(params: ProblemParams):
+    """The bisected shot as (U(0), its cubic Hermite interpolant, the splice
+    point, the tail constant c there).
 
     The shot's error grows like e^{2r} relative to U and reaches the size of
     U at the end event, in the shot's last step; the tail is spliced on one
-    unit of r before the last point reached. Between its steps the shot is
-    the cubic Hermite interpolant of U and U'.
+    unit of r before the last point reached, and c = U r^{(N-1)/2} e^r there.
+    Between its steps the shot is the cubic Hermite interpolant of U and U'.
     """
     p, dim = params.p, params.dim
     s, path = _shoot_ground_state(p, dim)
     t, u, v = np.array(path).T
     shot_u = CubicHermite(t, u, v)
     r_splice = min(12.0, t[-1] - 1.0)
+    u_sp = float(shot_u(r_splice))
+    c_sp = u_sp * r_splice ** ((dim - 1) / 2.0) * np.exp(r_splice)
+    return s, shot_u, r_splice, c_sp
+
+
+def _shooting_guess(params: ProblemParams, r: np.ndarray,
+                    splice=None) -> np.ndarray:
+    """Shot profile on r spliced onto the decay tail c r^{-(N-1)/2} e^{-r},
+    from splice (_shot_splice), or from a new shot if none is given."""
+    p, dim = params.p, params.dim
+    s, shot_u, r_splice, c_sp = (_shot_splice(params) if splice is None
+                                 else splice)
     vals = np.empty_like(r)
     core = r < SHOT_START
     shot = (r >= SHOT_START) & (r <= r_splice)
     tail = r > r_splice
     vals[core] = _series(p, dim, s, r[core])[0]
     vals[shot] = shot_u(r[shot])
-    u_sp = float(shot_u(r_splice))
-    c_sp = u_sp * r_splice ** ((dim - 1) / 2.0) * np.exp(r_splice)
     vals[tail] = c_sp * r[tail] ** (-(dim - 1) / 2.0) * np.exp(-r[tail])
     return vals
 
 
-def solve_ground_state(params: ProblemParams, r_max: float = 40.0,
+def _tail_radius(params: ProblemParams, c: float) -> float:
+    """The smallest whole R in [RADIUS_MIN, RADIUS_MAX] at which the tail
+    c r^{-(N-1)/2} e^{-r} has p U^{p-1} <= RADIUS_NONLINEARITY at r = 2R/3,
+    where the decay plateau starts; RADIUS_MAX if none has.
+
+    Beyond that point U solves the linear equation -U'' - (N-1)/r U' + U = 0
+    to that relative accuracy, so the plateau of decay_constant is flat and
+    the Robin row exact; tests/test_groundstate.py holds frak_c, sigma0 and
+    m_frak at the radius chosen to their values at R = 60.
+    """
+    p, dim = params.p, params.dim
+    for radius in range(int(RADIUS_MIN), int(RADIUS_MAX)):
+        r = 2.0 * radius / 3.0
+        u = c * r ** (-(dim - 1) / 2.0) * math.exp(-r)
+        if p * abs(u) ** (p - 1.0) <= RADIUS_NONLINEARITY:
+            return float(radius)
+    return RADIUS_MAX
+
+
+def solve_ground_state(params: ProblemParams, r_max: float | None = None,
                        spacing: float = 1.0 / 600.0) -> GroundState:
     """Compute the radial ground state profile and its derived constants.
 
-    For N >= 2 the Newton-polished profile carries defect-correction
-    estimates of the relative errors of sigma0 and frak_c, and it is
-    accepted only if the estimate for sigma0 is at most SIGMA0_RTOL;
-    otherwise NoConvergence is raised. A decay plateau that r_max does not
-    resolve raises TailNotResolved (decay_constant).
+    The grid is [0, r_max]. By default (r_max None) it is RADIUS_MAX for
+    N = 1, and for N >= 2 the radius the shot's tail asks for, from
+    RADIUS_MIN to RADIUS_MAX (_tail_radius); the profile's last node is the
+    radius used.
+
+    A profile that is not strictly decreasing raises NoConvergence, and a
+    decay plateau that the grid does not resolve TailNotResolved
+    (decay_constant), both before sigma0 is taken. For N >= 2 the
+    Newton-polished profile carries defect-correction estimates of the
+    relative errors of sigma0 and frak_c, and it is accepted only if the
+    estimate for sigma0 is at most SIGMA0_RTOL; otherwise NoConvergence is
+    raised.
     """
-    r = radial.uniform_grid(r_max, spacing)
     if params.dim == 1:
+        r = radial.uniform_grid(RADIUS_MAX if r_max is None else r_max,
+                                spacing)
         u, du, d2u = closed_form_soliton(params.p)
         profile = RadialProfile(r, u(r), du(r), tail_rate=-1.0)
         gs = GroundState(params, profile, 0.0, 0.0, u, du, d2u)
+        _require_decreasing(profile.values)
+        gs.frak_c = decay_constant(gs)
         gs.sigma0 = mass_sigma0(gs)
-    else:
-        gs = _polished_ground_state(params, r)
-    if np.any(np.diff(gs.profile.values) >= 0):
-        raise NoConvergence("computed profile is not strictly decreasing")
-    gs.frak_c = decay_constant(gs)
-    return gs
+        return gs
+    # refuse a bad extent before the shots: no default grid is shorter
+    radial.grid_intervals(RADIUS_MIN if r_max is None else r_max, spacing)
+    splice = _shot_splice(params)
+    if r_max is None:
+        r_max = _tail_radius(params, splice[3])  # c at the splice
+    return _polished_ground_state(params, radial.uniform_grid(r_max, spacing),
+                                  splice)
 
 
-def _polished_ground_state(params: ProblemParams,
-                           r: np.ndarray) -> GroundState:
-    """Shot guess and Newton polish on r, with sigma0 and the error
-    estimates; NoConvergence above SIGMA0_RTOL.
+def _polished_ground_state(params: ProblemParams, r: np.ndarray,
+                           splice) -> GroundState:
+    """Guess from splice (_shot_splice) and Newton polish on r, frak_c, then
+    sigma0 and the error estimates; NoConvergence above SIGMA0_RTOL.
 
     Defect correction: the sixth-order residual R6 of the grid solution is,
     to leading order, that of the differential equation, so one solve with
@@ -511,14 +558,17 @@ def _polished_ground_state(params: ProblemParams,
     the Newton call; the factors stay on the ground state (gs.lplus) for
     linearization, so correction_profile solves with them.
     """
-    vals = _shooting_guess(params, r)
+    vals = _shooting_guess(params, r, splice)
     vals, band = radial.radial_newton(r, params.dim, params.p, vals)
     dvals = radial.d1_six(vals, r[1] - r[0])
-    # one-sided zone: use the tail model derivative (poly x exp(-r))
-    tail_ld = -1.0 - (params.dim - 1) / (2.0 * r[-3:])
-    dvals[-3:] = tail_ld * vals[-3:]
+    # one-sided zone: the log-derivative of the tail r^{-nu} K_nu(r), the
+    # Robin row's -beta at each r
+    dvals[-3:] = -radial.decay_rate(r[-3:], params.dim) * vals[-3:]
     gs = GroundState(params, RadialProfile(r, vals, dvals, tail_rate=-1.0),
                      0.0, 0.0)
+    _require_decreasing(vals)
+    plateau = _decay_plateau(r, params.dim)
+    gs.frak_c = decay_constant(gs, plateau)
     gs.lplus = radial.factorise(band)
     gs.sigma0 = mass_sigma0(gs)
     res = _ode_residual(params, r, vals)
@@ -529,10 +579,15 @@ def _polished_ground_state(params: ProblemParams,
     if not gs.sigma0_rel_err <= SIGMA0_RTOL:
         raise NoConvergence(f"ground-state sigma0 error estimate "
                             f"{gs.sigma0_rel_err:.2e} above {SIGMA0_RTOL:.0e}")
-    plateau = median(_decay_plateau(r, vals, params.dim))
-    corrected = median(_decay_plateau(r, vals + e, params.dim))
-    gs.frak_c_rel_err = abs(corrected - plateau) / plateau
+    corrected = median(plateau(vals + e))
+    gs.frak_c_rel_err = abs(corrected - gs.frak_c) / gs.frak_c
     return gs
+
+
+def _require_decreasing(values: np.ndarray) -> None:
+    """NoConvergence unless the profile values strictly decrease."""
+    if np.any(np.diff(values) >= 0):
+        raise NoConvergence("computed profile is not strictly decreasing")
 
 
 def _ode_residual(params: ProblemParams, r: np.ndarray,
@@ -581,7 +636,7 @@ def mass_moment(gs: GroundState, k: int) -> float:
 
 def linearization(gs: GroundState) -> radial.BandLU:
     """The LU factors of L+ = L[1 - p U^{p-1}] at the profile, with the
-    ground state's decay row (Robin constant 1 + (N-1)/(2R)), formed once
+    ground state's decay row (radial.radial_operator's), formed once
     per ground state and then read from gs.lplus: an N >= 2 state gets
     them from its Newton polish, any other state forms L+ from an L[1]
     assembled on first use (radial.lplus_band), bit for bit as Newton
@@ -593,19 +648,22 @@ def linearization(gs: GroundState) -> radial.BandLU:
     return gs.lplus
 
 
-def decay_constant(gs: GroundState) -> float:
+def decay_constant(gs: GroundState, plateau=None) -> float:
     """Plateau of r^{(N-1)/2} e^r U(r) over the outer third of the grid.
 
     In the tail U is a multiple of r^{-(N-2)/2} K_nu(r), nu = (N-2)/2, so the
-    plateau is divided by the first two correction terms of the expansion
-    of K_nu (DLMF 10.40.2), 1 + a1/r + a2/r^2; both vanish for N = 1 and 3.
-    A spread of the plateau above DECAY_SPREAD_TOL of its median warns, and
-    one above 1, no plateau at all, raises TailNotResolved.
+    plateau is divided by the K_nu tail series S(r) (radial.decay_series,
+    DLMF 10.40.2); S = 1 for N = 1 and 3. A grid shorter than 12, or with
+    fewer than 8 nodes in its outer third, raises TailNotResolved. A spread
+    of the plateau above DECAY_SPREAD_TOL of its median warns, and one above
+    1, no plateau at all, raises TailNotResolved. plateau, the map
+    _decay_plateau(r, N) of the profile's grid, may be passed in where it is
+    formed already.
     """
     r = gs.profile.nodes
-    if r[-1] < 12.0 or np.count_nonzero(r >= (2.0 / 3.0) * r[-1]) < 8:
-        raise TailNotResolved("grid too short to resolve the decay plateau")
-    g = _decay_plateau(r, gs.profile.values, gs.params.dim)
+    if plateau is None:
+        plateau = _decay_plateau(r, gs.params.dim)
+    g = plateau(gs.profile.values)
     c = median(g)
     if c <= 0 or not np.isfinite(c):
         raise TailNotResolved("decay plateau is not positive")
@@ -619,14 +677,17 @@ def decay_constant(gs: GroundState) -> float:
     return c
 
 
-def _decay_plateau(r: np.ndarray, vals: np.ndarray, dim: int) -> np.ndarray:
-    """r^{(N-1)/2} e^r U(r) / (1 + a1/r + a2/r^2) over the outer third of r."""
+def _decay_plateau(r: np.ndarray, dim: int):
+    """The map U -> r^{(N-1)/2} e^r U(r) / S(r) over the outer third of r,
+    S from radial.decay_series; the window's factors are formed once, here.
+    A grid too short for a plateau raises TailNotResolved."""
     window = r >= (2.0 / 3.0) * r[-1]
+    if r[-1] < 12.0 or np.count_nonzero(window) < 8:
+        raise TailNotResolved("grid too short to resolve the decay plateau")
     rw = r[window]
-    a1 = (dim - 1) * (dim - 3) / 8.0
-    a2 = a1 * (dim - 5) * (dim + 1) / 16.0
-    return vals[window] * rw ** ((dim - 1) / 2.0) * np.exp(rw) \
-        / (1.0 + a1 / rw + a2 / rw ** 2)
+    power, growth = rw ** ((dim - 1) / 2.0), np.exp(rw)
+    divisor = radial.decay_series(rw, dim)[0]
+    return lambda vals: vals[window] * power * growth / divisor
 
 
 def scale_solution(gs: GroundState, lam: float):

@@ -13,9 +13,11 @@ TWO_SIGMA0_P5 = np.sqrt(3.0) * np.pi / 2.0
 TWO_SIGMA0_P3 = 4.0
 # pins of the N = 2, p = 3 ground state at the default grid, relative 1e-10:
 # sigma0 of the full 60-step Newton polish from a shot bisected to 1e-13,
-# and frak_c, the plateau with the K_nu tail terms divided out
+# and frak_c, the plateau divided by the whole K_nu tail series, at the
+# default R = 20 (R = 60 reads 3.518062198024267, 5.6e-12 above; the pin of
+# the two-term divisor, 3.518054298900576, lay 2.2e-6 below both)
 SIGMA0_DIM2_P3 = 5.850448262226631
-FRAK_C_DIM2_P3 = 3.518054298900576
+FRAK_C_DIM2_P3 = 3.5180621980047233
 
 
 def band_matrix(ab):

@@ -69,6 +69,39 @@ def test_ground_state_dim2_pins_and_rerun(run_main, tmp_path, gs2d):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("n, p, radius", [("2", "3", 20.0), ("1", "5", 40.0)])
+def test_ground_state_records_its_radius(run_main, tmp_path, n, p, radius):
+    # --r-max defaults to the library's choice, null in the config, and the
+    # JSON records the radius used: the last r of the CSV
+    assert run_main("ground-state", "--n", n, "--p", p,
+                    "--out-dir", str(tmp_path)).returncode == 0
+    doc = json.loads((tmp_path / "ground_state_scalars.json").read_text())
+    assert doc["r_max"] == radius
+    assert doc["config"]["r_max"] is None
+    table = np.loadtxt(tmp_path / "ground_state_profile.csv", delimiter=",",
+                       skiprows=1)
+    assert table[-1, 0] == radius and len(table) == 600 * radius + 1
+
+
+@pytest.mark.parametrize("command", ["ground-state", "correction"])
+def test_dim1_default_radius_is_forty(run_main, tmp_path, command):
+    # N = 1 keeps R = 40: its outputs are those of --r-max 40, byte for
+    # byte, but for the config's r_max
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, extra in ((a, ()), (b, ("--r-max", "40"))):
+        assert run_main(command, "--n", "1", "--p", "5", *extra,
+                        "--out-dir", str(out)).returncode == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert len(names) == 2
+    assert names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        got, want = (a / name).read_text(), (b / name).read_text()
+        if name.endswith(".json"):
+            assert got.count('"r_max": null') == 1
+            got = got.replace('"r_max": null', '"r_max": 40.0')
+        assert got == want
+
+
 def test_missing_required_flag_is_usage_error(tmp_path):
     out = run_cli("ground-state", "--n", "1", "--out-dir", str(tmp_path))
     assert out.returncode == 1

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (FRAK_C_DIM2_P3, SIGMA0_DIM2_P3, TWO_SIGMA0_P3,
                       TWO_SIGMA0_P5)
 from normwave import groundstate
+from normwave.corrections import correction_profile
 from normwave.errors import (MassCriticalInfeasible, NoConvergence,
                              SolverError, TailNotResolved)
 from normwave.groundstate import (ANY_LAMBDA, ProblemParams, Regime,
@@ -115,15 +117,65 @@ def test_decay_plateau_spread_p3(gs3):
 
 
 def test_decay_plateau_flat_for_dim2(monkeypatch, gs2d):
-    # with the K_nu tail terms divided out the N = 2 plateau is flat to 1e-4
-    # at R = 40, and the constant does not move when the grid grows to R = 60
+    # with the whole K_nu tail series divided out the N = 2 plateau is flat
+    # to 1e-8 (4e-10) at the default R = 20, and the constant does not move
+    # when the grid grows to R = 60 (5.6e-12); with two terms of the series
+    # the spread was 3.8e-5 and frak_c 2.2e-6 low
     import warnings
     with warnings.catch_warnings(), monkeypatch.context() as m:
         warnings.simplefilter("error")
-        m.setattr(groundstate, "DECAY_SPREAD_TOL", 1e-4)
+        m.setattr(groundstate, "DECAY_SPREAD_TOL", 1e-8)
         assert decay_constant(gs2d) == gs2d.frak_c
     far = solve_ground_state(ProblemParams(2, 3.0), r_max=60.0)
-    assert far.frak_c == pytest.approx(gs2d.frak_c, rel=1e-5)
+    assert far.frak_c == pytest.approx(gs2d.frak_c, rel=1e-10)
+
+
+# the pairs of the radial benchmark and (5, 1.8), with the radius each
+# solves on by default
+DEFAULT_RADII = {(2, 2.0): 27.0, (2, 3.0): 20.0, (2, 4.0): 20.0,
+                 (3, 2.0): 26.0, (3, 2.5): 20.0, (4, 1.8): 31.0,
+                 (4, 2.0): 24.0, (5, 1.8): 31.0}
+
+
+@functools.lru_cache(maxsize=None)
+def solved(dim, p, r_max=None):
+    """The ground state of (dim, p) on [0, r_max], with its correction."""
+    gs = solve_ground_state(ProblemParams(dim, p), r_max=r_max)
+    return gs, correction_profile(gs)
+
+
+@pytest.mark.parametrize("dim, p, radius", [
+    *((dim, p, radius) for (dim, p), radius in DEFAULT_RADII.items()),
+    (6, 1.5, 40.0), (2, 1.05, 40.0), (4, 1.05, 40.0)])
+def test_default_radius_is_pinned(dim, p, radius):
+    # the smallest whole R >= 20 at which p U^{p-1} of the shot's tail is at
+    # most 5e-8 where the plateau starts, 2R/3, and never above 40: a change
+    # that grows the grid fails here rather than in the benchmark's timings
+    params = ProblemParams(dim, p)
+    c = groundstate._shot_splice(params)[3]
+    assert groundstate._tail_radius(params, c) == radius
+    if (dim, p) in DEFAULT_RADII:
+        assert solved(dim, p)[0].profile.nodes[-1] == radius
+
+
+@pytest.mark.parametrize("dim, p", DEFAULT_RADII)
+def test_default_radius_matches_r60(dim, p):
+    # at the default radius the plateau is flat (spread at most 1.5e-8), and
+    # frak_c, sigma0 and m_frak are those of R = 60. With two terms of the
+    # K_nu series frak_c lay 2.2e-6 (N = 2) and 3.2e-6 (N = 4) off. m_frak
+    # is held to 1e-10 relative to max(1, |m_frak|): (4, 2), where m_frak is
+    # 58, reads 8.4e-10 absolute, the spread of Newton's rounding floor
+    # (R = 30 reads 9.1e-10, and further Newton steps at one R move it by
+    # as much)
+    gs, corr = solved(dim, p)
+    far, far_corr = solved(dim, p, 60.0)
+    r = gs.profile.nodes
+    g = groundstate._decay_plateau(r, dim)(gs.profile.values)
+    assert (np.max(g) - np.min(g)) / gs.frak_c <= 2e-8
+    assert gs.frak_c == pytest.approx(far.frak_c, rel=1e-9)
+    assert gs.sigma0 == pytest.approx(far.sigma0, rel=1e-11)
+    assert corr.m_frak == pytest.approx(
+        far_corr.m_frak, rel=0.0, abs=1e-10 * max(1.0, abs(far_corr.m_frak)))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

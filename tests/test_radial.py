@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import lil_matrix
+from scipy.special import kv, kve
 
 from conftest import band_matrix
 from normwave import _lapack, groundstate, radial
@@ -17,11 +18,19 @@ from normwave.groundstate import (GroundState, ProblemParams, RadialProfile,
                                   mass_sigma0, solve_ground_state)
 
 
+def robin_reference(dim, R):
+    """-u'(R)/u(R) of the decaying solution r^{-nu} K_nu(r), nu = (dim-2)/2,
+    from scipy's Bessel functions: e^{-r} for dim = 1, K_0 for dim = 2 and
+    K_1(r)/r for dim = 4."""
+    return {1: 1.0, 2: kv(1, R) / kv(0, R),
+            4: kv(0, R) / kv(1, R) + 2.0 / R}[dim]
+
+
 def lil_reference(r, q, dim):
     """Entry-by-entry lil_matrix assembly of L[q], kept as the reference."""
     n = len(r) - 1
     h = r[1] - r[0]
-    robin_const = 1.0 + (dim - 1) / (2.0 * r[-1])
+    robin_const = robin_reference(dim, r[-1])
     A = lil_matrix((n + 1, n + 1))
     A[0, 0] = dim * 30.0 / (12 * h * h) + q[0]
     A[0, 1] = -dim * 32.0 / (12 * h * h)
@@ -49,14 +58,48 @@ def lil_reference(r, q, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
 def test_operator_matches_lil_reference(dim):
+    # every entry bit for bit but the Robin row's diagonal, whose constant
+    # comes from the K_nu tail series here and from scipy's kv there: at
+    # R = 12 they differ by 2e-13 (exactly 1 for dim = 1)
     r = radial.uniform_grid(12.0, 0.1)
     q = np.random.default_rng(dim).normal(size=len(r))
     A = radial.radial_operator(r, q, dim)
     ref = lil_reference(r, q, dim)
     assert A.shape == (radial.KL + radial.KU + 1, len(r))
-    assert np.array_equal(band_matrix(A).toarray(), ref)
+    dense = band_matrix(A).toarray()
+    corner, dense[-1, -1] = dense[-1, -1], ref[-1, -1]
+    assert np.array_equal(dense, ref)
+    assert corner == pytest.approx(ref[-1, -1], rel=0.0,
+                                   abs=0.0 if dim == 1 else 1e-12)
     # nothing stored outside the matrix
     assert np.count_nonzero(A) == np.count_nonzero(ref)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("R", [13.0, 20.0, 27.0, 40.0])
+def test_robin_row_is_the_decaying_solutions(dim, R):
+    # u'(R) + beta u(R) = 0 for u = r^{-nu} K_nu(r): beta = K_{nu-1}(R) /
+    # K_nu(R) + 2 nu / R, from scipy; 1 + 1/R for dim = 3, where u = e^{-r}/r
+    nu = (dim - 2) / 2.0
+    beta = float(radial.decay_rate(R, dim))
+    ref = kv(nu - 1.0, R) / kv(nu, R) + 2.0 * nu / R
+    assert beta == pytest.approx(ref, rel=5e-14 if R < 20 else 1e-15, abs=0.0)
+    if dim == 3:
+        assert beta == 1.0 + 1.0 / R
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_decay_series_matches_kve(dim):
+    # S(r) = sqrt(2r/pi) e^r K_nu(r), the divisor of the decay plateau, on
+    # the plateau windows of R = 20 to 40; the series is asymptotic for
+    # even N, and its smallest term enters at half weight
+    nu = (dim - 2) / 2.0
+    r = np.linspace(13.0, 40.0, 2701)
+    ref = kve(nu, r) * np.sqrt(2.0 * r / np.pi)
+    assert np.max(np.abs(radial.decay_series(r, dim)[0] / ref - 1.0)) <= 1e-13
+    # counted at each r alone
+    each = np.array([radial.decay_series(x, dim)[0] for x in r[::30]])
+    assert np.max(np.abs(each / ref[::30] - 1.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
