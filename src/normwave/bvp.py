@@ -31,8 +31,8 @@ A symmetric interval solve runs on the right half likewise. Such a solve
 forms its start, and checks its profile, on the half alone; the profile is
 mirrored onto the whole grid for the mass and the returned solution.
 An interior solve starts from the bump at the centre of its domain.
-Endpoint concentration on a Neumann interval is realized by reflection onto
-the doubled interval, whose centre is the endpoint.
+Endpoint concentration on a Neumann interval starts from the bump at b and
+is solved on the interval's own grid, with Neumann rows at both ends.
 """
 
 from __future__ import annotations
@@ -386,14 +386,15 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
     """Damped-Newton solve at fixed eps from u0 (on the solver grid) or,
     without u0, from the ansatz that init selects: "interior" (bump at the
     centre of the interval, 0 on the real line) or "endpoint" (Neumann,
-    bump at b, the centre of the doubled interval it is reflected onto).
-    u0 with "endpoint" raises ValueError before any solve. n_override
-    counts panels on spec's interval, also for "endpoint". An eps whose
-    mass scale eps^{-4/(p-1)} exceeds 1e300 raises ValueError. Newton
-    failing raises NewtonDiverged; a profile that crosses zero, or falls
-    onto the trivial solution u = 0, raises NonPositive.
+    bump at b). A u0 that is not symmetric about the centre, and the
+    endpoint bump, are solved on the whole grid; any other start on its
+    right half. u0 with "endpoint" raises ValueError before any solve.
+    n_override counts panels on spec's interval. An eps whose mass scale
+    eps^{-4/(p-1)} exceeds 1e300 raises ValueError. Newton failing raises
+    NewtonDiverged; a profile that crosses zero, or falls onto the trivial
+    solution u = 0, raises NonPositive.
 
-    _warm, in place of the ansatz, is the start of _solve_from: that
+    _warm, in place of the ansatz, is MassEvaluator's start: that
     solution's bump rescaled to the width eps about the centre.
     """
     if params.dim != 1:
@@ -404,28 +405,20 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
                          f"eps = {epsilon:.6g}, p = {params.p:.6g}")
     if init not in ("interior", "endpoint"):
         raise ValueError(f"init must be 'interior' or 'endpoint' (got {init!r})")
-    if u0 is not None and init == "endpoint":
+    endpoint = init == "endpoint"
+    if u0 is not None and endpoint:
         raise ValueError("u0 cannot be combined with init='endpoint'")
+    if endpoint and spec.kind != "interval":
+        raise ValueError("endpoint concentration needs a bounded interval")
+    if endpoint and spec.bc != NEUMANN:
+        raise ValueError("endpoint concentration requires Neumann conditions")
     p = params.p
-
-    if init == "endpoint":
-        if spec.kind != "interval":
-            raise ValueError("endpoint concentration needs a bounded interval")
-        if spec.bc != NEUMANN:
-            raise ValueError("endpoint concentration requires Neumann conditions")
-        doubled = DomainSpec("interval", spec.a, 2 * spec.b - spec.a, NEUMANN)
-        n2 = len(_grid(doubled, epsilon,
-                       None if n_override is None else 2 * n_override)) - 1
-        n2 += n2 % 4  # keep the restricted half on an even panel count
-        inner = solve_fixed_epsilon(doubled, params, epsilon, n_override=n2)
-        keep = inner.nodes <= spec.b + 1e-14
-        return _package(spec, params, epsilon, inner.nodes[keep],
-                        inner.u_values[keep], inner.newton_iterations,
-                        inner.residual_inf, mirrored=False)
 
     x = _grid(spec, epsilon, n_override)
     n = len(x) - 1
     side = spec.bc or DECAY
+    if endpoint:
+        u0 = closed_form_soliton(p)[0]((x - spec.b) / epsilon)
     # a symmetric profile is solved on the right half xh with a symmetry
     # row at the centre, which removes the exponentially weak translation
     # mode exactly; its start is formed on xh alone
@@ -439,7 +432,8 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
             start = guess[n // 2:]
         else:
             scale = max(1.0, float(np.abs(guess).max()))
-            if not (np.abs(guess - guess[::-1]) <= 1e-9 * scale).all():
+            if endpoint or not (np.abs(guess - guess[::-1])
+                                <= 1e-9 * scale).all():
                 u, iters, residual = _newton(x, guess, epsilon, p, spec.V(x),
                                              side, side)
                 return _package(spec, params, epsilon, x, u, iters, residual,
@@ -463,28 +457,13 @@ def solve_fixed_epsilon(spec: DomainSpec, params: ProblemParams, epsilon: float,
 WARM_RANGE = (0.8, 1.25)  # warm starts only within this factor of eps
 
 
-def _solve_from(prev: Optional[NormalizedSolution], spec: DomainSpec,
-                params: ProblemParams, eps: float) -> NormalizedSolution:
-    """Solve at eps on the default grid, warm-started from prev's profile
-    rescaled to the width eps about the centre c of the domain, u(x) =
-    prev.u(c + (x - c) prev.eps/eps) (node to node on the line, whose grid
-    scales with eps), evaluated on the right half that Newton solves, with
-    the Dirichlet end set to 0 as in the ansatz. Without prev, or when eps
-    is not within WARM_RANGE of prev's eps, the solve starts from the
-    centred ansatz: across a longer jump the ansatz is the cheaper start
-    (0.2 -> 0.1, p = 3 Dirichlet: 1 Newton step, against 2 from the
-    rescaled bump)."""
-    warm = prev if prev is not None and (
-        WARM_RANGE[0] <= eps / prev.epsilon <= WARM_RANGE[1]) else None
-    return solve_fixed_epsilon(spec, params, eps, _warm=warm)
-
-
 def trace_branch(spec: DomainSpec, params: ProblemParams,
                  epsilon_list: Sequence[float]
                  ) -> list[tuple[float, float, float]]:
-    """Continuation along a decreasing eps list, each solve warm-started
-    from the previous one where _solve_from allows. Every eps is checked
-    before the first solve, and an empty list raises ValueError."""
+    """Continuation along a decreasing eps list: each solve is a
+    MassEvaluator's, warm-started from the previous one by its rule. Every
+    eps is checked before the first solve, and an empty list raises
+    ValueError."""
     eps_list = list(epsilon_list)
     if not eps_list:
         raise ValueError("epsilon list must not be empty")
@@ -492,15 +471,14 @@ def trace_branch(spec: DomainSpec, params: ProblemParams,
         _check_epsilon(eps)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon list must be strictly decreasing")
+    evaluate = MassEvaluator(spec, params)
     out = []
-    prev = None
     for eps in eps_list:
         try:
-            sol = _solve_from(prev, spec, params, eps)
+            sol = evaluate.solution(eps)
         except (NewtonDiverged, NonPositive) as exc:
             raise type(exc)(f"{exc} (at eps = {eps:.6g})") from exc
         out.append((eps, sol.mass, sol.residual_inf))
-        prev = sol
     return out
 
 
@@ -523,9 +501,17 @@ STOP_FLOOR = 1e-3
 
 
 class MassEvaluator:
-    """mass(eps) of one solve on the default grid, kept with its solution;
-    each solve is warm-started from the previous one by _solve_from's rule.
+    """mass(eps) of one solve on the default grid, kept with its solution.
     slope(eps) gives d mass/d eps at a solved eps.
+
+    Each solve is warm-started from the previous one, prev, rescaled to the
+    width eps about the centre c of the domain, u(x) = prev.u(c + (x - c)
+    prev.eps/eps) (node to node on the line, whose grid scales with eps),
+    evaluated on the right half that Newton solves, with the Dirichlet end
+    set to 0 as in the ansatz. The first solve, and one whose eps is not
+    within WARM_RANGE of prev's, starts from the centred ansatz: across a
+    longer jump the ansatz is the cheaper start (0.2 -> 0.1, p = 3
+    Dirichlet: 1 Newton step, against 2 from the rescaled bump).
     """
 
     def __init__(self, spec, params):
@@ -539,8 +525,11 @@ class MassEvaluator:
 
     def solution(self, eps: float) -> NormalizedSolution:
         if eps not in self.cache:
-            self.warm = self.cache[eps] = _solve_from(
-                self.warm, self.spec, self.params, eps)
+            warm = self.warm if self.warm is not None and (
+                WARM_RANGE[0] <= eps / self.warm.epsilon <= WARM_RANGE[1]
+            ) else None
+            self.warm = self.cache[eps] = solve_fixed_epsilon(
+                self.spec, self.params, eps, _warm=warm)
         return self.cache[eps]
 
     def slope(self, eps: float) -> float:

@@ -73,19 +73,17 @@ def solve_linearized_radial(gs: GroundState, rhs) -> RadialProfile:
     if b.shape != r.shape:
         raise ValueError("rhs must be sampled on the ground-state grid")
     w = radial.solve_radial_linear(linearization(gs), b)
-    dw = radial.d1_six(w, prof.spacing)
-    dw[-3:] = -w[-3:]  # tail model derivative in the one-sided zone
-    return RadialProfile(r, w, dw, tail_rate=-1.0)
+    return RadialProfile(r, w, radial.d1_six(w, prof.spacing), tail_rate=-1.0)
 
 
 def linearized_residual(gs: GroundState, w: RadialProfile,
                         rhs: np.ndarray) -> float:
-    """Independent max-norm residual of the linearized equation, up to
-    radial.RESIDUAL_R_CAP."""
+    """Independent max-norm residual of the linearized equation
+    (radial.residual_max)."""
     r = gs.profile.nodes
     q = 1.0 - gs.params.p * np.abs(gs.profile.values) ** (gs.params.p - 1)
     res = radial.radial_ode_residual(r, w.values, gs.params.dim, q, rhs)
-    return radial.residual_max(r, res)
+    return radial.residual_max(res)
 
 
 def compute_m_frak(gs: GroundState, w: RadialProfile) -> float:
@@ -110,17 +108,6 @@ def correction_profile(gs: GroundState) -> CorrectionProfile:
 
 # -- factorization oracle (N = 1) -----------------------------------------------
 
-def _fine_grid(gs: GroundState) -> np.ndarray:
-    # refine the profile grid 4x so its nodes are an exact subset, and
-    # reach ORACLE_EXTRA further into the tail
-    grid = gs.profile.nodes
-    h = grid[1] - grid[0]
-    r_max = grid[-1] + ORACLE_EXTRA
-    n = int(round(r_max / (h / 4.0)))
-    n += n % 2
-    return np.linspace(0.0, r_max, n + 1)
-
-
 def _cumulative(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     """∫_{s_0}^{s_i} f at every node, by cumulative Simpson."""
     return np.concatenate([[0.0], cumulative_simpson(f, x=s)])
@@ -134,7 +121,10 @@ def _oracle_inner(gs: GroundState) -> tuple[np.ndarray, np.ndarray]:
     """
     if gs.params.dim != 1 or gs.u_exact is None:
         raise ValueError("factorization oracle requires the closed-form N=1 state")
-    s = _fine_grid(gs)
+    # the profile grid refined 4x, so its nodes are an exact subset,
+    # reaching ORACLE_EXTRA further into the tail
+    s = radial.uniform_grid(gs.profile.nodes[-1] + ORACLE_EXTRA,
+                            gs.profile.spacing / 4.0)
     f = s ** 2 * gs.u_exact(s) * gs.du_exact(s)
     return s, _cumulative(f[::-1], s)[::-1]
 

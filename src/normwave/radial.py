@@ -24,6 +24,12 @@ dgbtrf factorises in place. A radial Newton solve reuses one such array for
 every step and hands back the linearization L+ at its solution written into
 it, for factorise; the ground state's defect estimate solves with those
 factors, and its correction profile through solve_radial_linear.
+
+The checks use independent sixth-order differences, centred, with the
+ghost nodes at r < 0 filled by even reflection. d1_six is one-sided at the
+last three nodes, so a profile's derivative is defined at every node;
+d2_six, and so every residual, is NaN at those three, and residual_max
+takes every finite entry.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ NEWTON_TOL = 1e-12  # radial_newton's residual stop
 NEWTON_MAX_ITER = 60  # radial_newton's step cap, then NoConvergence
 COND_LIMIT = 1e14   # solve_radial_linear refuses a worse-conditioned operator
 KL, KU = 4, 2  # sub- and super-diagonals of L: the Robin row reaches back 4
-RESIDUAL_R_CAP = 35.0  # residual checks skip the last r, deep in the tail
 DECAY_SERIES_TOL = 1e-17  # decay_series stops at the first term below this
 
 
@@ -379,9 +384,17 @@ def radial_newton(r: np.ndarray, dim: int, p: float,
 
 # -- high-order difference stencils (independent residual checks) ------------
 
+# d1_six's sixth-order rows at nodes n-2, n-1 and n (the last), one-sided
+# on the last seven values, times 60 h
+_D1_ONE_SIDED = np.array([[1.0, -8.0, 30.0, -80.0, 35.0, 24.0, -2.0],
+                          [-2.0, 15.0, -50.0, 100.0, -150.0, 77.0, 10.0],
+                          [10.0, -72.0, 225.0, -400.0, 450.0, -360.0, 147.0]])
+
+
 def _stencil_six(vals: np.ndarray, c: np.ndarray) -> np.ndarray:
     """A seven-point centred stencil on an even function, the ghost nodes at
-    r < 0 filled by reflection; the last three entries are NaN."""
+    r < 0 filled by reflection; the last three entries, where it would reach
+    past the grid, are NaN."""
     g = np.concatenate([vals[3:0:-1], vals])
     out = np.full_like(vals, np.nan)
     m = len(vals) - 3
@@ -393,11 +406,12 @@ def _stencil_six(vals: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def d1_six(vals: np.ndarray, h: float) -> np.ndarray:
-    """Sixth-order first derivative of an even function; the last three
-    entries are NaN (one-sided zone)."""
+    """Sixth-order first derivative of an even function at every node: the
+    centred stencil, and one-sided seven-point rows at the last three."""
     out = _stencil_six(vals, np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0])
                        / (60 * h))
     out[0] = 0.0  # exact by symmetry; the stencil cancels only to rounding
+    out[-3:] = (_D1_ONE_SIDED * vals[-7:]).sum(axis=1) / (60 * h)
     return out
 
 
@@ -413,8 +427,8 @@ def radial_ode_residual(r: np.ndarray, vals: np.ndarray, dim: int,
     """Residual of -w'' - (dim-1)/r w' + coeff*w - rhs via sixth-order stencils.
 
     Independent of the fourth-order assembly used by the solvers. The last
-    three nodes (one-sided zone, deep in the tail) are returned as NaN and
-    should be excluded from max-norm checks.
+    three nodes, where d2_six has no centred stencil, are returned as NaN;
+    residual_max leaves them out.
     """
     h = r[1] - r[0]
     d2 = d2_six(vals, h)
@@ -425,10 +439,9 @@ def radial_ode_residual(r: np.ndarray, vals: np.ndarray, dim: int,
     return -d2 - (dim - 1) * fric + coeff * vals - rhs
 
 
-def residual_max(r: np.ndarray, res: np.ndarray) -> float:
-    """Max-norm of a residual over its finite entries with r <= RESIDUAL_R_CAP."""
-    keep = (r <= RESIDUAL_R_CAP) & np.isfinite(res)
-    return float(np.max(np.abs(res[keep])))
+def residual_max(res: np.ndarray) -> float:
+    """Max-norm of a residual over its finite entries."""
+    return float(np.max(np.abs(res[np.isfinite(res)])))
 
 
 # -- quadrature ---------------------------------------------------------------

@@ -144,6 +144,21 @@ def test_endpoint_concentration(gs5):
     assert sol.mass == pytest.approx(inner.mass / 2.0, rel=1e-5)
 
 
+@pytest.mark.parametrize("eps, n", [(0.2, 400), (0.3, 1000), (0.1, 2000)])
+def test_endpoint_solve_is_the_doubled_interior_solve(eps, n):
+    # on its own grid with Neumann rows at both ends, the endpoint solve is
+    # the mirror of the interior solve on the doubled interval (-1, 3) at
+    # twice the panels: same Newton steps, mass within 1.1e-13
+    spec = DomainSpec("interval", -1, 1, "neumann")
+    sol = solve_fixed_epsilon(spec, P5, eps, init="endpoint", n_override=n)
+    doubled = solve_fixed_epsilon(DomainSpec("interval", -1, 3, "neumann"),
+                                  P5, eps, n_override=2 * n)
+    assert sol.newton_iterations == doubled.newton_iterations
+    assert sol.mass == pytest.approx(doubled.mass / 2.0, rel=1e-12)
+    assert sol.u_values == pytest.approx(doubled.u_values[:n + 1],
+                                         rel=0.0, abs=1e-10)
+
+
 def test_endpoint_requires_neumann():
     with pytest.raises(ValueError):
         solve_fixed_epsilon(DomainSpec("interval", -1, 1, "dirichlet"), P5,
@@ -519,10 +534,11 @@ def test_warm_start_follows_the_bump(spec, eps0):
     # per jump within WARM_RANGE, where the unscaled bump took 3-4 at p = 5.
     # Not compared with the cold start jump by jump: at eps = 0.1 on an
     # interval the ansatz takes 1 step
-    prev = solve_fixed_epsilon(spec, P5, eps0)
     for factor in (0.85, 0.95, 1.05, 1.15):
         eps = factor * eps0
-        warm = bvp._solve_from(prev, spec, P5, eps)
+        evaluate = bvp.MassEvaluator(spec, P5)
+        evaluate.solution(eps0)  # from the centred ansatz
+        warm = evaluate.solution(eps)
         assert warm.newton_iterations <= 2
         cold = solve_fixed_epsilon(spec, P5, eps)
         assert warm.mass == pytest.approx(cold.mass, rel=1e-10, abs=0.0)
@@ -872,7 +888,6 @@ def test_solve_normalized_releases_cached_solutions():
 @pytest.mark.parametrize("spec, eps, n, init", [
     (DomainSpec("interval", -1, 1, "dirichlet"), 0.2, 3, "interior"),
     (DomainSpec("interval", -1, 1, "neumann"), 0.2, 99, "interior"),
-    # n counts panels on (-1, 1) also when the solve runs on (-1, 3)
     (DomainSpec("interval", -1, 1, "neumann"), 0.2, 99, "endpoint"),
     # the line at eps = 0.5 is [-10, 10]: 399 panels are just under 10
     # nodes per eps-width
@@ -905,12 +920,17 @@ def test_start_conflicts_are_refused(monkeypatch, kwargs, message):
 
 
 def test_endpoint_grid_override_matches_interior():
-    # --grid-n n means n panels on the returned interval for both inits
+    # --grid-n n means n panels on the returned interval for both inits,
+    # and without it both take the interval's default: 2640 panels at
+    # eps = 0.2, where the endpoint solve once took half of the doubled
+    # interval's default, 1320
     spec = DomainSpec("interval", -1, 1, "neumann")
-    for init in ("interior", "endpoint"):
-        sol = solve_fixed_epsilon(spec, P5, 0.2, init=init, n_override=400)
-        assert len(sol.nodes) == 401
-        assert np.diff(sol.nodes) == pytest.approx(0.005, rel=1e-12)
+    for n, panels in ((400, 400), (None, 2640)):
+        for init in ("interior", "endpoint"):
+            sol = solve_fixed_epsilon(spec, P5, 0.2, init=init, n_override=n)
+            assert len(sol.nodes) == panels + 1
+            assert np.diff(sol.nodes) == pytest.approx(2.0 / panels,
+                                                       rel=1e-12)
 
 
 # -- the damped Newton against a plain reference loop --------------------------

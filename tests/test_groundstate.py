@@ -178,6 +178,30 @@ def test_default_radius_matches_r60(dim, p):
         far_corr.m_frak, rel=0.0, abs=1e-10 * max(1.0, abs(far_corr.m_frak)))
 
 
+@pytest.mark.parametrize("dim, p", DEFAULT_RADII)
+def test_converged_nonlinearity_at_the_plateau_start(dim, p):
+    # _tail_radius bounds p U^{p-1} at 2R/3 on the shot's tail, whose c is
+    # 0.39 to 2.0 times frak_c; on the converged profile it reads up to
+    # 7.75e-8 (at (2, 2)), above that 5e-8. Held at 1e-7, so that a change
+    # that shrinks R fails here
+    gs, _ = solved(dim, p)
+    r = gs.profile.nodes
+    i = np.searchsorted(r, 2.0 * r[-1] / 3.0)
+    assert p * gs.profile.values[i] ** (p - 1) <= 1e-7
+
+
+@pytest.mark.parametrize("dim, p", [*DEFAULT_RADII, (1, 5.0)])
+def test_last_derivatives_meet_the_robin_row(dim, p):
+    # U' and W' at R, from d1_six's one-sided rows, are the Robin row's
+    # -beta(R) times the value (to 1.1e-10 and 8e-11): the tail model
+    # W' = -W written there before read 1.8e-2 to 6.2e-2 off for N >= 2
+    gs, corr = solved(dim, p)
+    beta = float(groundstate.radial.decay_rate(gs.profile.nodes[-1], dim))
+    for prof in (gs.profile, corr.profile):
+        assert prof.dvalues[-1] == pytest.approx(-beta * prof.values[-1],
+                                                 rel=1e-9)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_unresolved_decay_plateau_is_refused(dim):
     # at p = 1.05 the state is so wide that r_max = 40 shows no plateau

@@ -281,6 +281,20 @@ def test_uniform_grid_rejects_bad_extent(r_max, spacing):
         radial.uniform_grid(r_max, spacing)
 
 
+def test_d1_six_is_sixth_order_at_every_node():
+    # the one-sided rows at the last three nodes converge as the centred
+    # stencil does: halving h divides the error by about 2^6 (92 to 95
+    # from 80 to 160 panels on e^{-r^2} over [0, 4])
+    errors = []
+    for n in (80, 160):
+        r = np.linspace(0.0, 4.0, n + 1)
+        d = radial.d1_six(np.exp(-r * r), r[1] - r[0])
+        assert np.isfinite(d).all()
+        errors.append(np.abs(d + 2.0 * r * np.exp(-r * r))[-3:])
+    assert (errors[0] <= 1e-9).all()
+    assert (errors[0] / errors[1] >= 48.0).all()
+
+
 # -- the band LU layer as it was before the band was factorised in place:
 # a fresh work array and LU per factorisation, a copy of L[1] per Jacobian,
 # one solve per estimator probe. Kept as the reference that the in-place
@@ -384,7 +398,7 @@ def test_band_layer_matches_reference_bit_for_bit(dim, p):
     ref_u, ref_lu = _reference_newton(r, dim, p, u0)
     assert u.tobytes() == ref_u.tobytes()
     res = groundstate._ode_residual(params, r, u)
-    res[~((r <= radial.RESIDUAL_R_CAP) & np.isfinite(res))] = 0.0
+    res[~np.isfinite(res)] = 0.0
     assert (-lu.solve(res)).tobytes() == (-ref_lu.solve(res)).tobytes()
     assert radial.onenormest(lu.solve, lambda x: lu.solve(x, trans="T"),
                              len(r)) \
