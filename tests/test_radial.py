@@ -204,6 +204,25 @@ def test_ground_state_and_correction_share_one_linearization(monkeypatch):
     assert counts == {"splu": 3, "radial_operator": 1, "onenormest": 1}
 
 
+def test_correction_makes_two_band_solves(monkeypatch):
+    # the condition estimate takes one block solve with L+, carrying W's
+    # right-hand side, and one with its transpose; one product at a time,
+    # the estimate and W took five. Once the estimate is taken, W is one
+    # solve of its own, the same bits
+    gs = solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
+    real_gbtrs, calls = _lapack.gbtrs, []
+
+    def counting_gbtrs(*args):
+        calls.append(args[-1])
+        return real_gbtrs(*args)
+
+    monkeypatch.setattr(_lapack, "gbtrs", counting_gbtrs)
+    w = correction_profile(gs).profile.values
+    assert calls == ["N", "T"]
+    assert correction_profile(gs).profile.values.tobytes() == w.tobytes()
+    assert calls == ["N", "T", "N"]
+
+
 def test_correction_from_shared_factors_matches_hand_built(gs2d):
     # J(U) formed from Newton's copy of L[1] and from a fresh assembly are
     # the same operator: W is the same bit for bit. dataclasses.replace
@@ -414,31 +433,117 @@ def test_band_layer_matches_reference_bit_for_bit(dim, p):
         r, u * ref_w, dim, tail_decay=2.0) / (2.0 * dim)
 
 
+def _logged(log, product):
+    # each call's input and output, copied, as (n, k) blocks; the product
+    # may overwrite its input
+    def logged(x):
+        x0 = np.array(x)
+        y = product(x)
+        log.append((x0.reshape(len(x0), -1),
+                    np.array(y).reshape(len(x0), -1)))
+        return y
+    return logged
+
+
+def _columns(log):
+    return {(x[:, k].tobytes(), y[:, k].tobytes())
+            for x, y in log for k in range(x.shape[1])}
+
+
 def test_onenormest_probes_match_reference():
-    # the one block product carries the reference's first and last probes,
-    # and every other product and the estimate are the reference's
+    # every product the reference takes is a column of one of the
+    # estimator's blocks, bit for bit, and the estimate is the reference's.
+    # On the radial operator the first step lands on e_n, so one block
+    # product with B and one with B^T, solved in place, are all it takes,
+    # and a riding rhs comes back as its own single solve
     r = radial.uniform_grid(20.0, 1.0 / 50.0)
+    n = len(r)
     lu = radial.splu(radial.radial_operator(r, np.ones_like(r), 2).base)
+    rhs = np.random.default_rng(3).normal(size=n)
+    for riding in (None, rhs.copy()):
+        new, ref = {"N": [], "T": []}, {"N": [], "T": []}
+        est = radial.onenormest(
+            _logged(new["N"], lambda x: lu.solve(x, overwrite_b=True)),
+            _logged(new["T"],
+                    lambda x: lu.solve(x, trans="T", overwrite_b=True)),
+            n, riding)
+        assert est == _reference_onenormest(
+            _logged(ref["N"], lu.solve),
+            _logged(ref["T"], lambda x: lu.solve(x, trans="T")), n)
+        assert [x.shape for x, _ in new["N"]] \
+            == [(n, 3 if riding is None else 4)]
+        assert [x.shape for x, _ in new["T"]] == [(n, 2)]
+        for trans in "NT":
+            assert _columns(ref[trans]) <= _columns(new[trans])
+    assert riding.tobytes() == lu.solve(rhs).tobytes()
 
-    def logged(log, trans):
-        def product(x):
-            log.append(np.array(x))
-            return lu.solve(x, trans)
-        return product
 
-    new, ref = {"N": [], "T": []}, {"N": [], "T": []}
-    est = radial.onenormest(logged(new["N"], "N"), logged(new["T"], "T"),
-                            len(r))
-    assert est == _reference_onenormest(logged(ref["N"], "N"),
-                                        logged(ref["T"], "T"), len(r))
-    block, *rest = new["N"]
-    assert block.shape == (len(r), 2)
-    assert block[:, 0].tobytes() == ref["N"][0].tobytes()
-    assert block[:, 1].tobytes() == ref["N"][-1].tobytes()
-    assert [x.tobytes() for x in rest] \
-        == [x.tobytes() for x in ref["N"][1:-1]]
-    assert [x.tobytes() for x in new["T"]] \
-        == [x.tobytes() for x in ref["T"]]
+# two operators on which the first step lands on e_n and the iteration goes
+# on past the products taken ahead (found by a search over small integers)
+_GOES_ON_PAST_E_N = ([[3, -1, 0, -2], [-3, 2, 0, 0], [0, -2, 2, -3],
+                      [-3, 2, -1, 3]],
+                     [[0, -3, 2, 3], [3, -1, 2, 0], [1, -3, 0, 0],
+                      [0, 2, -2, 0]])
+
+
+def test_onenormest_on_dense_operators_matches_reference():
+    # random dense operators, on which the first step mostly lands off the
+    # last column, and two on which it lands on it and goes on. The
+    # estimate and every product are the reference's; the estimator takes
+    # no other product but the ones taken ahead, and the alternating one
+    # rides in the first block. The products are taken column by column,
+    # so a block's columns are the single products' bits (a dense solve of
+    # a block is not), and written over their input, as the radial solves
+    # are
+    rng = np.random.default_rng(11)
+
+    def product(M, in_place):
+        def f(x):
+            y = np.column_stack([M @ np.ascontiguousarray(c)
+                                 for c in x.T]) if x.ndim == 2 else M @ x
+            if not in_place:
+                return y
+            x[...] = y
+            return x
+        return f
+
+    operators = [rng.normal(size=(n, n)) for n in rng.integers(5, 61, 40)]
+    seen = []
+    for A in operators + [np.array(A, dtype=float) for A in _GOES_ON_PAST_E_N]:
+        n = len(A)
+        new, ref = {"N": [], "T": []}, {"N": [], "T": []}
+        est = radial.onenormest(_logged(new["N"], product(A, True)),
+                                _logged(new["T"], product(A.T, True)), n)
+        assert est == _reference_onenormest(
+            _logged(ref["N"], product(A, False)),
+            _logged(ref["T"], product(A.T, False)), n)
+        for trans in "NT":
+            assert _columns(ref[trans]) <= _columns(new[trans])
+        hit = bool(np.argmax(np.abs(ref["T"][0][1])) == n - 1)
+        assert (len(new["N"]), len(new["T"])) == (
+            len(ref["N"]) - 1 - hit,
+            len(ref["T"]) - (hit and len(ref["T"]) > 1))
+        seen.append((hit, len(new["N"]) + len(new["T"]) > 2))
+    assert seen[:40].count((False, True)) >= 30
+    assert seen[40:] == [(True, True)] * 2
+
+
+def test_in_place_block_solves_are_single_solves():
+    # the estimator's blocks, four columns with L+ and two with its
+    # transpose, solved in place on the 12 001-node L+ of (3, 2.5): each
+    # column is its own single solve, bit for bit
+    gs = solve_ground_state(ProblemParams(3, 2.5))
+    lu = gs.lplus
+    n = len(gs.profile.nodes)
+    assert n == 12001
+    rng = np.random.default_rng(7)
+    for trans, k in (("N", 4), ("T", 2)):
+        block = np.asfortranarray(rng.normal(size=(n, k)))
+        singles = [lu.solve(block[:, j], trans) for j in range(k)]
+        x = lu.solve(block, trans, overwrite_b=True)
+        assert np.shares_memory(x, block)
+        for j in range(k):
+            assert x[:, j].tobytes() == singles[j].tobytes()
 
 
 def test_band_lu_peak_memory(gs2d):
