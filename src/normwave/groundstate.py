@@ -196,16 +196,18 @@ def closed_form_soliton(p: float):
 
 # The shots only bracket U(0) for the Newton polish, which re-solves the grid
 # problem from the spliced profile: a bracket of 5e-4 relative is inside its
-# basin. A bisection shot gives only its sign, which is settled long before
-# its rtol matters: on 45 pairs (N, p), N = 2 to 6, DOP853 classified all
-# 669 bisection shots at rtol 1e-6, 1e-5 and 1e-4 as at 3e-9, and at 1e-3 it
-# misclassified shots of 4 pairs. The last shot, from the bracket's midpoint,
-# records its steps for the guess: at 1e-6 its cubic Hermite samples are
-# within 5e-4 U(0) of a shot at 3e-9, and Newton's result moves only at
-# its rounding floor.
+# basin. A shot that records no path (the doubling and bisection shots)
+# gives only its sign, which is settled long before its rtol matters, so it
+# runs at SIGN_RTOL: on 45 pairs (N, p), N = 2 to 6, the bisection reaches
+# the same U(0), bit for bit, at rtol 1e-4 and 1e-5 as at 3e-9, while at
+# 1e-3 it moves at 4 pairs. The last shot, from the bracket's midpoint,
+# records its steps for the guess and runs at SHOT_RTOL: at 1e-6 its cubic
+# Hermite samples are within 5e-4 U(0) of a shot at 3e-9, and Newton's
+# result moves only at its rounding floor.
 SHOT_START = 2e-2    # shots start here from the regular series at r = 0
 SHOT_STOP = 15.0
-SHOT_RTOL = 1e-6
+SHOT_RTOL = 1e-6    # the shot that records its path
+SIGN_RTOL = 1e-4    # every other shot
 SHOT_ATOL = 1e-13
 BRACKET_RTOL = 5e-4
 MAX_DOUBLINGS = 60   # of the upper end of the U(0) bracket, from 2
@@ -268,11 +270,13 @@ def solve_ivp(p: float, dim: int, s: float, path: list | None = None) -> int:
     0 if it reaches SHOT_STOP (or its step falls below 10 ulp of r). A list
     passed as path receives (r, U, U') at the start and every accepted step.
 
-    scipy's solve_ivp(method="DOP853") at SHOT_RTOL with the terminal events
-    U = 0 (downward) and U' = 0 (upward), on Python floats (Hairer, Norsett
-    and Wanner, Solving ODEs I, 1993, II.10): scipy's initial step, step
-    controller, E5/E3 error norm and event test. A step on which both events
-    fire raises NoConvergence rather than ordering them on the dense output.
+    scipy's solve_ivp(method="DOP853") with the terminal events U = 0
+    (downward) and U' = 0 (upward), on Python floats (Hairer, Norsett and
+    Wanner, Solving ODEs I, 1993, II.10): scipy's initial step, step
+    controller, E5/E3 error norm and event test, at rtol SHOT_RTOL for a
+    shot that records a path and SIGN_RTOL for one that returns only its
+    sign. A step on which both events fire raises NoConvergence rather
+    than ordering them on the dense output.
     The name is kept for bench/tracing.py, which counts the shots through it.
 
     The step is written out stage by stage. Stage i has the state (w, v_i)
@@ -294,7 +298,8 @@ def solve_ivp(p: float, dim: int, s: float, path: list | None = None) -> int:
      e3_12) = _DOP853_E3
     (e5_0, e5_1, e5_2, e5_3, e5_4, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11,
      e5_12) = _DOP853_E5
-    q, n1, rtol, atol = p - 1.0, dim - 1.0, SHOT_RTOL, SHOT_ATOL
+    q, n1, atol = p - 1.0, dim - 1.0, SHOT_ATOL
+    rtol = SIGN_RTOL if path is None else SHOT_RTOL
     sq = lambda x, y: x * x + y * y
     rms = lambda x, y: math.sqrt(sq(x, y)) / 2.0 ** 0.5
     t = SHOT_START
@@ -471,12 +476,11 @@ def _shot_splice(params: ProblemParams):
 
 
 def _shooting_guess(params: ProblemParams, r: np.ndarray,
-                    splice=None) -> np.ndarray:
+                    splice) -> np.ndarray:
     """Shot profile on r spliced onto the decay tail c r^{-(N-1)/2} e^{-r},
-    from splice (_shot_splice), or from a new shot if none is given."""
+    from splice (_shot_splice)."""
     p, dim = params.p, params.dim
-    s, shot_u, r_splice, c_sp = (_shot_splice(params) if splice is None
-                                 else splice)
+    s, shot_u, r_splice, c_sp = splice
     vals = np.empty_like(r)
     core = r < SHOT_START
     shot = (r >= SHOT_START) & (r <= r_splice)
@@ -523,7 +527,8 @@ def solve_ground_state(params: ProblemParams, r_max: float | None = None,
     Newton-polished profile carries defect-correction estimates of the
     relative errors of sigma0 and frak_c, and it is accepted only if the
     estimate for sigma0 is at most SIGMA0_RTOL; otherwise NoConvergence is
-    raised.
+    raised. An N >= 2 linearization L+ whose condition estimate exceeds
+    radial.COND_LIMIT raises SingularOperator, before the estimates.
     """
     if params.dim == 1:
         r = radial.uniform_grid(RADIUS_MAX if r_max is None else r_max,
@@ -558,7 +563,9 @@ def _polished_ground_state(params: ProblemParams, r: np.ndarray,
     J = L+ comes back from radial_newton written from Newton's L[1] into
     the work array Newton stepped in, and is factorised here, once, outside
     the Newton call; the factors stay on the ground state (gs.lplus) for
-    linearization, so correction_profile solves with them.
+    linearization, so correction_profile solves with them. Their condition
+    estimate is taken here, with R6 riding in its first block solve, so a
+    near-singular L+ raises SingularOperator before e is read.
     """
     vals = _shooting_guess(params, r, splice)
     vals, band = radial.radial_newton(r, params.dim, params.p, vals)
@@ -571,7 +578,8 @@ def _polished_ground_state(params: ProblemParams, r: np.ndarray,
     gs.sigma0 = mass_sigma0(gs)
     res = _ode_residual(params, r, vals)
     res[~np.isfinite(res)] = 0.0
-    e = -gs.lplus.solve(res)
+    gs.lplus.condition(res)  # res becomes J^{-1} R6
+    e = -res
     gs.sigma0_rel_err = abs(float(radial.radial_quadrature(
         r, vals * e, params.dim, tail_decay=2.0))) / gs.sigma0
     if not gs.sigma0_rel_err <= SIGMA0_RTOL:

@@ -23,8 +23,8 @@ scipy. The band is assembled straight into the Fortran-ordered array that
 dgbtrf factorises in place. A radial Newton solve reuses one such array for
 every step and hands back the linearization L+ at its solution written into
 it, for factorise; the ground state's defect estimate solves with those
-factors, and its correction profile through solve_radial_linear.
-solve_radial_linear checks the factors' 1-norm condition, once per
+factors, and its correction profile through solve_radial_linear. Every
+solve with them checks their 1-norm condition, estimated once per
 factorisation (BandLU.condition): onenormest, LAPACK dlacn2's estimator
 step for step, takes two in-place block dgbtrs solves where its first step
 lands on the Robin row's column, as it does for every L+ measured, and the
@@ -66,7 +66,7 @@ __all__ = [
 
 NEWTON_TOL = 1e-12  # radial_newton's residual stop
 NEWTON_MAX_ITER = 60  # radial_newton's step cap, then NoConvergence
-COND_LIMIT = 1e14   # solve_radial_linear refuses a worse-conditioned operator
+COND_LIMIT = 1e14   # BandLU.condition refuses a worse-conditioned operator
 KL, KU = 4, 2  # sub- and super-diagonals of L: the Robin row reaches back 4
 DECAY_SERIES_TOL = 1e-17  # decay_series stops at the first term below this
 
@@ -119,11 +119,12 @@ class BandLU:
     def condition(self, rhs: np.ndarray | None = None) -> float:
         """The 1-norm condition estimate, norm times onenormest's estimate
         of ||A^{-1}||_1 from block solves in place; taken on the first
-        call, then read from cond. rhs, a float64 (n,) array, is
-        overwritten with A^{-1} rhs: on the first call in the estimate's
-        first block, later on its own. onenormest is called as this
-        module's attribute, which the benchmark's tracer (bench/tracing.py)
-        counts, so it must stay one."""
+        call, then read from cond. Above COND_LIMIT, on every call, it
+        raises SingularOperator. rhs, a float64 (n,) array, is overwritten
+        with A^{-1} rhs: on the first call in the estimate's first block,
+        later on its own. onenormest is called as this module's attribute,
+        which the benchmark's tracer (bench/tracing.py) counts, so it must
+        stay one."""
         if self.cond is None:
             self.cond = self.norm * onenormest(
                 lambda x: self.solve(x, overwrite_b=True),
@@ -131,6 +132,9 @@ class BandLU:
                 self.lu.shape[1], rhs)
         elif rhs is not None:
             self.solve(rhs, overwrite_b=True)
+        if self.cond > COND_LIMIT:
+            raise SingularOperator(
+                f"radial operator condition estimate exceeds {COND_LIMIT:.1e}")
         return self.cond
 
 
@@ -342,16 +346,14 @@ def solve_radial_linear(factors: BandLU, rhs: np.ndarray) -> np.ndarray:
 
     A non-finite rhs raises ValueError. Above COND_LIMIT the factors'
     condition estimate (BandLU.condition, taken once per factorisation)
-    raises SingularOperator. On the factors' first solve, rhs rides in the
-    estimate's first block solve.
+    raises SingularOperator. Where the estimate is not yet taken, rhs
+    rides in its first block solve.
     """
     b = np.array(rhs, dtype=float)
     if not np.isfinite(b).all():
         raise ValueError("rhs must be finite")
     b[-1] = 0.0
-    if factors.condition(b) > COND_LIMIT:
-        raise SingularOperator(
-            f"radial operator condition estimate exceeds {COND_LIMIT:.1e}")
+    factors.condition(b)
     return b
 
 

@@ -242,16 +242,46 @@ def test_shooting_dim2_variational_identities(gs2d):
 # N = 2 to 5, p from 1.05 to 0.05 below the Sobolev bound
 SIGN_SHOT_PAIRS = [(2, 3.0), (5, 1.8), (3, 1.05), (4, 2.95), (4, 1.2875),
                    (5, 7.0 / 3.0 - 0.05)]
+# the README's sweep: N = 2 to 6, nine p each from 1.05 up to 0.05 below
+# the Sobolev bound, or up to 10 for N = 2
+SWEEP_PAIRS = [(dim, 1.05 + k / 8.0 * (top - 1.05))
+               for dim, top in [(2, 10.0)] + [(n, (n + 2) / (n - 2) - 0.05)
+                                              for n in range(3, 7)]
+               for k in range(9)]
+# N = 2 exponents whose first shot, from U(0) = 2, overflows
+OVERFLOW_PS = [20.0, 30.0, 50.0, 100.0]
 
 
-@pytest.mark.parametrize("dim, p", SIGN_SHOT_PAIRS)
+def _bisection_outcome(p, dim):
+    """The bisected U(0) (float.hex), or the refusal's type and message."""
+    try:
+        return groundstate._shoot_ground_state(p, dim)[0].hex()
+    except NoConvergence as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("dim, p", sorted(set(SIGN_SHOT_PAIRS + SWEEP_PAIRS))
+                         + [(2, p) for p in OVERFLOW_PS])
 def test_sign_shots_bisect_as_at_shot_rtol(monkeypatch, dim, p):
     # the bisection reads only the sign of a shot, so its loose tolerance
-    # must take every decision a tight one takes: the same U(0) to the bit.
-    # At rtol 1e-3 the last four pairs bisect to another U(0)
-    s, _ = groundstate._shoot_ground_state(p, dim)
-    monkeypatch.setattr(groundstate, "SHOT_RTOL", 3e-9)
-    assert groundstate._shoot_ground_state(p, dim)[0] == s
+    # must take every decision a tight one takes: the same U(0) to the bit,
+    # or the same refusal
+    outcome = _bisection_outcome(p, dim)
+    monkeypatch.setattr(groundstate, "SIGN_RTOL", 3e-9)
+    assert _bisection_outcome(p, dim) == outcome
+
+
+@pytest.mark.parametrize("dim, p", [(3, 1.05), (4, 1.2875), (4, 2.95),
+                                    (5, 7.0 / 3.0 - 0.05)])
+def test_sign_rtol_steers_the_bisection(monkeypatch, dim, p):
+    # every shot but the last runs at SIGN_RTOL: a decade above it, 1e-3,
+    # these pairs bisect to another U(0); SHOT_RTOL, the last shot's, does
+    # not move it
+    s = _bisection_outcome(p, dim)
+    monkeypatch.setattr(groundstate, "SHOT_RTOL", 1e-3)
+    assert _bisection_outcome(p, dim) == s
+    monkeypatch.setattr(groundstate, "SIGN_RTOL", 1e-3)
+    assert _bisection_outcome(p, dim) != s
 
 
 def scipy_shot(p, dim, s, rtol, dense_output=False):
@@ -278,12 +308,14 @@ def scipy_shot(p, dim, s, rtol, dense_output=False):
 @pytest.mark.parametrize("dim, p", SIGN_SHOT_PAIRS)
 def test_sign_shots_match_scipy_dop853(monkeypatch, dim, p):
     # the in-house DOP853 must take scipy's sign on every shot; scipy's
-    # solve_ivp, at the same tolerances and events, is the reference
+    # solve_ivp, at the same tolerances and events, is the reference: a
+    # shot that records no path runs at SIGN_RTOL, the last at SHOT_RTOL
     real_shot, shots = groundstate.solve_ivp, []
 
     def both(p_, dim_, s, path=None):
         sign = real_shot(p_, dim_, s, path)
-        sol = scipy_shot(p, dim, s, groundstate.SHOT_RTOL)
+        sol = scipy_shot(p, dim, s, groundstate.SIGN_RTOL if path is None
+                         else groundstate.SHOT_RTOL)
         ref = -1 if sol.t_events[0].size else int(sol.t_events[1].size > 0)
         shots.append((s, sign, ref))
         return sign
@@ -302,7 +334,9 @@ def test_shooting_guess_follows_scipy_dense_shot(dim, p):
     s, path = groundstate._shoot_ground_state(p, dim)
     sol = scipy_shot(p, dim, s, 3e-9, dense_output=True)
     r = groundstate.radial.uniform_grid(40.0, 1.0 / 600.0)
-    guess = groundstate._shooting_guess(ProblemParams(dim, p), r)
+    params = ProblemParams(dim, p)
+    guess = groundstate._shooting_guess(params, r,
+                                        groundstate._shot_splice(params))
     shot = (r >= groundstate.SHOT_START) & (r <= min(12.0, path[-1][0] - 1.0))
     assert np.count_nonzero(shot) > 1000
     assert np.max(np.abs(guess[shot] - sol.sol(r[shot])[0])) <= 1e-3 * s
@@ -366,7 +400,7 @@ def test_shooting_budget_error(monkeypatch):
         solve_ground_state(ProblemParams(2, 3.0))
 
 
-@pytest.mark.parametrize("p", [20.0, 30.0, 50.0, 100.0])
+@pytest.mark.parametrize("p", OVERFLOW_PS)
 def test_overflowing_shot_raises_no_convergence(p):
     # |u|^{p-1} u on Python floats raised a bare OverflowError out of the
     # shot's right-hand side
@@ -392,9 +426,11 @@ def _reference_weighted_sums(w, ku, kv):
 def _reference_solve_ivp(p, dim, s, path=None):
     """groundstate.solve_ivp as it was before its step was written out stage
     by stage: each stage sum zips a tableau row, and the right-hand side is
-    a closure. Kept as the reference for the written-out step."""
+    a closure. Kept as the reference for the written-out step; it takes the
+    code's tolerances, SHOT_RTOL with a path and SIGN_RTOL without."""
     accel = _reference_shot_rhs(p, dim)
-    rtol, atol = groundstate.SHOT_RTOL, groundstate.SHOT_ATOL
+    rtol = groundstate.SIGN_RTOL if path is None else groundstate.SHOT_RTOL
+    atol = groundstate.SHOT_ATOL
     stop = groundstate.SHOT_STOP
     sq = lambda x, y: x * x + y * y
     rms = lambda x, y: math.sqrt(sq(x, y)) / 2.0 ** 0.5
@@ -459,27 +495,36 @@ def _reference_solve_ivp(p, dim, s, path=None):
     return 0
 
 
-def _shot_record(shot, p, dim, s):
+def _shot_record(shot, p, dim, s, sign=False):
     """What a shot returns or raises (type and message), and its path with
-    every float as float.hex, so that signed zeros count."""
+    every float as float.hex, so that signed zeros count. A sign shot
+    (sign=True) records no path of its own, so its steps are recorded here
+    with SHOT_RTOL set to SIGN_RTOL: the shot it runs, step for step."""
     path = []
-    try:
-        outcome = shot(p, dim, s, path)
-    except Exception as exc:
-        outcome = (type(exc), str(exc))
+    with pytest.MonkeyPatch.context() as mp:
+        if sign:
+            mp.setattr(groundstate, "SHOT_RTOL", groundstate.SIGN_RTOL)
+        try:
+            outcome = shot(p, dim, s, path)
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
     return outcome, [tuple(map(float.hex, point)) for point in path]
 
 
 def _checked_bisection(monkeypatch, p, dim):
-    """Run _shoot_ground_state with every shot checked against the reference;
+    """Run _shoot_ground_state with every shot checked against the reference
+    at its own tolerance (SIGN_RTOL for a shot that records no path);
     returns the records of the shots checked."""
     real_shot, checked = groundstate.solve_ivp, []
 
     def both(p_, dim_, s, path=None):
-        record = _shot_record(real_shot, p_, dim_, s)
-        assert record == _shot_record(_reference_solve_ivp, p_, dim_, s)
+        record = _shot_record(real_shot, p_, dim_, s, path is None)
+        assert record == _shot_record(_reference_solve_ivp, p_, dim_, s,
+                                      path is None)
         checked.append(record)
-        return real_shot(p_, dim_, s, path)
+        outcome = real_shot(p_, dim_, s, path)
+        assert outcome == record[0]
+        return outcome
 
     monkeypatch.setattr(groundstate, "solve_ivp", both)
     groundstate._shoot_ground_state(p, dim)
@@ -501,7 +546,7 @@ def test_shot_step_matches_reference_bit_for_bit(monkeypatch, dim, p):
     assert len(checked[-1][1]) > 10
 
 
-@pytest.mark.parametrize("p", [20.0, 30.0, 50.0, 100.0])
+@pytest.mark.parametrize("p", OVERFLOW_PS)
 def test_overflowing_shot_matches_reference(monkeypatch, p):
     # the shot that overflows raises the reference's OverflowError, with its
     # message and after the same accepted steps
@@ -521,8 +566,9 @@ def _below_sobolev(dim, frac):
        s=st.floats(1.0, 64.0))
 def test_shot_matches_reference_on_random_starts(dim, frac, s):
     p = _below_sobolev(dim, frac)
-    assert _shot_record(groundstate.solve_ivp, p, dim, s) \
-        == _shot_record(_reference_solve_ivp, p, dim, s)
+    for sign in (False, True):
+        assert _shot_record(groundstate.solve_ivp, p, dim, s, sign) \
+            == _shot_record(_reference_solve_ivp, p, dim, s, sign)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

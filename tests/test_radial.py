@@ -12,10 +12,11 @@ from scipy.special import kv, kve
 from conftest import band_matrix
 from normwave import _lapack, groundstate, radial
 from normwave.corrections import correction_profile
-from normwave.errors import NoConvergence
+from normwave.errors import NoConvergence, SingularOperator
 from normwave.groundstate import (GroundState, ProblemParams, RadialProfile,
-                                  _shooting_guess, decay_constant,
-                                  mass_sigma0, solve_ground_state)
+                                  _shooting_guess, _shot_splice,
+                                  decay_constant, mass_sigma0,
+                                  solve_ground_state)
 
 
 def robin_reference(dim, R):
@@ -168,7 +169,7 @@ def test_linear_solve_rejects_nonfinite_input(where):
 def test_newton_raises_at_iteration_cap(monkeypatch):
     params = ProblemParams(2, 3.0)
     r = radial.uniform_grid(40.0, 1.0 / 300.0)
-    u0 = _shooting_guess(params, r)
+    u0 = _shooting_guess(params, r, _shot_splice(params))
     monkeypatch.setattr(radial, "NEWTON_MAX_ITER", 1)
     with pytest.raises(NoConvergence, match="in 1 steps"):
         radial.radial_newton(r, params.dim, params.p, u0)
@@ -189,7 +190,8 @@ def test_ground_state_factorisation_count(monkeypatch):
 def test_ground_state_and_correction_share_one_linearization(monkeypatch):
     # Newton factorises twice (the step after the second reuses its
     # factors), then J(U) is formed from Newton's L[1] and factorised once
-    # more; the correction and its condition check solve with those factors
+    # more; the ground state takes their condition estimate with its defect
+    # solve, and the correction solves with those factors
     counts = {"splu": 0, "radial_operator": 0, "onenormest": 0}
     for name in counts:
         def counting(*args, _real=getattr(radial, name), _name=name):
@@ -197,19 +199,18 @@ def test_ground_state_and_correction_share_one_linearization(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(radial, name, counting)
     gs = solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
-    assert counts == {"splu": 3, "radial_operator": 1, "onenormest": 0}
+    assert counts == {"splu": 3, "radial_operator": 1, "onenormest": 1}
     correction_profile(gs)
     assert counts == {"splu": 3, "radial_operator": 1, "onenormest": 1}
     correction_profile(gs)
     assert counts == {"splu": 3, "radial_operator": 1, "onenormest": 1}
 
 
-def test_correction_makes_two_band_solves(monkeypatch):
-    # the condition estimate takes one block solve with L+, carrying W's
-    # right-hand side, and one with its transpose; one product at a time,
-    # the estimate and W took five. Once the estimate is taken, W is one
-    # solve of its own, the same bits
-    gs = solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
+def test_correction_makes_one_band_solve(monkeypatch):
+    # the ground state takes the condition estimate of L+: one block solve
+    # with L+, carrying the defect estimate's right-hand side, and one with
+    # its transpose, after Newton's three solves. W is then one solve of
+    # its own with the checked factors, the same bits each time
     real_gbtrs, calls = _lapack.gbtrs, []
 
     def counting_gbtrs(*args):
@@ -217,10 +218,20 @@ def test_correction_makes_two_band_solves(monkeypatch):
         return real_gbtrs(*args)
 
     monkeypatch.setattr(_lapack, "gbtrs", counting_gbtrs)
+    gs = solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
+    assert calls == ["N", "N", "N", "N", "T"]
+    del calls[:]
     w = correction_profile(gs).profile.values
-    assert calls == ["N", "T"]
+    assert calls == ["N"]
     assert correction_profile(gs).profile.values.tobytes() == w.tobytes()
-    assert calls == ["N", "T", "N"]
+    assert calls == ["N", "N"]
+
+
+def test_ground_state_checks_the_condition_of_lplus(monkeypatch):
+    # the defect estimate solves with L+ only once its condition is checked
+    monkeypatch.setattr(radial, "COND_LIMIT", 1.0)
+    with pytest.raises(SingularOperator, match="condition estimate exceeds"):
+        solve_ground_state(ProblemParams(2, 3.0), spacing=1.0 / 300.0)
 
 
 def test_correction_from_shared_factors_matches_hand_built(gs2d):
@@ -242,7 +253,7 @@ def test_newton_refactorises_when_the_reused_step_is_not_at_rounding_level(
     # level, so the fourth is factorised again
     params = ProblemParams(2, 3.0)
     r = radial.uniform_grid(40.0, 1.0 / 300.0)
-    u0 = _shooting_guess(params, r)
+    u0 = _shooting_guess(params, r, _shot_splice(params))
     exact, _ = radial.radial_newton(r, params.dim, params.p, u0)
     real_splu, real_solve, events = radial.splu, radial.BandLU.solve, []
 
@@ -284,7 +295,8 @@ def test_newton_from_perturbed_shot(gs2d):
     # Newton re-solves the grid problem, so a guess 1e-3 off in the core
     # lands on the same sigma0 and frak_c
     params, r = gs2d.params, gs2d.profile.nodes
-    u0 = _shooting_guess(params, r) * (1.0 + 1e-3 * np.exp(-r * r))
+    u0 = _shooting_guess(params, r, _shot_splice(params))
+    u0 = u0 * (1.0 + 1e-3 * np.exp(-r * r))
     u, _ = radial.radial_newton(r, params.dim, params.p, u0)
     gs = GroundState(params, RadialProfile(r, u, gs2d.profile.dvalues), 0.0, 0.0)
     assert mass_sigma0(gs) == pytest.approx(gs2d.sigma0, rel=1e-10)
@@ -411,7 +423,7 @@ def test_band_layer_matches_reference_bit_for_bit(dim, p):
     # U, the defect correction e = -J^{-1} R6, W and m_frak, byte for byte
     params = ProblemParams(dim, p)
     r = radial.uniform_grid(40.0, 1.0 / 300.0)
-    u0 = _shooting_guess(params, r)
+    u0 = _shooting_guess(params, r, _shot_splice(params))
     u, band = radial.radial_newton(r, dim, p, u0)
     lu = radial.factorise(band)
     ref_u, ref_lu = _reference_newton(r, dim, p, u0)
