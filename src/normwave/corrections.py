@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import radial
-from ._numerics import CubicHermite, brentq, cumulative_simpson
+from ._numerics import brentq, cumulative_simpson
 from .errors import ZeroCountMismatch
 from .groundstate import (GroundState, ProblemParams, RadialProfile,
                           linearization)
@@ -175,11 +175,17 @@ def w_zero_locate(w: RadialProfile) -> float:
     """Unique sign change of W, refined by Brent's method on the C^1
     interpolant to W_ZERO_XTOL.
 
-    The interpolant is built on the bracketing nodes idx, idx + 1 and the
-    node after them only: on [x_idx, x_idx+1] its cubic is the full grid's,
-    and the right end evaluates at s = 0 in the next interval, as on the
-    full grid, so the zero is the same bit for bit."""
+    The interpolant is CubicHermite's on the bracketing nodes idx, idx + 1
+    and the node after them, its cubics and their evaluation written out
+    on Python floats: a point before x_idx+1 takes the first cubic, and
+    x_idx+1 itself the next one, as CubicHermite and the full grid's
+    spline take it, except in the last interval, which has no next cubic.
+    So the zero is the full grid spline's, bit for bit. A non-finite W
+    raises ValueError, and a count of sign changes other than one
+    ZeroCountMismatch."""
     vals = w.values
+    if not np.isfinite(vals).all():
+        raise ValueError("W must be finite to locate its zero")
     mask = np.abs(vals) > 1e-13
     signs = np.sign(vals[mask])
     flips = np.count_nonzero(np.diff(signs))
@@ -187,6 +193,18 @@ def w_zero_locate(w: RadialProfile) -> float:
         raise ZeroCountMismatch(f"expected exactly one sign change, found {flips}")
     idx = np.where(np.diff(np.sign(vals)) != 0)[0][0]
     near = slice(idx, idx + 3)
-    spline = CubicHermite(w.nodes[near], vals[near], w.dvalues[near])
-    return float(brentq(spline, w.nodes[idx], w.nodes[idx + 1],
-                        xtol=W_ZERO_XTOL, rtol=8.9e-16))
+    x, y, dy = (a[near].tolist() for a in (w.nodes, vals, w.dvalues))
+    cubics = []  # (left node, c0, c1, c2, c3) as CubicHermite forms them
+    for i in range(len(x) - 1):
+        dx = x[i + 1] - x[i]
+        slope = (y[i + 1] - y[i]) / dx
+        t = (dy[i] + dy[i + 1] - 2 * slope) / dx
+        cubics.append((x[i], t / dx, (slope - dy[i]) / dx - t, dy[i], y[i]))
+
+    def spline(xp: float) -> float:
+        x0, c0, c1, c2, c3 = cubics[-1] if xp >= x[1] else cubics[0]
+        s = xp - x0
+        z = s * s
+        return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+
+    return float(brentq(spline, x[0], x[1], xtol=W_ZERO_XTOL, rtol=8.9e-16))

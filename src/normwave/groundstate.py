@@ -120,6 +120,8 @@ class RadialProfile:
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         self.dvalues = np.asarray(self.dvalues, dtype=float)
+        if not self.values.shape == self.dvalues.shape == self.nodes.shape:
+            raise ValueError("values and dvalues need one entry per node")
         if self.nodes[0] != 0.0:
             raise ValueError("radial grid must start at r = 0")
         if np.any(np.diff(self.nodes) <= 0):
@@ -477,17 +479,18 @@ def _shot_splice(params: ProblemParams):
 
 def _shooting_guess(params: ProblemParams, r: np.ndarray,
                     splice) -> np.ndarray:
-    """Shot profile on r spliced onto the decay tail c r^{-(N-1)/2} e^{-r},
-    from splice (_shot_splice)."""
+    """Shot profile on the increasing grid r spliced onto the decay tail
+    c r^{-(N-1)/2} e^{-r}, from splice (_shot_splice): the series below
+    SHOT_START, the shot up to the splice point and the tail past it, each
+    on its slice of r."""
     p, dim = params.p, params.dim
     s, shot_u, r_splice, c_sp = splice
     vals = np.empty_like(r)
-    core = r < SHOT_START
-    shot = (r >= SHOT_START) & (r <= r_splice)
-    tail = r > r_splice
-    vals[core] = _series(p, dim, s, r[core])[0]
-    vals[shot] = shot_u(r[shot])
-    vals[tail] = c_sp * r[tail] ** (-(dim - 1) / 2.0) * np.exp(-r[tail])
+    shot = np.searchsorted(r, SHOT_START)  # the first r >= SHOT_START
+    tail = np.searchsorted(r, r_splice, side="right")  # the first r > r_splice
+    vals[:shot] = _series(p, dim, s, r[:shot])[0]
+    vals[shot:tail] = shot_u(r[shot:tail])
+    vals[tail:] = c_sp * r[tail:] ** (-(dim - 1) / 2.0) * np.exp(-r[tail:])
     return vals
 
 
@@ -576,7 +579,7 @@ def _polished_ground_state(params: ProblemParams, r: np.ndarray,
     gs.frak_c = decay_constant(gs, plateau)
     gs.lplus = radial.factorise(band)
     gs.sigma0 = mass_sigma0(gs)
-    res = _ode_residual(params, r, vals)
+    res = _ode_residual(params, r, vals, gs.profile.dvalues)
     res[~np.isfinite(res)] = 0.0
     gs.lplus.condition(res)  # res becomes J^{-1} R6
     e = -res
@@ -596,12 +599,14 @@ def _require_decreasing(values: np.ndarray) -> None:
         raise NoConvergence("computed profile is not strictly decreasing")
 
 
-def _ode_residual(params: ProblemParams, r: np.ndarray,
-                  vals: np.ndarray) -> np.ndarray:
-    """Sixth-order residual of -U'' - (N-1)/r U' + U - |U|^{p-1} U."""
-    return radial.radial_ode_residual(
-        r, vals, params.dim, coeff=np.ones_like(r),
-        rhs=np.abs(vals) ** (params.p - 1) * vals)
+def _ode_residual(params: ProblemParams, r: np.ndarray, vals: np.ndarray,
+                  d1: np.ndarray | None = None) -> np.ndarray:
+    """Sixth-order residual of -U'' - (N-1)/r U' + U - |U|^{p-1} U; d1,
+    radial.d1_six(vals, h), may be passed in where it is formed already."""
+    if d1 is None:
+        d1 = radial.d1_six(vals, r[1] - r[0])
+    return radial._ode_residual(r, vals, d1, params.dim, np.ones_like(r),
+                                np.abs(vals) ** (params.p - 1) * vals)
 
 
 def ode_residual_max(gs: GroundState) -> float:
@@ -631,7 +636,11 @@ def mass_sigma0(gs: GroundState, rule: str = "simpson") -> float:
 
 def mass_moment(gs: GroundState, k: int) -> float:
     """∫_{R^N} |y|^{2k} U^2, by radial quadrature + tail; computed once per
-    ground state and k, then read from gs.moments."""
+    ground state and k, then read from gs.moments. k must be a
+    non-negative integer, else ValueError."""
+    if not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValueError(f"moment order k must be a non-negative integer, "
+                         f"got {k!r}")
     if k not in gs.moments:
         prof = gs.profile
         gs.moments[k] = radial.radial_quadrature(
@@ -685,14 +694,15 @@ def decay_constant(gs: GroundState, plateau=None) -> float:
 
 def _decay_plateau(r: np.ndarray, dim: int):
     """The map U -> r^{(N-1)/2} e^r U(r) / S(r) over the outer third of r,
-    S from radial.decay_series; the window's factors are formed once, here.
+    S from radial.decay_series (its S alone); the window's factors are
+    formed once, here.
     A grid too short for a plateau raises TailNotResolved."""
     window = r >= (2.0 / 3.0) * r[-1]
     if r[-1] < 12.0 or np.count_nonzero(window) < 8:
         raise TailNotResolved("grid too short to resolve the decay plateau")
     rw = r[window]
     power, growth = rw ** ((dim - 1) / 2.0), np.exp(rw)
-    divisor = radial.decay_series(rw, dim)[0]
+    divisor = radial._decay_s(rw, dim)
     return lambda vals: vals[window] * power * growth / divisor
 
 

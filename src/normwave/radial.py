@@ -124,8 +124,13 @@ class BandLU:
         with A^{-1} rhs: on the first call in the estimate's first block,
         later on its own. onenormest is called as this module's attribute,
         which the benchmark's tracer (bench/tracing.py) counts, so it must
-        stay one."""
+        stay one. Factors without a norm, such as a bare splu's, raise
+        ValueError: factorise gives them one."""
         if self.cond is None:
+            if self.norm is None:
+                raise ValueError("the condition estimate needs the operator's "
+                                 "norm: factorise the band with factorise, "
+                                 "not splu")
             self.cond = self.norm * onenormest(
                 lambda x: self.solve(x, overwrite_b=True),
                 lambda x: self.solve(x, trans="T", overwrite_b=True),
@@ -189,11 +194,11 @@ def onenormest(matvec, rmatvec, n: int, rhs: np.ndarray | None = None
     and is overwritten with B rhs.
     """
     itmax = 5
-    i = np.arange(n)
     block = np.zeros((n, 3 if rhs is None else 4), order="F")
     block[:, 0] = 1.0 / n
     block[-1, 1] = 1.0
-    block[:, 2] = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / max(n - 1, 1))
+    block[:, 2] = 1.0 + np.arange(n) / max(n - 1, 1)
+    block[1::2, 2] *= -1.0
     if rhs is not None:
         block[:, 3] = rhs
     block = matvec(block)
@@ -233,20 +238,15 @@ def onenormest(matvec, rmatvec, n: int, rhs: np.ndarray | None = None
     return max(est, 2.0 * float(np.sum(np.abs(last))) / (3 * n))
 
 
-def decay_series(r, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """S(r) and S'(r) of K_nu(r) = sqrt(pi/(2r)) e^{-r} S(r), nu = (dim-2)/2.
-
-    S(r) = sum_k a_k r^{-k}, a_0 = 1, a_k = a_{k-1} ((dim-2)^2 - (2k-1)^2)
-    / (8k) (DLMF 10.40.2), summed by Horner in 1/r. The terms are counted at
-    the smallest r: the sum stops at the first term below DECAY_SERIES_TOL,
-    or, where the terms start to grow first (the series is asymptotic for
-    even dim), at the smallest term, which then enters at half weight, the
-    leading part of the remainder of an alternating tail; at r = 13 that
-    puts S within 5e-15 of scipy's kve, against 4e-13 with the whole term.
-    For odd dim the series ends: S = 1 for dim = 1 and 3, 1 + 1/r for 5.
-    """
+def _decay_terms(r, dim: int):
+    """r as a float array, or a float for a scalar r, and the coefficients
+    a_k that decay_series sums (see there), counted at the smallest r. An
+    r that is not finite and positive raises ValueError."""
     r = np.asarray(r, dtype=float)
-    x = 1.0 / np.min(r)
+    r_min = float(np.min(r))  # NaN if any r is
+    if not (r_min > 0.0 and np.max(r) < math.inf):
+        raise ValueError("decay_series needs every r finite and positive")
+    x = 1.0 / r_min
     coeffs, term = [1.0], 1.0
     for k in range(1, 100):  # the smallest term comes at k ~ 2r, or below tol
         a = coeffs[-1] * ((dim - 2) ** 2 - (2 * k - 1) ** 2) / (8.0 * k)
@@ -259,14 +259,42 @@ def decay_series(r, dim: int) -> tuple[np.ndarray, np.ndarray]:
         term = abs(a) * x ** k
         if term < DECAY_SERIES_TOL:
             break
+    return (float(r) if r.ndim == 0 else r), coeffs
+
+
+def _horner(coeffs: list, x):
+    """sum_k coeffs[k] x^k by Horner: a float for a float x, else an array
+    like x."""
+    acc = x * 0.0 + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def decay_series(r, dim: int):
+    """S(r) and S'(r) of K_nu(r) = sqrt(pi/(2r)) e^{-r} S(r), nu = (dim-2)/2,
+    as arrays like r, or floats for a scalar r.
+
+    S(r) = sum_k a_k r^{-k}, a_0 = 1, a_k = a_{k-1} ((dim-2)^2 - (2k-1)^2)
+    / (8k) (DLMF 10.40.2), summed by Horner in 1/r. The terms are counted at
+    the smallest r: the sum stops at the first term below DECAY_SERIES_TOL,
+    or, where the terms start to grow first (the series is asymptotic for
+    even dim), at the smallest term, which then enters at half weight, the
+    leading part of the remainder of an alternating tail; at r = 13 that
+    puts S within 5e-15 of scipy's kve, against 4e-13 with the whole term.
+    For odd dim the series ends: S = 1 for dim = 1 and 3, 1 + 1/r for 5.
+    An r that is not finite and positive raises ValueError.
+    """
+    r, coeffs = _decay_terms(r, dim)
     x = 1.0 / r
-    s = np.full_like(r, coeffs[-1])
-    ds = np.full_like(r, (len(coeffs) - 1) * coeffs[-1])
-    for k in range(len(coeffs) - 2, -1, -1):
-        s = s * x + coeffs[k]
-        if k > 0:
-            ds = ds * x + k * coeffs[k]
-    return s, -x * x * ds
+    dcoeffs = [k * a for k, a in enumerate(coeffs)][1:] or [0.0]
+    return _horner(coeffs, x), -x * x * _horner(dcoeffs, x)
+
+
+def _decay_s(r, dim: int):
+    """S(r) of decay_series alone, bit for bit."""
+    r, coeffs = _decay_terms(r, dim)
+    return _horner(coeffs, 1.0 / r)
 
 
 def decay_rate(r, dim: int) -> np.ndarray:
@@ -328,15 +356,21 @@ def radial_operator(r: np.ndarray, q: np.ndarray, dim: int) -> np.ndarray:
 
 
 def band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L x for L in radial_operator's band storage, one diagonal at a time."""
+    """L x for L in radial_operator's band storage and a finite x, one
+    diagonal at a time: offsets -2 to 2 in full, then the two below, which
+    hold only the Robin row's far entries L[n, n-3] and L[n, n-4], added
+    to y[-1] alone and last, as a sweep of all seven adds them. Each
+    product left out is an exact zero."""
     n = len(x)
     y = np.zeros(n)
-    for d in range(KL + KU + 1):
+    for d in range(KU + 3):
         off = KU - d  # column minus row
         if off >= 0:
             y[:n - off] += ab[d, off:] * x[off:]
         else:
             y[-off:] += ab[d, :n + off] * x[:n + off]
+    y[-1] += ab[KU + 3, -4] * x[-4]
+    y[-1] += ab[KU + 4, -5] * x[-5]
     return y
 
 
@@ -344,7 +378,8 @@ def solve_radial_linear(factors: BandLU, rhs: np.ndarray) -> np.ndarray:
     """Solve L w = rhs with the decay boundary row (rhs forced to 0 there),
     for factors of L from factorise, such as a ground state's L+.
 
-    A non-finite rhs raises ValueError. Above COND_LIMIT the factors'
+    A non-finite rhs, or factors without factorise's norm, raise
+    ValueError. Above COND_LIMIT the factors'
     condition estimate (BandLU.condition, taken once per factorisation)
     raises SingularOperator. Where the estimate is not yet taken, rhs
     rides in its first block solve.
@@ -393,15 +428,15 @@ def radial_newton(r: np.ndarray, dim: int, p: float,
     Returns u and the band of L+ = J(u), the Jacobian at u, not yet
     factorised: factorise(band) gives its factors. The operator L[1] is
     assembled once; each Jacobian differs from it only on the diagonal.
-    Every Jacobian, and then L+, is written from a copy of L[1] into the
-    work array L[1] was assembled in, and factorised there, over the
-    factors before it. |u|^{p-1} is formed once per iterate, for its
-    residual and its Jacobian.
+    Every Jacobian, and then L+, is written into the work array L[1] was
+    assembled in, and factorised there: the first over L[1] itself, each
+    later one from a copy of L[1] over the factors before it. |u|^{p-1}
+    is formed once per iterate, for its residual and its Jacobian.
     """
     ab = radial_operator(r, np.ones_like(r), dim)
     base = ab.copy()
     u = u0.copy()
-    reuse = False
+    reuse = written = False  # written: ab no longer holds L[1]
     for _ in range(NEWTON_MAX_ITER):
         power = np.abs(u) ** (p - 1)
         F = band_matvec(base, u)
@@ -409,8 +444,10 @@ def radial_newton(r: np.ndarray, dim: int, p: float,
         if np.max(np.abs(F[:-1])) < NEWTON_TOL and abs(F[-1]) < NEWTON_TOL:
             break
         if not reuse:
-            ab[...] = base
+            if written:
+                ab[...] = base
             lu = splu(_jacobian(ab, power, p).base)
+            written = True
         du = lu.solve(-F)
         u = u + du
         step, scale = np.max(np.abs(du)), max(1.0, np.max(np.abs(u)))
@@ -421,7 +458,8 @@ def radial_newton(r: np.ndarray, dim: int, p: float,
     else:
         raise NoConvergence(f"radial Newton did not converge in "
                             f"{NEWTON_MAX_ITER} steps")
-    ab[...] = base
+    if written:
+        ab[...] = base
     return u, _jacobian(ab, power, p)
 
 
@@ -473,9 +511,13 @@ def radial_ode_residual(r: np.ndarray, vals: np.ndarray, dim: int,
     three nodes, where d2_six has no centred stencil, are returned as NaN;
     residual_max leaves them out.
     """
-    h = r[1] - r[0]
-    d2 = d2_six(vals, h)
-    d1 = d1_six(vals, h)
+    return _ode_residual(r, vals, d1_six(vals, r[1] - r[0]), dim, coeff, rhs)
+
+
+def _ode_residual(r: np.ndarray, vals: np.ndarray, d1: np.ndarray, dim: int,
+                  coeff: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """radial_ode_residual with d1 = d1_six(vals, h) given."""
+    d2 = d2_six(vals, r[1] - r[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         fric = np.where(r > 0, d1 / np.where(r > 0, r, 1.0), 0.0)
     fric[0] = d2[0]  # limit w'(r)/r -> w''(0)

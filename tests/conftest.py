@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,19 @@ TWO_SIGMA0_P3 = 4.0
 # the two-term divisor, 3.518054298900576, lay 2.2e-6 below both)
 SIGMA0_DIM2_P3 = 5.850448262226631
 FRAK_C_DIM2_P3 = 3.5180621980047233
+
+
+# the benchmark's radial_ground_states pairs (N, p)
+WORKLOAD_PAIRS = [(2, 2.0), (2, 3.0), (2, 4.0), (3, 2.0), (3, 2.5), (4, 1.8),
+                  (4, 2.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def workload_state(dim, p):
+    """The default ground state of (dim, p) and its correction profile,
+    solved once per test run."""
+    gs = solve_ground_state(ProblemParams(dim, p))
+    return gs, correction_profile(gs)
 
 
 def band_matrix(ab):

@@ -180,6 +180,19 @@ def test_w_zero_near_a_node_and_in_the_last_interval(root):
                                       xtol=W_ZERO_XTOL, rtol=8.9e-16)
 
 
+@pytest.mark.parametrize("bad, at", [(np.nan, 0.7), (np.nan, 0.2),
+                                     (np.inf, 0.9), (-np.inf, 0.1)])
+def test_w_zero_rejects_a_non_finite_w(bad, at):
+    # W = 0.25 - r^2: a NaN after the sign change was passed over (the zero
+    # came back as 0.5), and one before it surfaced Brent's NaN message
+    x = np.linspace(0.0, 1.0, 11)
+    vals = 0.25 - x ** 2
+    vals[int(round(at * 10))] = bad
+    w = RadialProfile(x, vals, -2.0 * x)
+    with pytest.raises(ValueError, match="W must be finite"):
+        w_zero_locate(w)
+
+
 @pytest.mark.parametrize("dim, p", [(1, 2.0), (1, 3.0), (1, 5.0), (2, 3.0),
                                     (3, 2.0), (4, 2.0), (2, 2.0)])
 def test_m_frak_matches_scaling_identity(dim, p):

@@ -667,6 +667,54 @@ def test_profile_tail_model(gs3):
     assert val == pytest.approx(gs3.profile.values[-1] * np.exp(-1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [-1, 0.5, 1.0, "1"])
+def test_mass_moment_requires_a_non_negative_integer_order(gs3, k):
+    # k = -1 returned inf with a RuntimeWarning, k = 0.5 a moment of |y|
+    with pytest.raises(ValueError, match="non-negative integer"):
+        mass_moment(gs3, k)
+    assert mass_moment(gs3, np.int64(0)) == pytest.approx(2.0 * gs3.sigma0,
+                                                          rel=1e-15)
+
+
+@pytest.mark.parametrize("field", ["values", "dvalues"])
+def test_radial_profile_needs_one_value_per_node(field):
+    # a short values or dvalues array was accepted, and interpolation then
+    # read past it
+    r = np.linspace(0.0, 1.0, 11)
+    arrays = {"values": 1.0 - r ** 2, "dvalues": -2.0 * r}
+    arrays[field] = arrays[field][:-1]
+    with pytest.raises(ValueError, match="one entry per node"):
+        groundstate.RadialProfile(r, arrays["values"], arrays["dvalues"])
+
+
+def _reference_guess(params, r, splice):
+    # the guess's three pieces picked by boolean masks, kept as the
+    # reference for the slices of the increasing grid
+    s, shot_u, r_splice, c_sp = splice
+    vals = np.empty_like(r)
+    core = r < groundstate.SHOT_START
+    shot = (r >= groundstate.SHOT_START) & (r <= r_splice)
+    tail = r > r_splice
+    vals[core] = groundstate._series(params.p, params.dim, s, r[core])[0]
+    vals[shot] = shot_u(r[shot])
+    vals[tail] = c_sp * r[tail] ** (-(params.dim - 1) / 2.0) * np.exp(-r[tail])
+    return vals
+
+
+@pytest.mark.parametrize("dim, p", [(2, 3.0), (4, 1.8)])
+def test_shooting_guess_matches_masked_reference(dim, p):
+    # on the default grid, and on one where SHOT_START and the splice point
+    # are nodes themselves
+    params = ProblemParams(dim, p)
+    splice = groundstate._shot_splice(params)
+    nodal = np.arange(0.0, 2001.0) / 100.0
+    assert nodal[2] == groundstate.SHOT_START and nodal[1200] == 12.0
+    for r, sp in ((groundstate.radial.uniform_grid(20.0, 1.0 / 600.0), splice),
+                  (nodal, (*splice[:2], 12.0, splice[3]))):
+        assert groundstate._shooting_guess(params, r, sp).tobytes() \
+            == _reference_guess(params, r, sp).tobytes()
+
+
 @pytest.mark.parametrize("dim, p", [(1, 5.0), (2, 3.0)])
 def test_mass_moment_is_taken_once_per_ground_state(monkeypatch, dim, p):
     # every solve_normalized on a line with a potential reads it; a second

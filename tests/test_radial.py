@@ -9,7 +9,7 @@ import pytest
 from scipy.sparse import lil_matrix
 from scipy.special import kv, kve
 
-from conftest import band_matrix
+from conftest import WORKLOAD_PAIRS, band_matrix, workload_state
 from normwave import _lapack, groundstate, radial
 from normwave.corrections import correction_profile
 from normwave.errors import NoConvergence, SingularOperator
@@ -101,6 +101,66 @@ def test_decay_series_matches_kve(dim):
     # counted at each r alone
     each = np.array([radial.decay_series(x, dim)[0] for x in r[::30]])
     assert np.max(np.abs(each / ref[::30] - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_decay_s_alone_is_the_series_s(dim):
+    # the plateau's divisor, S without S', bit for bit, on a plateau window
+    # and at single points
+    r = np.linspace(13.0, 40.0, 2701)
+    assert radial._decay_s(r, dim).tobytes() \
+        == radial.decay_series(r, dim)[0].tobytes()
+    for x in (12.0, 20.0, 27.5):
+        assert radial._decay_s(x, dim) == radial.decay_series(x, dim)[0]
+
+
+@pytest.mark.parametrize("r", [np.array([np.nan, 2.0]), np.array([2.0, 0.0]),
+                               np.array([-1.0, 2.0]),
+                               np.array([2.0, np.inf]), 0.0, np.nan])
+def test_decay_series_rejects_r_not_finite_and_positive(r):
+    # a NaN made S(2) = -7.2e93 for N = 2, and r = 0 gave S = 0.5 with a
+    # NaN S'
+    for f in (radial.decay_series, radial.decay_rate, radial._decay_s):
+        with pytest.raises(ValueError, match="finite and positive"):
+            f(r, 2)
+
+
+def _reference_band_matvec(ab, x):
+    # the sweep of all seven stored diagonals, kept as the reference
+    n = len(x)
+    y = np.zeros(n)
+    for d in range(radial.KL + radial.KU + 1):
+        off = radial.KU - d
+        if off >= 0:
+            y[:n - off] += ab[d, off:] * x[off:]
+        else:
+            y[-off:] += ab[d, :n + off] * x[:n + off]
+    return y
+
+
+@pytest.mark.parametrize("dim, p", WORKLOAD_PAIRS)
+def test_band_matvec_matches_seven_diagonal_sweep(dim, p):
+    # on L[1] and L+ of each benchmark pair, at U and at a random vector
+    gs, _ = workload_state(dim, p)
+    r, u = gs.profile.nodes, gs.profile.values
+    x = np.random.default_rng(dim).normal(size=len(r))
+    for ab in (radial.radial_operator(r, np.ones_like(r), dim),
+               radial.lplus_band(r, dim, p, u)):
+        for v in (u, x):
+            assert radial.band_matvec(ab, v).tobytes() \
+                == _reference_band_matvec(ab, v).tobytes()
+
+
+def test_bare_splu_factors_refuse_the_condition_estimate():
+    # a bare splu's factors carry no norm: the estimate raised TypeError on
+    # None * float
+    r = radial.uniform_grid(12.0, 0.1)
+    lu = radial.splu(radial.radial_operator(r, np.ones_like(r), 2).base)
+    with pytest.raises(ValueError, match="factorise"):
+        radial.solve_radial_linear(lu, np.ones_like(r))
+    with pytest.raises(ValueError, match="factorise"):
+        lu.condition()
+    assert lu.cond is None
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
