@@ -10,8 +10,8 @@ They live here so that importing normwave loads only numpy: importing
 scipy.integrate, scipy.optimize or scipy.interpolate takes about as long as
 numpy and scipy's LAPACK wrappers together, and a command-line run pays for
 every import anew. (The 1D Newton solve and the radial band LU call LAPACK
-in numpy's own OpenBLAS, see _lapack.py, and the Theta quadrature is
-Gauss-Legendre in boundary_layer.py.) The bit-equality holds against
+in numpy's own OpenBLAS, see _lapack.py, and boundary_layer.py takes
+Theta in closed form.) The bit-equality holds against
 numpy 2.4.6 and scipy 1.17.1, the versions CI pins. ``median`` is
 ``np.median``'s arithmetic with a NaN check of its own: numpy's NaN check
 imports numpy.ma, about 15 ms of a command-line run.

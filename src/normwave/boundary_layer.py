@@ -12,15 +12,14 @@ The interaction integral
     Theta(eps) = ∫_{-1/eps}^{1/eps} phi(eps*y) U(y) dy
 
 controls the critical mass deficit (mass ≈ 2 sigma0 - 2 Theta). Its leading
-term is ±4*sqrt(3) * eps^{-1} e^{-2/eps}; the closed-form antiderivative
+term is ±4*sqrt(3) * eps^{-1} e^{-2/eps}. Since phi(eps y) =
+phi(0) cosh(y), Theta is phi(0) 3^{1/4} times the symmetric antiderivative
 
     ∫ cosh(y) (cosh 2y)^{-1/2} dy  (symmetric)  =  sqrt(2) asinh(sqrt(2) sinh y)
 
-pins the rate analytically and the quadrature is checked against it. The
-quadrature is composite Gauss-Legendre on the even, smooth integrand (numpy
-only; no scipy.integrate). Below eps = 2/708.4 the factor e^{-2/eps} is no
-longer a normal double and the layer underflows, so every function here
-rejects such eps.
+and needs no quadrature (numpy only). Below eps = 2/708.4 the factor
+e^{-2/eps} is no longer a normal double and the layer underflows, so every
+function here rejects such eps.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._constants import DIRICHLET, NEUMANN, THETA_RATE_CONSTANT
-from .errors import NoConvergence
 
 __all__ = [
     "BoundaryLayer",
@@ -53,20 +51,6 @@ CENTER_RATE_CONSTANT = 2.0 ** 1.5 * 3.0 ** 0.25
 
 # smallest eps at which e^{-2/eps} is still a normal double (about 0.002823)
 EPS_FLOOR = 2.0 / -math.log(sys.float_info.min)
-THETA_RTOL = 1e-13  # theta_quadrature's bound on |I(h) - I(h/2)| / |I(h/2)|
-# the 16-point Gauss-Legendre rule on [-1, 1], bit for bit numpy's
-# leggauss(16), whose nodes and weights are exactly symmetric; written out
-# so that no import loads numpy.polynomial
-_GL_HALF_NODES = np.array((
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-    0.9445750230732326, 0.9894009349916499))
-_GL_HALF_WEIGHTS = np.array((
-    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-    0.062253523938647456, 0.027152459411754176))
-_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
-_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
 
 def _trace_amplitude(eps: float, bc: str) -> float:
@@ -126,38 +110,15 @@ def theta_asymptotic(eps: float, bc: str) -> float:
     return sign * THETA_RATE_CONSTANT / eps * math.exp(-2.0 / eps)
 
 
-def _symmetric_integral(y_max: float, panels: int) -> float:
-    """∫_{-y_max}^{y_max} cosh(y) U(y) dy by 16-point Gauss-Legendre on
-    `panels` equal panels of [0, y_max], the integrand being even.
-
-    cosh(y) U(y) = 3^{1/4} (1 + a) / sqrt(2 (1 + a^2)) with a = e^{-2y}, a
-    form that cannot overflow.
-    """
-    width = y_max / panels
-    y = (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0)) * width
-    a = np.exp(-2.0 * y)
-    g = 3.0 ** 0.25 * (1.0 + a) / np.sqrt(2.0 * (1.0 + a * a))
-    return width * float(np.sum(g @ _GL_WEIGHTS))
-
-
 def theta_quadrature(eps: float, bc: str) -> float:
-    """Interaction integral by composite Gauss-Legendre quadrature.
+    """Interaction integral in closed form.
 
-    phi(eps y) = pref * cosh(y), so Theta = pref * ∫ cosh(y) U(y) dy over
-    |y| <= 1/eps. The integral is taken on about 1/eps unit panels and again
-    on halved panels; the halved-panel value is returned, and NoConvergence
-    is raised if the two differ by more than THETA_RTOL relative.
+    phi(eps y) = pref * cosh(y) with pref = phi(0), and U(y) = 3^{1/4}
+    (cosh 2y)^{-1/2}, so Theta = pref * 3^{1/4} * theta_antiderivative(1/eps).
     """
     _check(eps, bc)
     pref = 2.0 * _trace_amplitude(eps, bc) * math.exp(-2.0 / eps)
-    y_max = 1.0 / eps
-    panels = math.ceil(y_max)
-    coarse = _symmetric_integral(y_max, panels)
-    fine = _symmetric_integral(y_max, 2 * panels)
-    if abs(coarse - fine) > THETA_RTOL * fine:
-        raise NoConvergence(f"Theta quadrature at eps={eps}: panel halving "
-                            f"changed it by {abs(coarse - fine) / fine:.1e}")
-    return pref * fine
+    return pref * 3.0 ** 0.25 * float(theta_antiderivative(1.0 / eps))
 
 
 def viscosity_rate(eps: float, bc: str) -> float:

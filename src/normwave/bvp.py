@@ -578,10 +578,13 @@ class _MassLaw:
 
     Off p = 1 + 4/N, mass = 2 sigma0 eps^{N - 4/(p-1)} (origin 0, anchored
     at eps = 1). At p = 1 + 4/N the origin is 2 sigma0, and on an interval
-    of half-width d, |mass - 2 sigma0| = 2 THETA_RATE_CONSTANT s e^{-2s},
-    s = d/eps (the mass depends on eps/d only; anchored at s = 1); on the
-    line 2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2, a_k the first
-    non-zero coefficient of V (anchored at eps = 1). V = 0 on the line has
+    of half-width d, |mass - 2 sigma0| = 2 THETA_RATE_CONSTANT (s - 1)
+    e^{-2s}, s = d/eps (the mass depends on eps/d only; anchored at s = 2):
+    2 Theta's leading term times (1 - 1/s), a measured law that meets the
+    mass to 1.1e-6 of itself at s = 5. It peaks at s = 3/2 and decreases
+    beyond; at s <= 3/2 it is silent (secant_slope). On the line
+    2 sigma0 - mass = k a_k eps^{2k+2} ∫|y|^{2k} U^2, a_k the first non-zero
+    coefficient of V (anchored at eps = 1). V = 0 on the line has
     no law: slope and anchor are None.
 
     side is the sign of mass - origin for every mass: 0.0 where no mass
@@ -599,13 +602,13 @@ class _MassLaw:
     masses: str = "masses"
 
     def coordinates(self, eps: float, mass: float) -> tuple[float, float]:
-        """(log eps, log|mass - origin|), or (s, log|mass - origin| - log s)
-        on an interval at p = 1 + 4/N."""
+        """(log eps, log|mass - origin|), or (s, log|mass - origin|
+        - log(s - 1)) on an interval at p = 1 + 4/N."""
         y = math.log(abs(mass - self.origin))
         if self.d is None:
             return math.log(eps), y
         s = self.d / eps
-        return s, y - math.log(s)
+        return s, y - math.log(s - 1.0)
 
     def step(self, eps: float, mass: float,
              slope: Optional[float]) -> Optional[float]:
@@ -617,12 +620,12 @@ class _MassLaw:
             return None
         if self.d is None:
             return eps * ratio ** (1.0 / slope)
-        # log ratio - log(s'/s) = slope (s' - s) in s' = d/eps'; the
-        # fixed-point map contracts by 1/(|slope| s')
+        # log ratio - log((s' - 1)/(s - 1)) = slope (s' - s) in s' = d/eps';
+        # the fixed-point map contracts by 1/(|slope| (s' - 1))
         s = self.d / eps
-        c = math.log(ratio) + slope * s + math.log(s)
+        c = math.log(ratio) + slope * s + math.log(s - 1.0)
         for _ in range(60):
-            s_next = max((c - math.log(s)) / slope, 1.0)
+            s_next = max((c - math.log(s - 1.0)) / slope, 1.5)
             if s_next == s:  # a fixed point: the remaining passes keep it
                 break
             s = s_next
@@ -642,7 +645,11 @@ class _MassLaw:
         """Slope of the next step from point = (eps, mass): the secant
         through behind and point in coordinates or, without behind, the
         local slope dmass = d mass/d eps at point in coordinates, where it
-        is within a factor 2 of the law's slope, else the law's slope."""
+        is within a factor 2 of the law's slope, else the law's slope. None
+        where the law is silent: without a law, or on an interval at
+        s = d/eps <= 3/2, off the branch on which the law decreases."""
+        if self.d is not None and self.d / point[0] <= 1.5:
+            return None
         if self.slope is None or (behind is None and dmass is None):
             return self.slope
         if behind is not None:
@@ -652,10 +659,11 @@ class _MassLaw:
         else:
             eps, mass = point
             # d log|mass - origin| / d log eps, or on an interval its
-            # d/ds with s = d/eps, less d log s/ds
+            # d/ds with s = d/eps, less d log(s - 1)/ds
             local = eps * dmass / (mass - self.origin)
             if self.d is not None:
-                local = -(local + 1.0) * eps / self.d
+                s = self.d / eps
+                local = -local / s - 1.0 / (s - 1.0)
         return local if 0.5 <= local / self.slope <= 2.0 else self.slope
 
     def refusal(self) -> Optional[str]:
@@ -701,9 +709,9 @@ def _mass_law(spec: DomainSpec, params: ProblemParams, rho: float,
     if spec.kind == "interval":
         d = 0.5 * (spec.b - spec.a)
         side = -1.0 if spec.bc == DIRICHLET else 1.0
-        offset = 2.0 * THETA_RATE_CONSTANT * math.exp(-2.0)
+        offset = 2.0 * THETA_RATE_CONSTANT * math.exp(-4.0)
         return _MassLaw(rho, -2.0, two_sigma0, d,
-                        (d, two_sigma0 + side * offset), side,
+                        (0.5 * d, two_sigma0 + side * offset), side,
                         f"{spec.bc.capitalize()} critical masses")
     terms = [(k, c) for k, c in enumerate(spec.potential, start=1) if c != 0.0]
     if not terms:

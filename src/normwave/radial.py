@@ -518,8 +518,8 @@ def _ode_residual(r: np.ndarray, vals: np.ndarray, d1: np.ndarray, dim: int,
                   coeff: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """radial_ode_residual with d1 = d1_six(vals, h) given."""
     d2 = d2_six(vals, r[1] - r[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fric = np.where(r > 0, d1 / np.where(r > 0, r, 1.0), 0.0)
+    fric = np.empty_like(d1)
+    np.divide(d1[1:], r[1:], out=fric[1:])
     fric[0] = d2[0]  # limit w'(r)/r -> w''(0)
     return -d2 - (dim - 1) * fric + coeff * vals - rhs
 

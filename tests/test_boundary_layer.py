@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from normwave import boundary_layer as bl
 from normwave.boundary_layer import (CENTER_RATE_CONSTANT, EPS_FLOOR,
                                      THETA_RATE_CONSTANT, make_boundary_layer,
                                      phi_explicit, theta_antiderivative,
                                      theta_asymptotic, theta_quadrature,
                                      viscosity_rate)
-from normwave.errors import NoConvergence
 
 
 def _u5(x):
@@ -165,14 +163,35 @@ def test_boundary_layer_container():
 THETA_EPS = (0.5, 0.3, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01, 0.003)
 
 
+def _theta_gauss_legendre(eps, bc):
+    """Theta by composite 16-point Gauss-Legendre on the even integrand
+    cosh(y) U(y) = 3^{1/4} (1 + a) / sqrt(2 (1 + a^2)), a = e^{-2y}, over
+    ceil(1/eps) equal panels of [0, 1/eps] and again on twice as many; the
+    halved-panel value, and the relative change the halving made."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    y_max = 1.0 / eps
+
+    def integral(panels):
+        width = y_max / panels
+        y = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width
+        a = np.exp(-2.0 * y)
+        g = 3.0 ** 0.25 * (1.0 + a) / np.sqrt(2.0 * (1.0 + a * a))
+        return width * float(np.sum(g @ weights))
+
+    coarse, fine = integral(math.ceil(y_max)), integral(2 * math.ceil(y_max))
+    return float(phi_explicit(eps, bc, 0.0)) * fine, abs(coarse - fine) / fine
+
+
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_theta_quadrature_matches_antiderivative(bc):
-    # phi(eps y) = phi(0) cosh(y), so Theta = phi(0) 3^{1/4} A(1/eps) with A
-    # the symmetric antiderivative
-    for eps in THETA_EPS:
-        exact = float(phi_explicit(eps, bc, 0.0)) * 3 ** 0.25 \
-            * float(theta_antiderivative(1 / eps))
-        assert theta_quadrature(eps, bc) == pytest.approx(exact, rel=1e-13)
+    # Theta = phi(0) 3^{1/4} A(1/eps), A the symmetric antiderivative,
+    # against composite Gauss-Legendre converged to 1e-13 under panel
+    # halving, on 400 eps from the underflow floor to 0.5
+    for eps in np.geomspace(EPS_FLOOR, 0.5, 400):
+        eps = float(eps)
+        rule, halving = _theta_gauss_legendre(eps, bc)
+        assert halving <= 1e-13
+        assert abs(theta_quadrature(eps, bc) - rule) <= 1e-15 * abs(rule)
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
@@ -183,16 +202,6 @@ def test_theta_quadrature_matches_adaptive_quad(bc):
         assert theta_quadrature(eps, bc) \
             == pytest.approx(float(phi_explicit(eps, bc, 0.0)) * val,
                              rel=1e-13)
-
-
-def test_theta_quadrature_refuses_unconverged_rule(monkeypatch):
-    # a two-point rule on unit panels misses the halving check by far
-    monkeypatch.setattr("normwave.boundary_layer._GL_NODES",
-                        np.array([-1.0, 1.0]) / math.sqrt(3.0))
-    monkeypatch.setattr("normwave.boundary_layer._GL_WEIGHTS",
-                        np.array([1.0, 1.0]))
-    with pytest.raises(NoConvergence):
-        theta_quadrature(0.2, "dirichlet")
 
 
 @pytest.mark.parametrize("eps", [0.002, 0.001, 1e-4])
@@ -206,10 +215,3 @@ def test_epsilon_below_underflow_floor_rejected(eps):
         phi_explicit(eps, "neumann", 0.0)
     assert EPS_FLOOR == pytest.approx(2.0 / 708.396, rel=1e-5)
 
-
-def test_gauss_legendre_literals_are_leggauss_16():
-    # written out so that no import loads numpy.polynomial; the rule must
-    # stay numpy's to the bit
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    assert bl._GL_NODES.tobytes() == nodes.tobytes()
-    assert bl._GL_WEIGHTS.tobytes() == weights.tobytes()

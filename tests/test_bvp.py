@@ -10,6 +10,7 @@ from scipy.integrate import simpson
 
 from conftest import TWO_SIGMA0_P5
 from normwave import bvp
+from normwave._constants import THETA_RATE_CONSTANT
 from normwave.bvp import (DomainSpec, MassEvaluator, NormalizedSolution,
                           assemble_residual, solve_fixed_epsilon,
                           solve_normalized, trace_branch)
@@ -719,6 +720,43 @@ def test_critical_interval_law_scales_with_half_width(monkeypatch, gs5, d, bc,
     assert len(misses) <= 3
 
 
+@pytest.mark.parametrize("eps, bound", [(0.2, 2e-6), (0.18, 3e-7)])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_critical_interval_mass_meets_its_law(gs5, bc, eps, bound):
+    # at p = 5 on (-1, 1), |mass - 2 sigma0| = 2C (s - 1) e^{-2s}, s = 1/eps,
+    # to a remainder of 1.07e-6 (Dirichlet) and 1.06e-6 (Neumann) of the law
+    # at eps = 0.2 and 1.39e-7 and 1.22e-7 at 0.18, the same at 1x, 2x and
+    # 4x the default panels; taken at 2x, where the solver's own mass error
+    # is far below it
+    spec = DomainSpec("interval", -1, 1, bc)
+    panels = 2 * (len(bvp._grid(spec, eps, None)) - 1)
+    mass = solve_fixed_epsilon(spec, P5, eps, n_override=panels).mass
+    s = 1.0 / eps
+    law = 2.0 * THETA_RATE_CONSTANT * (s - 1.0) * math.exp(-2.0 * s)
+    assert abs((abs(mass - TWO_SIGMA0_P5) - law) / law) <= bound
+
+
+@pytest.mark.parametrize("bc, offset, eps", [("dirichlet", -1e-3, 0.0090533),
+                                             ("neumann", 1e-3, 0.0090533),
+                                             ("dirichlet", -0.2, 0.022353)])
+def test_critical_interval_law_is_silent_left_of_its_branch(gs5, bc, offset,
+                                                           eps):
+    # on (-0.05, 0.05) every eps >= 0.05 has s = d/eps <= 1, where the law
+    # 2C (s - 1) e^{-2s} does not decrease and log(s - 1) is undefined; the
+    # walk steps by TRACE_RATIO there (a ZeroDivisionError in the law's
+    # local slope at s = 1 without that rule) and ends in BracketFailed,
+    # and solves once eps_min admits s > 3/2
+    spec = DomainSpec("interval", -0.05, 0.05, bc)
+    rho = TWO_SIGMA0_P5 + offset
+    with pytest.raises(BracketFailed) as info:
+        solve_normalized(spec, P5, rho, ground_state=gs5)
+    assert str(info.value) == (f"mass {rho:.12g} not bracketed for eps in "
+                               f"[{bvp.EPS_MIN}, {bvp.EPS_START}]")
+    sol = solve_normalized(spec, P5, rho, eps_min=0.005, ground_state=gs5)
+    assert abs(sol.mass - rho) <= bvp.MASS_RTOL * rho
+    assert sol.epsilon == pytest.approx(eps, rel=1e-4)
+
+
 @pytest.mark.parametrize("spec, params", [
     (DomainSpec("realline"), P3),
     (DomainSpec("realline", potential=(1.0,)), P5),
@@ -1160,9 +1198,9 @@ def _step_sixty(law, eps, mass, slope):
     """_MassLaw.step on an interval as it was: always 60 passes."""
     ratio = (law.rho - law.origin) / (mass - law.origin)
     s = law.d / eps
-    c = math.log(ratio) + slope * s + math.log(s)
+    c = math.log(ratio) + slope * s + math.log(s - 1.0)
     for _ in range(60):
-        s = max((c - math.log(s)) / slope, 1.0)
+        s = max((c - math.log(s - 1.0)) / slope, 1.5)
     return law.d / s
 
 

@@ -489,6 +489,15 @@ def test_band_layer_matches_reference_bit_for_bit(dim, p):
     ref_u, ref_lu = _reference_newton(r, dim, p, u0)
     assert u.tobytes() == ref_u.tobytes()
     res = groundstate._ode_residual(params, r, u)
+    # the residual with (N-1)/r U' masked by two where passes, as it was
+    h = r[1] - r[0]
+    d2 = radial.d2_six(u, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fric = np.where(r > 0, radial.d1_six(u, h) / np.where(r > 0, r, 1.0),
+                        0.0)
+    fric[0] = d2[0]
+    ref_res = -d2 - (dim - 1) * fric + u - np.abs(u) ** (p - 1) * u
+    assert res.tobytes() == ref_res.tobytes()
     res[~np.isfinite(res)] = 0.0
     assert (-lu.solve(res)).tobytes() == (-ref_lu.solve(res)).tobytes()
     assert radial.onenormest(lu.solve, lambda x: lu.solve(x, trans="T"),
