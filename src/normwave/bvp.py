@@ -739,8 +739,9 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     further steps bracket rho: first along the local slope dm/deps
     (MassEvaluator.slope) in the law's coordinates, then along the
     secant through the last two masses, each where it is within a factor
-    2 of the law's slope, else along the law's. On a V of mixed signs
-    (_MassLaw.side None) the first step takes the law's slope. Where the
+    2 of the law's slope, else along the law's; the local slope is read
+    only where step takes the law's. On a V of mixed signs (_MassLaw.side
+    None) the first step takes the law's slope. Where the
     law is silent the step is eps -> 0.82 eps. Brent on log(eps) then runs
     over the bracket. Every
     eps is clipped to [eps_min, EPS_START]. The first evaluated eps whose mass
@@ -792,10 +793,12 @@ def solve_normalized(spec: DomainSpec, params: ProblemParams, rho: float,
     steps = 0
     while abs(f_a) > tol:
         point = (eps_a, f_a + rho)
-        # the first step takes the local slope, but not on a V of mixed
-        # signs (side None), whose law can be far from the masses
-        dmass = (evaluate.slope(eps_a)
-                 if behind is None and law.side is not None else None)
+        # the first step takes the local slope where step takes the law's,
+        # not on a V of mixed signs (side None), whose law can be far off
+        dmass = (evaluate.slope(eps_a) if behind is None
+                 and law.side is not None and law.step(
+                     *point, law.secant_slope(None, point)) is not None
+                 else None)
         step = law.step(*point, law.secant_slope(behind, point, dmass))
         eps_b = clip(eps_a * TRACE_RATIO if step is None else step)
         if eps_b == eps_a or steps == MAX_BRACKET_STEPS:

@@ -5,8 +5,8 @@ For N = 1 the ground state is the explicit soliton
     U(x) = ((p+1)/2)^{1/(p-1)} sech^{2/(p-1)}((p-1) x / 2),
 
 for N >= 2 it is computed by overshoot/undershoot bisection on U(0) followed
-by a fourth-order collocation polish on the uniform radial grid [0, R], R
-taken from the shot's tail (_tail_radius).
+by a fourth-order collocation polish on the uniform radial grid [0, R],
+R = 20, or 40 where the tail identity (_tail_identity) is not flat at 20.
 
 The key derived constants are sigma0 (half the L2 mass, 2*sigma0 = ∫ U^2)
 and the decay constant frak_c = lim r^{(N-1)/2} e^r U(r).
@@ -52,10 +52,11 @@ MASS_CRITICAL_TOL = 1e-12  # |p - (1 + 4/N)| below this counts as critical
 SIGMA0_RTOL = 1e-9  # largest accepted N >= 2 error estimate of sigma0, relative
 PURE_SCALING_RTOL = 1e-10  # solve_pure_scaling: rho = 2 sigma0 within this
 DECAY_SPREAD_TOL = 1e-3  # decay_constant warns above this plateau spread
-RADIUS_MIN = 20.0  # the shortest default radial grid, N >= 2
-RADIUS_MAX = 40.0  # the default for N = 1, and the longest for N >= 2
-# _tail_radius: largest p U^{p-1} allowed at the start of the decay plateau
-RADIUS_NONLINEARITY = 5e-8
+RADIUS_MIN = 20.0  # the default radial grid for N >= 2
+RADIUS_MAX = 40.0  # the default for N = 1, and the N >= 2 re-solve
+TAIL_SPREAD_TOL = 2e-7  # largest c(r) spread at the default N >= 2 radius
+TAIL_NODES = 24  # Gauss-Laguerre nodes of the identity's integrals past R
+TAIL_STEP = 1.0 / 150.0  # the identity's sub-grid step, about; 4 h by default
 
 
 class Regime(str, Enum):
@@ -494,35 +495,14 @@ def _shooting_guess(params: ProblemParams, r: np.ndarray,
     return vals
 
 
-def _tail_radius(params: ProblemParams, c: float) -> float:
-    """The smallest whole R in [RADIUS_MIN, RADIUS_MAX] at which the tail
-    c r^{-(N-1)/2} e^{-r} has p U^{p-1} <= RADIUS_NONLINEARITY at r = 2R/3,
-    where the decay plateau starts; RADIUS_MAX if none has.
-
-    The bound holds for the shot's tail, not for the converged U: c at the
-    splice is 0.39 to 2.0 times the converged frak_c on the benchmark's
-    pairs and (5, 1.8), so p U^{p-1} of the polished profile at 2R/3 reads
-    up to 7.75e-8 there (at (2, 2)); tests/test_groundstate.py holds it at
-    1e-7, and frak_c, sigma0 and m_frak at the radius chosen to their
-    values at R = 60.
-    """
-    p, dim = params.p, params.dim
-    for radius in range(int(RADIUS_MIN), int(RADIUS_MAX)):
-        r = 2.0 * radius / 3.0
-        u = c * r ** (-(dim - 1) / 2.0) * math.exp(-r)
-        if p * abs(u) ** (p - 1.0) <= RADIUS_NONLINEARITY:
-            return float(radius)
-    return RADIUS_MAX
-
-
 def solve_ground_state(params: ProblemParams, r_max: float | None = None,
                        spacing: float = 1.0 / 600.0) -> GroundState:
     """Compute the radial ground state profile and its derived constants.
 
-    The grid is [0, r_max]. By default (r_max None) it is RADIUS_MAX for
-    N = 1, and for N >= 2 the radius the shot's tail asks for, from
-    RADIUS_MIN to RADIUS_MAX (_tail_radius); the profile's last node is the
-    radius used.
+    The grid is [0, r_max]; by default RADIUS_MAX for N = 1, and for N >= 2
+    RADIUS_MIN where the tail identity's c(r) (decay_constant) is flat there
+    to TAIL_SPREAD_TOL, else RADIUS_MAX, where a larger spread raises
+    TailNotResolved. The profile's last node is the radius used.
 
     A profile that is not strictly decreasing raises NoConvergence, and a
     decay plateau that the grid does not resolve TailNotResolved
@@ -546,22 +526,28 @@ def solve_ground_state(params: ProblemParams, r_max: float | None = None,
     # refuse a bad extent before the shots: no default grid is shorter
     radial.grid_intervals(RADIUS_MIN if r_max is None else r_max, spacing)
     splice = _shot_splice(params)
-    if r_max is None:
-        r_max = _tail_radius(params, splice[3])  # c at the splice
-    return _polished_ground_state(params, radial.uniform_grid(r_max, spacing),
-                                  splice)
+    if r_max is not None:
+        return _polished_ground_state(params, r_max, spacing, splice)
+    try:
+        return _polished_ground_state(params, RADIUS_MIN, spacing, splice,
+                                      TAIL_SPREAD_TOL)
+    except TailNotResolved:
+        return _polished_ground_state(params, RADIUS_MAX, spacing, splice,
+                                      TAIL_SPREAD_TOL)
 
 
-def _polished_ground_state(params: ProblemParams, r: np.ndarray,
-                           splice) -> GroundState:
-    """Guess from splice (_shot_splice) and Newton polish on r, frak_c, then
-    sigma0 and the error estimates; NoConvergence above SIGMA0_RTOL.
+def _polished_ground_state(params: ProblemParams, radius: float,
+                           spacing: float, splice, limit: float = 1.0
+                           ) -> GroundState:
+    """Guess from splice (_shot_splice) and Newton polish on [0, radius],
+    frak_c, sigma0 and the error estimates; NoConvergence above
+    SIGMA0_RTOL, TailNotResolved above a spread limit of c(r).
 
     Defect correction: the sixth-order residual R6 of the grid solution is,
     to leading order, that of the differential equation, so one solve with
     the Jacobian at U, e = -J^{-1} R6, estimates the distance to the exact
-    U. ∫ U e is the first-order change of sigma0, and the plateau of U + e
-    that of frak_c.
+    U. ∫ U e is the first-order change of sigma0, and frak_c of U + e, by
+    the same tail identity, that of frak_c.
 
     J = L+ comes back from radial_newton written from Newton's L[1] into
     the work array Newton stepped in, and is factorised here, once, outside
@@ -570,13 +556,14 @@ def _polished_ground_state(params: ProblemParams, r: np.ndarray,
     estimate is taken here, with R6 riding in its first block solve, so a
     near-singular L+ raises SingularOperator before e is read.
     """
+    r = radial.uniform_grid(radius, spacing)
     vals = _shooting_guess(params, r, splice)
     vals, band = radial.radial_newton(r, params.dim, params.p, vals)
     gs = GroundState(params, RadialProfile(
         r, vals, radial.d1_six(vals, r[1] - r[0]), tail_rate=-1.0), 0.0, 0.0)
     _require_decreasing(vals)
-    plateau = _decay_plateau(r, params.dim)
-    gs.frak_c = decay_constant(gs, plateau)
+    identity = _tail_identity(r, params.dim, params.p)
+    gs.frak_c = _plateau_median(identity(vals), r[-1], limit)
     gs.lplus = radial.factorise(band)
     gs.sigma0 = mass_sigma0(gs)
     res = _ode_residual(params, r, vals, gs.profile.dvalues)
@@ -588,7 +575,7 @@ def _polished_ground_state(params: ProblemParams, r: np.ndarray,
     if not gs.sigma0_rel_err <= SIGMA0_RTOL:
         raise NoConvergence(f"ground-state sigma0 error estimate "
                             f"{gs.sigma0_rel_err:.2e} above {SIGMA0_RTOL:.0e}")
-    corrected = median(plateau(vals + e))
+    corrected = median(identity(vals + e))
     gs.frak_c_rel_err = abs(corrected - gs.frak_c) / gs.frak_c
     return gs
 
@@ -663,47 +650,115 @@ def linearization(gs: GroundState) -> radial.BandLU:
     return gs.lplus
 
 
-def decay_constant(gs: GroundState, plateau=None) -> float:
-    """Plateau of r^{(N-1)/2} e^r U(r) over the outer third of the grid.
+def decay_constant(gs: GroundState) -> float:
+    """frak_c, the median of the tail identity's c(r) over the outer third
+    of the grid (_tail_identity).
 
-    In the tail U is a multiple of r^{-(N-2)/2} K_nu(r), nu = (N-2)/2, so the
-    plateau is divided by the K_nu tail series S(r) (radial.decay_series,
-    DLMF 10.40.2); S = 1 for N = 1 and 3. A grid shorter than 12, or with
-    fewer than 8 nodes in its outer third, raises TailNotResolved. A spread
-    of the plateau above DECAY_SPREAD_TOL of its median warns, and one above
-    1, no plateau at all, raises TailNotResolved. plateau, the map
-    _decay_plateau(r, N) of the profile's grid, may be passed in where it is
-    formed already.
+    A grid shorter than 12, or with fewer than 8 nodes in its outer third,
+    a median that is not positive, or a spread (max - min)/median of c(r)
+    above 1, no plateau at all, raise TailNotResolved; a spread above
+    DECAY_SPREAD_TOL warns.
     """
     r = gs.profile.nodes
-    if plateau is None:
-        plateau = _decay_plateau(r, gs.params.dim)
-    g = plateau(gs.profile.values)
+    identity = _tail_identity(r, gs.params.dim, gs.params.p)
+    return _plateau_median(identity(gs.profile.values), r[-1])
+
+
+def _plateau_median(g: np.ndarray, radius: float, limit: float = 1.0
+                    ) -> float:
+    """decay_constant's median of c(r) = g and its checks, with the spread
+    refused above limit (TAIL_SPREAD_TOL at the default N >= 2 radius)."""
     c = median(g)
     if c <= 0 or not np.isfinite(c):
         raise TailNotResolved("decay plateau is not positive")
     spread = float((np.max(g) - np.min(g)) / c)
-    if spread > 1.0:  # no plateau at all: the tail is not resolved
+    if spread > limit:
         raise TailNotResolved(f"decay plateau spread {spread:.2e} at r_max = "
-                              f"{r[-1]:g}: no plateau")
+                              f"{radius:g} above {limit:.0e}")
     if spread > DECAY_SPREAD_TOL:
         warnings.warn(f"decay plateau spread {spread:.2e} exceeds "
-                      f"{DECAY_SPREAD_TOL:.0e}", stacklevel=2)
+                      f"{DECAY_SPREAD_TOL:.0e}", stacklevel=3)
     return c
 
 
-def _decay_plateau(r: np.ndarray, dim: int):
-    """The map U -> r^{(N-1)/2} e^r U(r) / S(r) over the outer third of r,
-    S from radial.decay_series (its S alone); the window's factors are
-    formed once, here.
-    A grid too short for a plateau raises TailNotResolved."""
-    window = r >= (2.0 / 3.0) * r[-1]
-    if r[-1] < 12.0 or np.count_nonzero(window) < 8:
+def _integrals_to_end(f: np.ndarray, h: float) -> np.ndarray:
+    """∫_{r_j}^{r_n} f at nodes 1 to n of f sampled h apart: each interval
+    by the cubic through the four nodes about it (the last four for the
+    last), summed from the end."""
+    seg = np.zeros(len(f) - 1)
+    seg[:-2] = 13.0 * (f[1:-2] + f[2:-1]) - f[:-3] - f[3:]
+    seg[-2] = f[-4] - 5.0 * f[-3] + 19.0 * f[-2] + 9.0 * f[-1]
+    return np.cumsum(seg[::-1])[::-1] * (h / 24.0)
+
+
+def _tail_identity(r: np.ndarray, dim: int, p: float):
+    """The map U -> frak_c(r) over the outer third of r, by variation of
+    parameters; the window's factors are formed once, here. A grid too
+    short for a plateau raises TailNotResolved. It is taken on every
+    stride-th node back from R, stride = TAIL_STEP/h rounded (4 at the
+    default h = 1/600): the integrands vary on the scale of 1/(p + 1), and
+    frak_c moves by at most 6e-15 against every node, at a quarter of
+    the work.
+
+    With k = r^{-(N-1)/2} e^{-r} S_K and i = r^{-(N-1)/2} e^{r} S_I, the
+    multiples of r^{-nu} K_nu and r^{-nu} I_nu (nu = (N-2)/2) whose
+    Wronskian k i' - k' i is 2 r^{1-N}, every solution of -U'' - (N-1)/r U'
+    + U = U^p that decays has
+
+        frak_c(r) = U/k + (B(r) - (i/k) A(r)) / 2,
+        A(r) = ∫_r^∞ k U^p s^{N-1} ds,  B(r) = ∫_r^∞ i U^p s^{N-1} ds,
+
+    the same at every r, equal to lim r^{(N-1)/2} e^r U(r). A growing part
+    d i that the truncation at R leaves in U adds d i/k, which grows as
+    e^{2r} over the window: the spread shows it, and the median, where i/k
+    is about e^{-R/3} of its value at R, lies 150 to 1000 times closer to
+    the constant on the pairs measured (tests/test_groundstate.py).
+
+    S_K is the K_nu tail series (radial.decay_series) and S_I e^{-r}
+    I_nu's, the same terms with alternating signs (DLMF 10.40.1), both
+    from radial._decay_s; i may differ from the growing solution by a
+    multiple of k, which leaves frak_c(r) unchanged. A and B take the
+    stride's nodes from r to R (_integrals_to_end) and, past R, the linear
+    tail U(R) k(s)/k(R) of the Robin row, on which the integrands are
+    e^{-(p+1)(s-R)} and e^{-(p-1)(s-R)} times a slowly varying factor:
+    TAIL_NODES-point Gauss-Laguerre.
+    """
+    start = int(np.searchsorted(r, (2.0 / 3.0) * r[-1]))
+    if r[-1] < 12.0 or len(r) - start < 8:
         raise TailNotResolved("grid too short to resolve the decay plateau")
-    rw = r[window]
-    power, growth = rw ** ((dim - 1) / 2.0), np.exp(rw)
-    divisor = radial._decay_s(rw, dim)
-    return lambda vals: vals[window] * power * growth / divisor
+    h = r[1] - r[0]
+    stride = max(1, round(TAIL_STEP / h))
+    # every stride-th node back from R, and one before the window
+    sub = slice(len(r) - 1 - stride * ((len(r) - 1 - start) // stride + 1),
+                None, stride)
+    # Gauss-Laguerre by Golub-Welsch: the Laguerre Jacobi matrix's eigenpairs
+    k = np.arange(1.0, TAIL_NODES)
+    x, v = np.linalg.eigh(np.diag(2.0 * np.arange(TAIL_NODES) + 1.0)
+                          + np.diag(k, 1) + np.diag(k, -1))
+    w = v[0] ** 2
+    rs, R, m = r[sub], r[-1], dim - 1.0
+    n = len(rs)
+    s = np.concatenate([rs, R + x / (p + 1.0), R + x / (p - 1.0)])
+    area = s ** m  # s^{N-1}
+    sk, si = (radial._decay_s(s, dim, sign) / np.sqrt(area)
+              for sign in (1.0, -1.0))
+    grow = np.exp(s[:n])
+    lift, ratio = grow / sk[:n], grow * grow * si[:n] / sk[:n]
+    fa, fb = sk[:n] / grow * area[:n], si[:n] * grow * area[:n]
+    ta, tb = slice(n, n + len(x)), slice(n + len(x), None)
+    tail_a = math.exp(-R) / (p + 1.0) * np.sum(w * sk[ta] ** (p + 1.0)
+                                               * area[ta])
+    tail_b = math.exp(R) / (p - 1.0) * np.sum(w * si[tb] * sk[tb] ** p
+                                              * area[tb])
+
+    def frak_c(vals):
+        u = vals[sub]
+        up = np.abs(u) ** (p - 1.0) * u
+        tail = abs(u[-1] / sk[n - 1]) ** p
+        a = _integrals_to_end(fa * up, stride * h) + tail_a * tail
+        b = _integrals_to_end(fb * up, stride * h) + tail_b * tail
+        return u[1:] * lift[1:] + 0.5 * (b - ratio[1:] * a)
+    return frak_c
 
 
 def scale_solution(gs: GroundState, lam: float):

@@ -291,10 +291,11 @@ def decay_series(r, dim: int):
     return _horner(coeffs, x), -x * x * _horner(dcoeffs, x)
 
 
-def _decay_s(r, dim: int):
-    """S(r) of decay_series alone, bit for bit."""
+def _decay_s(r, dim: int, sign: float = 1.0):
+    """S(r) of decay_series alone, bit for bit; with sign -1.0, S(-r), the
+    series of I_nu(r) = e^r S(-r) / sqrt(2 pi r) (DLMF 10.40.1)."""
     r, coeffs = _decay_terms(r, dim)
-    return _horner(coeffs, 1.0 / r)
+    return _horner(coeffs, sign / r)
 
 
 def decay_rate(r, dim: int) -> np.ndarray:

@@ -757,6 +757,37 @@ def test_critical_interval_law_is_silent_left_of_its_branch(gs5, bc, offset,
     assert sol.epsilon == pytest.approx(eps, rel=1e-4)
 
 
+def test_local_slope_is_taken_only_where_it_steers(monkeypatch, gs5):
+    # MassEvaluator.slope is one banded solve. On (-0.05, 0.05) at p = 5
+    # every eps >= eps_min has s = d/eps <= 1, where the law is silent, so
+    # the walk takes none (it took one, at s = 1, and threw it away); the
+    # refusal keeps its message. A mass on the other side of 2 sigma0 from
+    # rho, where step returns None, takes none either
+    real_slope, calls = MassEvaluator.slope, []
+
+    def counted(self, eps):
+        calls.append(eps)
+        return real_slope(self, eps)
+
+    monkeypatch.setattr(MassEvaluator, "slope", counted)
+    spec = DomainSpec("interval", -0.05, 0.05, "dirichlet")
+    rho = TWO_SIGMA0_P5 - 0.2
+    with pytest.raises(BracketFailed) as info:
+        solve_normalized(spec, P5, rho, ground_state=gs5)
+    assert str(info.value) == (f"mass {rho:.12g} not bracketed for eps in "
+                               f"[{bvp.EPS_MIN}, {bvp.EPS_START}]")
+    assert calls == []
+    wide = DomainSpec("interval", -1.0, 1.0, "dirichlet")
+    law = bvp._mass_law(wide, P5, TWO_SIGMA0_P5 - 1e-3, gs5)
+
+    def law_step(eps, mass):  # the walk's guard on the local slope
+        return law.step(eps, mass, law.secant_slope(None, (eps, mass)))
+
+    assert law_step(0.2, TWO_SIGMA0_P5 - 1e-4) is not None
+    assert law_step(0.2, TWO_SIGMA0_P5 + 1e-4) is None
+    assert law_step(0.9, TWO_SIGMA0_P5 - 1e-4) is None
+
+
 @pytest.mark.parametrize("spec, params", [
     (DomainSpec("realline"), P3),
     (DomainSpec("realline", potential=(1.0,)), P5),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (FRAK_C_DIM2_P3, SIGMA0_DIM2_P3, TWO_SIGMA0_P3,
-                      TWO_SIGMA0_P5)
+                      TWO_SIGMA0_P5, WORKLOAD_PAIRS)
 from normwave import groundstate
 from normwave.corrections import correction_profile
 from normwave.errors import (MassCriticalInfeasible, NoConvergence,
@@ -109,6 +109,17 @@ def test_decay_constants(gs5, gs3):
     assert gs3.frak_c == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-8)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0, 7.0, 9.0])
+def test_dim1_tail_identity_meets_closed_form(p):
+    # on the exact N = 1 profile at R = 40 the identity gives
+    # frak_c = A 2^{2/(p-1)} to 1.8e-15 relative, at p = 1.5 too, where
+    # the plateau of U e^r lies 2.3e-7 low
+    gs = solve_ground_state(ProblemParams(1, p))
+    amp = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0))
+    assert gs.frak_c == pytest.approx(amp * 2.0 ** (2.0 / (p - 1.0)),
+                                      rel=4e-15)
+
+
 def test_decay_plateau_spread_p3(gs3):
     import warnings
     with warnings.catch_warnings():
@@ -117,10 +128,10 @@ def test_decay_plateau_spread_p3(gs3):
 
 
 def test_decay_plateau_flat_for_dim2(monkeypatch, gs2d):
-    # with the whole K_nu tail series divided out the N = 2 plateau is flat
-    # to 1e-8 (4e-10) at the default R = 20, and the constant does not move
-    # when the grid grows to R = 60 (5.6e-12); with two terms of the series
-    # the spread was 3.8e-5 and frak_c 2.2e-6 low
+    # with the whole K_nu tail series the N = 2 tail identity is flat to
+    # 1e-8 (4e-10) at the default R = 20, and the constant does not move
+    # when the grid grows to R = 60 (5.5e-12); with two terms of the series
+    # the plateau's spread was 3.8e-5 and frak_c 2.2e-6 low
     import warnings
     with warnings.catch_warnings(), monkeypatch.context() as m:
         warnings.simplefilter("error")
@@ -132,9 +143,11 @@ def test_decay_plateau_flat_for_dim2(monkeypatch, gs2d):
 
 # the pairs of the radial benchmark and (5, 1.8), with the radius each
 # solves on by default
-DEFAULT_RADII = {(2, 2.0): 27.0, (2, 3.0): 20.0, (2, 4.0): 20.0,
-                 (3, 2.0): 26.0, (3, 2.5): 20.0, (4, 1.8): 31.0,
-                 (4, 2.0): 24.0, (5, 1.8): 31.0}
+DEFAULT_RADII = {(2, 2.0): 20.0, (2, 3.0): 20.0, (2, 4.0): 20.0,
+                 (3, 2.0): 20.0, (3, 2.5): 20.0, (4, 1.8): 20.0,
+                 (4, 2.0): 20.0, (5, 1.8): 20.0}
+# pairs whose tail is not resolved at RADIUS_MIN, re-solved at RADIUS_MAX
+WIDE_PAIRS = [(2, 1.5), (3, 1.6), (4, 1.4), (6, 1.5)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,35 +157,64 @@ def solved(dim, p, r_max=None):
     return gs, correction_profile(gs)
 
 
+def identity_spread(gs):
+    """(max - min)/median of the tail identity's frak_c(r) over the window."""
+    r = gs.profile.nodes
+    c = groundstate._tail_identity(r, gs.params.dim, gs.params.p)(
+        gs.profile.values)
+    return (np.max(c) - np.min(c)) / np.median(c)
+
+
+def plateau(gs):
+    """The decay plateau r^{(N-1)/2} e^r U(r) / S(r) over the outer third of
+    the grid, S the K_nu tail series: the cross-check of the tail
+    identity where U^p has died out."""
+    r = gs.profile.nodes
+    window = r >= (2.0 / 3.0) * r[-1]
+    rw = r[window]
+    return (gs.profile.values[window] * rw ** ((gs.params.dim - 1) / 2.0)
+            * np.exp(rw) / groundstate.radial.decay_series(rw,
+                                                            gs.params.dim)[0])
+
+
+# the smallest p on a 0.01 grid that the default radius accepts, per N:
+# at R = 40 these read spreads of 1.88e-7, 1.37e-7, 1.52e-7, 1.69e-7 and
+# 1.88e-7, with frak_c within 2.1e-11 of R = 80, and p 0.01 lower reads
+# 2.84e-7, 2.11e-7, 2.37e-7, 2.67e-7 and 3.02e-7 (refused)
+FIRST_ACCEPTED = {2: 1.38, 3: 1.38, 4: 1.37, 5: 1.36, 6: 1.35}
+
+
 @pytest.mark.parametrize("dim, p, radius", [
     *((dim, p, radius) for (dim, p), radius in DEFAULT_RADII.items()),
-    (6, 1.5, 40.0), (2, 1.05, 40.0), (4, 1.05, 40.0)])
+    (6, 1.5, 40.0), (4, 1.4, 40.0), (3, 1.6, 40.0), (2, 1.05, 40.0),
+    (4, 1.05, 40.0),
+    *((dim, p, 40.0) for dim, p in FIRST_ACCEPTED.items()),
+    *((dim, round(p - 0.01, 2), 40.0) for dim, p in FIRST_ACCEPTED.items())])
 def test_default_radius_is_pinned(dim, p, radius):
-    # the smallest whole R >= 20 at which p U^{p-1} of the shot's tail is at
-    # most 5e-8 where the plateau starts, 2R/3, and never above 40: a change
-    # that grows the grid fails here rather than in the benchmark's timings
-    params = ProblemParams(dim, p)
-    c = groundstate._shot_splice(params)[3]
-    assert groundstate._tail_radius(params, c) == radius
-    if (dim, p) in DEFAULT_RADII:
+    # RADIUS_MIN where the tail identity's c(r) is flat there to
+    # TAIL_SPREAD_TOL, else RADIUS_MAX from the same shot: (6, 1.5),
+    # (4, 1.4) and (3, 1.6) read spreads of 6.6e-6, 1.8e-4 and 2.6e-6 at
+    # R = 20, and 2.8e-10, 4.0e-8 and 3.9e-10 at R = 40. Below
+    # FIRST_ACCEPTED the spread at R = 40 exceeds TAIL_SPREAD_TOL (2e-2 at
+    # p = 1.05), which is refused. A change that grows the grid fails here
+    # rather than in the benchmark's timings
+    if p < FIRST_ACCEPTED[dim]:
+        with pytest.raises(TailNotResolved, match=f"at r_max = {radius:g} "):
+            solve_ground_state(ProblemParams(dim, p))
+    else:
         assert solved(dim, p)[0].profile.nodes[-1] == radius
 
 
 @pytest.mark.parametrize("dim, p", DEFAULT_RADII)
 def test_default_radius_matches_r60(dim, p):
-    # at the default radius the plateau is flat (spread at most 1.5e-8), and
-    # frak_c, sigma0 and m_frak are those of R = 60. With two terms of the
-    # K_nu series frak_c lay 2.2e-6 (N = 2) and 3.2e-6 (N = 4) off. m_frak
-    # is held to 1e-10 relative to max(1, |m_frak|): (4, 2), where m_frak is
-    # 58, reads 8.4e-10 absolute, the spread of Newton's rounding floor
-    # (R = 30 reads 9.1e-10, and further Newton steps at one R move it by
-    # as much)
+    # at the default radius frak_c, sigma0 and m_frak are those of R = 60:
+    # frak_c to 5e-11 (at most 1.9e-11 measured), where the plateau at
+    # R = 20 lies up to 4.6e-7 off (at (4, 1.8)). m_frak is held to 1e-10
+    # relative to max(1, |m_frak|): (2, 2) reads 7.8e-11, and (4, 2), where
+    # m_frak is 58, sits on the spread of Newton's rounding floor
     gs, corr = solved(dim, p)
     far, far_corr = solved(dim, p, 60.0)
-    r = gs.profile.nodes
-    g = groundstate._decay_plateau(r, dim)(gs.profile.values)
-    assert (np.max(g) - np.min(g)) / gs.frak_c <= 2e-8
-    assert gs.frak_c == pytest.approx(far.frak_c, rel=1e-9)
+    assert gs.frak_c == pytest.approx(far.frak_c, rel=5e-11)
     assert gs.sigma0 == pytest.approx(far.sigma0, rel=1e-11)
     assert corr.m_frak == pytest.approx(
         far_corr.m_frak, rel=0.0, abs=1e-10 * max(1.0, abs(far_corr.m_frak)))
@@ -180,14 +222,37 @@ def test_default_radius_matches_r60(dim, p):
 
 @pytest.mark.parametrize("dim, p", DEFAULT_RADII)
 def test_converged_nonlinearity_at_the_plateau_start(dim, p):
-    # _tail_radius bounds p U^{p-1} at 2R/3 on the shot's tail, whose c is
-    # 0.39 to 2.0 times frak_c; on the converged profile it reads up to
-    # 7.75e-8 (at (2, 2)), above that 5e-8. Held at 1e-7, so that a change
-    # that shrinks R fails here
+    # at R = 20 the converged p U^{p-1} where the window starts, 2R/3,
+    # reads up to 3.9e-5 (at (4, 1.8)), and the tail identity carries it:
+    # its c(r) is flat to 2e-8 (1.3e-10 to 1.1e-8 measured, the most at
+    # (4, 1.8)), ten times inside TAIL_SPREAD_TOL, so that a change that
+    # lets the nonlinear tail through fails here
     gs, _ = solved(dim, p)
-    r = gs.profile.nodes
-    i = np.searchsorted(r, 2.0 * r[-1] / 3.0)
-    assert p * gs.profile.values[i] ** (p - 1) <= 1e-7
+    assert identity_spread(gs) <= 2e-8
+
+
+@pytest.mark.parametrize("dim, p", WIDE_PAIRS)
+def test_wide_pairs_frak_c_matches_r80(dim, p):
+    # re-solved at R = 40, frak_c lies within 5e-11 of the identity at
+    # R = 80 (2.7e-12 to 1.6e-11 measured), where the plateau at R = 40
+    # erred by 2.1e-9 to 3.1e-6; frak_c_rel_err, the discretisation's part,
+    # is above that error (3.6e-10 to 4.7e-10)
+    gs, _ = solved(dim, p)
+    far, _ = solved(dim, p, 80.0)
+    err = abs(gs.frak_c / far.frak_c - 1.0)
+    assert err <= 5e-11
+    assert gs.frak_c_rel_err >= err
+
+
+@pytest.mark.parametrize("dim, p", WORKLOAD_PAIRS)
+def test_plateau_agrees_with_identity_where_flat(dim, p):
+    # at R = 60 U^p has died out over the window, so the plain plateau is
+    # flat (spread at most 1e-9, 4.1e-10 measured) and its median is the
+    # identity's frak_c (to 2.4e-15 measured)
+    far, _ = solved(dim, p, 60.0)
+    g = plateau(far)
+    assert (np.max(g) - np.min(g)) / np.median(g) <= 1e-9
+    assert np.median(g) == pytest.approx(far.frak_c, rel=1e-13)
 
 
 @pytest.mark.parametrize("dim, p", [*DEFAULT_RADII, (1, 5.0)])
@@ -204,9 +269,10 @@ def test_last_derivatives_meet_the_robin_row(dim, p):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_unresolved_decay_plateau_is_refused(dim):
-    # at p = 1.05 the state is so wide that r_max = 40 shows no plateau
-    # (spread 5.5 to 6.2 of the median), and frak_c came out as 1e10 to 1e14
-    # with only a warning; whichever gate refuses it, no result is returned
+    # at p = 1.05 the state is so wide that the tail identity still spreads
+    # by 2e-2 of its median at r_max = 40 (the plateau by 5.5 to 6.2), and
+    # frak_c once came out as 1e10 to 1e14 with only a warning; whichever
+    # gate refuses it, no result is returned
     with pytest.raises(SolverError):
         solve_ground_state(ProblemParams(dim, 1.05))
 
@@ -575,12 +641,12 @@ def test_shot_matches_reference_on_random_starts(dim, frac, s):
 @given(dim=st.integers(2, 6), frac=st.floats(0.0, 1.0, exclude_max=True))
 def test_ground_state_contract(dim, frac):
     # a documented refusal, or a strictly decreasing profile with finite
-    # constants whose sigma0 estimate meets the gate; no RuntimeWarning on
-    # the way, only the plateau's UserWarning
+    # constants whose sigma0 estimate meets the gate; no warning on the
+    # way: the default radius refuses a spread long before the plateau's
+    # UserWarning
     params = ProblemParams(dim, _below_sobolev(dim, frac))
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        warnings.filterwarnings("ignore", "decay plateau spread", UserWarning)
+        warnings.simplefilter("error")
         try:
             gs = solve_ground_state(params)
         except (NoConvergence, TailNotResolved):

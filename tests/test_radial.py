@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.sparse import lil_matrix
-from scipy.special import kv, kve
+from scipy.special import ive, kv, kve
 
 from conftest import WORKLOAD_PAIRS, band_matrix, workload_state
 from normwave import _lapack, groundstate, radial
@@ -101,6 +101,18 @@ def test_decay_series_matches_kve(dim):
     # counted at each r alone
     each = np.array([radial.decay_series(x, dim)[0] for x in r[::30]])
     assert np.max(np.abs(each / ref[::30] - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_growing_series_matches_ive(dim):
+    # the tail identity's I_nu series, the terms of S with alternating
+    # signs: sqrt(2 pi r) e^{-r} I_nu(r) on r from 13 to 40, to 7.5e-13
+    # for even N (asymptotic); for odd N it ends and differs from I_nu by
+    # a multiple of K_nu, e^{-2r} small (5.1e-12 to 6.0e-12 at r = 13)
+    r = np.linspace(13.0, 40.0, 2701)
+    ref = ive((dim - 2) / 2.0, r) * np.sqrt(2.0 * np.pi * r)
+    err = np.abs(radial._decay_s(r, dim, -1.0) / ref - 1.0)
+    assert np.max(err) <= (1e-12 if dim % 2 == 0 else 1e-11)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
